@@ -59,7 +59,8 @@ void checkLaunchFootprint(const Program &P, const FusedKernel &FK,
 /// Proves the overlapped tiling strategy safe for this launch: every
 /// scratch plane's margin (recomputed from the bytecode's stage-call
 /// offsets, the walk buildOverlapSchedule performs collapsed over
-/// channels) plus the plane stage's direct load halo must stay within
+/// channels, so it bounds every (stage, channel) plane of the schedule)
+/// plus the plane stage's direct load halo must stay within
 /// the launch halo -- the interior rectangle overlapped tiles run on is
 /// inset by exactly \p Halo, so a violating stage would read out of
 /// bounds from inside a grown tile. Reports KF-F06. Skipped for mixed

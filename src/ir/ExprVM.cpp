@@ -71,10 +71,11 @@ TilingStrategy kf::resolveTilingStrategy(TilingStrategy Requested) {
     if (!Warned.exchange(true))
       std::fprintf(stderr,
                    "warning: ignoring invalid KF_TILING='%s' (expected "
-                   "'interior', 'overlapped' or 'tuned'); using interior\n",
+                   "'interior', 'overlapped' or 'tuned'); choosing per "
+                   "launch\n",
                    Env);
   }
-  return TilingStrategy::InteriorHalo;
+  return TilingStrategy::Auto;
 }
 
 const char *kf::tilingStrategyName(TilingStrategy Strategy) {
@@ -857,12 +858,19 @@ OverlapSchedule kf::buildOverlapSchedule(const StagedVmProgram &SP,
   if (!SP.UniformExtents || Root >= SP.Stages.size() || Channels <= 0)
     return Schedule; // Valid stays false: no interior, no planes.
 
-  Schedule.PerChannel.resize(Channels);
+  // Per demanded (stage, channel) of the stages before the root (stage
+  // calls only target preceding stages): the largest margin over all
+  // destination channels, and how many destination channels demand it.
+  struct Demand {
+    int Margin = 0;
+    int Channels = 0;
+  };
+  std::vector<std::map<int, Demand>> Merged(Root);
   for (int C = 0; C != Channels; ++C) {
-    // Margin per demanded (stage, channel): the maximum stage-call
-    // distance from the root. Walking stages in decreasing index is a
-    // reverse topological order (calls always target preceding stages),
-    // so a stage's margin is final before its own calls are expanded.
+    // Margin per (stage, channel) this destination channel demands: the
+    // maximum stage-call distance from the root. Walking stages in
+    // decreasing index is a reverse topological order, so a stage's
+    // margin is final before its own calls are expanded.
     std::vector<std::map<int, int>> Margin(Root + 1);
     Margin[Root][C] = 0;
     for (int S = Root; S >= 0; --S) {
@@ -880,32 +888,36 @@ OverlapSchedule kf::buildOverlapSchedule(const StagedVmProgram &SP,
         }
       }
     }
-    // Materialization order: ascending stage index puts every callee
-    // before its callers, so a plane only reads already-filled planes.
-    for (int S = 0; S <= static_cast<int>(Root); ++S)
+    for (int S = 0; S != static_cast<int>(Root); ++S)
       for (const auto &[Ch, M] : Margin[S]) {
-        if (S == Root && Ch == C)
-          continue; // The root writes the destination, not a plane.
-        Schedule.PerChannel[C].push_back(
-            {static_cast<uint16_t>(S), static_cast<int16_t>(Ch), M});
-        Schedule.MaxMargin = std::max(Schedule.MaxMargin, M);
+        Demand &D = Merged[S][Ch];
+        D.Margin = std::max(D.Margin, M);
+        ++D.Channels;
       }
   }
+  // Materialization order: ascending stage index puts every callee
+  // before its callers, so a plane only reads already-filled planes. A
+  // callee's merged margin still covers every caller plane plus the call
+  // offset: the destination channel that set the caller's maximum also
+  // demanded the callee at least that much farther out.
+  for (int S = 0; S != static_cast<int>(Root); ++S)
+    for (const auto &[Ch, D] : Merged[S]) {
+      Schedule.Planes.push_back(
+          {static_cast<uint16_t>(S), static_cast<int16_t>(Ch), D.Margin});
+      Schedule.MaxMargin = std::max(Schedule.MaxMargin, D.Margin);
+      Schedule.SharedPlanes |= D.Channels > 1;
+    }
   Schedule.Valid = true;
   return Schedule;
 }
 
 size_t kf::overlapPlaneFloats(const OverlapSchedule &Schedule, int RootW,
                               int RootH) {
-  size_t Max = 0;
-  for (const std::vector<OverlapPlane> &Planes : Schedule.PerChannel) {
-    size_t Floats = 0;
-    for (const OverlapPlane &Plane : Planes)
-      Floats += static_cast<size_t>(RootW + 2 * Plane.Margin) *
-                (RootH + 2 * Plane.Margin);
-    Max = std::max(Max, Floats);
-  }
-  return Max;
+  size_t Floats = 0;
+  for (const OverlapPlane &Plane : Schedule.Planes)
+    Floats += static_cast<size_t>(RootW + 2 * Plane.Margin) *
+              (RootH + 2 * Plane.Margin);
+  return Floats;
 }
 
 namespace {
@@ -945,7 +957,7 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
             Stage.Code, Pool, Stage.Inputs, Y, C0, C1, Ch, Frame,
             DstRow + static_cast<size_t>(C0 - RX0) * DstStride, DstStride,
             [&](const VmInst &Inst, float *D) {
-              const PlaneView &V =
+              const PlaneView V =
                   Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
               assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
                      C0 + Inst.Ox >= V.X0 &&
@@ -978,7 +990,7 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
           break;
         }
         case VmOp::StageCall: {
-          const PlaneView &V =
+          const PlaneView V =
               Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
           assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
                  X + Inst.Ox >= V.X0 && X + Inst.Ox < V.X0 + V.W &&
@@ -1013,44 +1025,47 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
     return;
   const long long RootArea = static_cast<long long>(RootW) * RootH;
 
-  for (int C = 0; C != Channels; ++C) {
-    const std::vector<OverlapPlane> &Planes = Schedule.PerChannel[C];
-    // Lay the channel's planes out back to back in the scratch; every
-    // channel reuses the same block (overlapPlaneFloats is the maximum).
-    std::vector<PlaneView> Views(Planes.size());
+  // Planes lie back to back in the scratch, in schedule order; a plane's
+  // view follows from the tile, its margin and the areas before it, so
+  // views are derived on the fly and the tile loop never allocates.
+  auto ViewAt = [&](const OverlapPlane &Plane, size_t Offset) {
+    PlaneView V;
+    V.X0 = X0 - Plane.Margin;
+    V.Y0 = Y0 - Plane.Margin;
+    V.W = RootW + 2 * Plane.Margin;
+    V.H = RootH + 2 * Plane.Margin;
+    V.Data = PlaneScratch + Offset;
+    return V;
+  };
+  auto Resolve = [&](uint16_t Stage, int Ch) {
+    // The plane list is tiny (demanded stages x channels); a linear scan
+    // beats a hash per stage-call instruction.
     size_t Offset = 0;
-    for (size_t I = 0; I != Planes.size(); ++I) {
-      const OverlapPlane &Plane = Planes[I];
-      PlaneView &V = Views[I];
-      V.X0 = X0 - Plane.Margin;
-      V.Y0 = Y0 - Plane.Margin;
-      V.W = RootW + 2 * Plane.Margin;
-      V.H = RootH + 2 * Plane.Margin;
-      V.Data = PlaneScratch + Offset;
+    for (const OverlapPlane &Plane : Schedule.Planes) {
+      PlaneView V = ViewAt(Plane, Offset);
+      if (Plane.Stage == Stage && Plane.Channel == Ch)
+        return V;
       Offset += static_cast<size_t>(V.W) * V.H;
     }
-    auto Resolve = [&](uint16_t Stage, int Ch) -> const PlaneView & {
-      // The plane lists are tiny (demanded stages x channels); a linear
-      // scan beats a hash per stage-call instruction.
-      for (size_t I = 0; I != Planes.size(); ++I)
-        if (Planes[I].Stage == Stage && Planes[I].Channel == Ch)
-          return Views[I];
-      KF_UNREACHABLE("stage call outside the overlap schedule");
-    };
+    KF_UNREACHABLE("stage call outside the overlap schedule");
+  };
 
-    // Materialize demanded planes (callees first), then the root region
-    // straight into the destination image.
-    for (size_t I = 0; I != Planes.size(); ++I) {
-      const PlaneView &V = Views[I];
-      evalOverlapRegion(SP, Planes[I].Stage, Pool, V.X0, V.X0 + V.W, V.Y0,
-                        V.Y0 + V.H, Planes[I].Channel, Mode, Regs, V.Data,
-                        V.W, 1, Resolve);
-      if (Stats) {
-        const long long Area = static_cast<long long>(V.W) * V.H;
-        Stats->OverlapPixels += Area - RootArea;
-        Stats->ComputedPixels += Area;
-      }
+  // Materialize every plane once (callees first), then run the root per
+  // destination channel straight into the destination image.
+  size_t Offset = 0;
+  for (const OverlapPlane &Plane : Schedule.Planes) {
+    const PlaneView V = ViewAt(Plane, Offset);
+    evalOverlapRegion(SP, Plane.Stage, Pool, V.X0, V.X0 + V.W, V.Y0,
+                      V.Y0 + V.H, Plane.Channel, Mode, Regs, V.Data, V.W, 1,
+                      Resolve);
+    const long long Area = static_cast<long long>(V.W) * V.H;
+    Offset += static_cast<size_t>(Area);
+    if (Stats) {
+      Stats->OverlapPixels += Area - RootArea;
+      Stats->ComputedPixels += Area;
     }
+  }
+  for (int C = 0; C != Channels; ++C)
     evalOverlapRegion(SP, Root, Pool, X0, X1, Y0, Y1, C, Mode, Regs,
                       OutBase +
                           (static_cast<size_t>(Y0) * OutWidth + X0) *
@@ -1058,9 +1073,8 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                           C,
                       static_cast<size_t>(OutWidth) * Channels, Channels,
                       Resolve);
-    if (Stats)
-      Stats->ComputedPixels += RootArea;
-  }
+  if (Stats)
+    Stats->ComputedPixels += RootArea * Channels;
 }
 
 //===----------------------------------------------------------------------===//

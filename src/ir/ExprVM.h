@@ -76,7 +76,10 @@ const char *vmModeName(VmMode Mode);
 /// How a fused launch decomposes the image across tiles.
 enum class TilingStrategy : uint8_t {
   /// Resolve via the KF_TILING environment variable ("interior",
-  /// "overlapped" or "tuned"), defaulting to InteriorHalo.
+  /// "overlapped" or "tuned"). When it is unset, each fused launch picks
+  /// from its bytecode: Overlapped when its overlap schedule is valid and
+  /// at least two destination channels demand the same producer plane
+  /// (OverlapSchedule::SharedPlanes), InteriorHalo otherwise.
   Auto,
   /// The global interior/halo split of Section IV-B: one interior region
   /// per image runs the border-check-free fast path, the border ring the
@@ -85,8 +88,9 @@ enum class TilingStrategy : uint8_t {
   InteriorHalo,
   /// Overlapped tiling: every interior tile independently materializes
   /// the eliminated producer stages it demands over the tile *grown by
-  /// the producer's reach margin* into per-worker scratch planes, then
-  /// reads the planes instead of recomputing. Adjacent grown tiles
+  /// the producer's reach margin* into per-worker scratch planes, each
+  /// (stage, channel) plane once per tile, then reads the planes instead
+  /// of recomputing. Adjacent grown tiles
   /// overlap, so the margin cells are computed redundantly -- the classic
   /// redundant-compute-for-zero-synchronization trade (Jangda & Guha).
   /// Bit-identical to InteriorHalo; the border ring keeps the bordered
@@ -99,8 +103,9 @@ enum class TilingStrategy : uint8_t {
 };
 
 /// Resolves \p Requested against the KF_TILING environment variable: an
-/// explicit strategy wins; Auto consults KF_TILING and falls back to
-/// InteriorHalo (warning once per process about malformed values).
+/// explicit strategy wins; Auto consults KF_TILING and stays Auto -- the
+/// executor's per-launch rule -- when it is unset or malformed (warning
+/// once per process about malformed values).
 TilingStrategy resolveTilingStrategy(TilingStrategy Requested);
 
 /// Stable lower-case name of \p Strategy ("auto" / "interior" /
@@ -335,15 +340,21 @@ struct OverlapPlane {
 };
 
 /// The compile-time materialization schedule of one launch under
-/// overlapped tiling: which (stage, channel) planes each destination
-/// channel demands, in materialization order (callees before callers).
-/// Derived purely from the staged bytecode -- the same Eq. 9 reach
-/// arithmetic compileStagedProgram records in Reach[], split per stage
+/// overlapped tiling: every (stage, channel) plane any destination
+/// channel demands, listed once at the largest margin over all
+/// destination channels, in materialization order (callees before
+/// callers). A tile computes each plane once and then runs the root once
+/// per destination channel over the shared planes. Derived purely from
+/// the staged bytecode -- the same Eq. 9 reach arithmetic
+/// compileStagedProgram records in Reach[], split per (stage, channel)
 /// instead of collapsed to the root maximum.
 struct OverlapSchedule {
-  /// Planes demanded when the root runs at destination channel c.
-  std::vector<std::vector<OverlapPlane>> PerChannel;
+  std::vector<OverlapPlane> Planes;
   int MaxMargin = 0; ///< Largest margin of any plane (<= Reach[Root]).
+  /// True when at least two destination channels demand one plane: the
+  /// interior/halo strategy then recomputes that plane's values once per
+  /// demanding channel, which the schedule computes once per tile.
+  bool SharedPlanes = false;
   /// False when the strategy cannot run this launch (mixed stage or
   /// input extents void the interior region the planes are built for);
   /// the executor then falls back to the interior/halo strategy.
@@ -357,8 +368,7 @@ OverlapSchedule buildOverlapSchedule(const StagedVmProgram &SP,
                                      uint16_t Root, int Channels);
 
 /// Scratch floats one worker needs to hold every plane of \p Schedule
-/// for a RootW x RootH destination tile: the maximum over destination
-/// channels of the summed grown-plane areas.
+/// for a RootW x RootH destination tile: the summed grown-plane areas.
 size_t overlapPlaneFloats(const OverlapSchedule &Schedule, int RootW,
                           int RootH);
 
@@ -370,12 +380,13 @@ struct OverlapTileStats {
 };
 
 /// Executes destination stage \p Root over the interior tile
-/// [X0, X1) x [Y0, Y1) under the overlapped strategy: each demanded
-/// plane of \p Schedule is materialized over the margin-grown tile into
+/// [X0, X1) x [Y0, Y1) under the overlapped strategy: every plane of
+/// \p Schedule is materialized once over its margin-grown tile into
 /// \p PlaneScratch (at least overlapPlaneFloats(Schedule, X1-X0, Y1-Y0)
-/// floats), stage calls read the callee's plane, and the root writes
-/// straight into \p OutBase (the destination image base, width
-/// \p OutWidth, \p Channels channels). \p Regs is the per-worker
+/// floats, planes back to back in schedule order), stage calls read the
+/// callee's plane, and the root runs once per destination channel,
+/// writing straight into \p OutBase (the destination image base, width
+/// \p OutWidth, \p Channels channels). Allocates nothing. \p Regs is the per-worker
 /// register scratch: SP.NumRegs * VmLaneWidth floats in span mode,
 /// SP.NumRegs floats in scalar mode (\p Mode must be resolved, never
 /// Auto). The tile must lie at least SP.Reach[Root] away from every

@@ -723,18 +723,30 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
   VmMode Mode = resolveVmMode(Options.Mode, /*JitAvailable=*/Jit != nullptr);
   // Tuned is a plan-level request (sim/Session resolves it through the
   // execution autotuner before launches run); a standalone launch falls
-  // back to the interior/halo default.
+  // back to the interior/halo strategy.
   TilingStrategy Strategy = resolveTilingStrategy(Options.Tiling);
   if (Strategy == TilingStrategy::Tuned)
     Strategy = TilingStrategy::InteriorHalo;
+  // Auto decides per launch from the bytecode: overlapped exactly when
+  // destination channels share a producer plane, which the interior/halo
+  // recursion would recompute once per channel. A single-channel output
+  // shares nothing, so it skips building the schedule.
   OverlapSchedule Schedule;
-  if (Strategy == TilingStrategy::Overlapped) {
+  if (Strategy == TilingStrategy::Overlapped ||
+      (Strategy == TilingStrategy::Auto && Out.channels() > 1))
     Schedule = buildOverlapSchedule(SP, Root, Out.channels());
-    // Mixed extents void the interior region, leaving overlapped tiling
-    // nothing to run on; fall back rather than schedule empty tiles.
-    if (!Schedule.Valid)
-      Strategy = TilingStrategy::InteriorHalo;
-  }
+  if (Strategy == TilingStrategy::Auto)
+    Strategy = Schedule.SharedPlanes ? TilingStrategy::Overlapped
+                                     : TilingStrategy::InteriorHalo;
+  // Mixed extents void the interior region, leaving overlapped tiling
+  // nothing to run on; fall back rather than schedule empty tiles.
+  if (!Schedule.Valid)
+    Strategy = TilingStrategy::InteriorHalo;
+  // The JIT chains load directly from pool images; the overlapped
+  // strategy's interior tiles read margin-grown scratch planes instead,
+  // so its tiles keep the span engine (bit-identical by construction).
+  if (Mode == VmMode::Jit && Strategy == TilingStrategy::Overlapped)
+    Mode = VmMode::Span;
 
   // A Jit request without a plan-time artifact (e.g. KF_VM=jit through
   // runFusedVm, which compiles bytecode per call): compile one on the
@@ -753,11 +765,6 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
     Jit = OwnedJit.get();
   }
   if (Mode == VmMode::Jit && !Jit)
-    Mode = VmMode::Span;
-  // The JIT chains load directly from pool images; the overlapped
-  // strategy's interior tiles read margin-grown scratch planes instead,
-  // so its tiles keep the span engine (bit-identical by construction).
-  if (Mode == VmMode::Jit && Strategy == TilingStrategy::Overlapped)
     Mode = VmMode::Span;
 
   const double InteriorBefore = Timing ? Timing->InteriorMs : 0.0;

@@ -67,11 +67,14 @@ struct ExecutionOptions {
 
   /// Tiling strategy of the fused VM engine. Auto resolves via the
   /// KF_TILING environment variable ("interior", "overlapped" or
-  /// "tuned"), defaulting to the interior/halo split (see
-  /// resolveTilingStrategy in ir/ExprVM.h). Overlapped trades redundant
-  /// margin recompute for recursion-free, cache-resident tiles; Tuned
-  /// lets the cost model pick strategy and tile shape per compiled plan.
-  /// All strategies are bit-identical on every pipeline and border mode.
+  /// "tuned"); when it is unset, each launch picks overlapped where its
+  /// destination channels share a producer plane and the interior/halo
+  /// split (with the JIT when available) otherwise (see
+  /// resolveTilingStrategy and TilingStrategy::Auto in ir/ExprVM.h).
+  /// Overlapped trades redundant margin recompute for recursion-free,
+  /// cache-resident tiles; Tuned lets the cost model pick strategy and
+  /// tile shape per compiled plan. All strategies are bit-identical on
+  /// every pipeline and border mode.
   TilingStrategy Tiling = TilingStrategy::Auto;
 
   /// Whether session plan compilation runs the interval-fact-gated
@@ -156,9 +159,9 @@ struct VmScratch {
   /// Span-mode lane buffers: NumRegs * VmLaneWidth floats per worker
   /// (structure-of-arrays register frames, see runStagedVmSpan).
   std::vector<std::vector<float>> LaneRegs;
-  /// Overlapped-strategy plane buffers: one margin-grown scratch plane
-  /// per demanded (stage, channel) of a tile (see runOverlappedTile);
-  /// empty under the interior/halo strategy.
+  /// Overlapped-strategy plane buffers: every margin-grown plane of a
+  /// tile's schedule back to back, overlapPlaneFloats floats per worker
+  /// (see runOverlappedTile); empty under the interior/halo strategy.
   std::vector<std::vector<float>> PlaneRegs;
 
   /// Grows the per-worker vectors to at least the given float counts.
@@ -189,8 +192,8 @@ struct LaunchTiming {
   /// Tuned: a schedule-less launch falls back to InteriorHalo).
   TilingStrategy Tiling = TilingStrategy::InteriorHalo;
   /// Overlapped strategy only: redundantly computed plane cells (the
-  /// margins adjacent grown tiles both evaluate) and all evaluated cells,
-  /// summed across tiles and channels.
+  /// margins adjacent grown tiles both evaluate) and all evaluated cells
+  /// (planes plus every destination channel), summed across tiles.
   long long OverlapPixels = 0;
   long long ComputedPixels = 0;
 };

@@ -69,12 +69,19 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
   Record.MeasuredMs += MeasuredMs;
   Record.InteriorMs += InteriorMs;
   Record.HaloMs += HaloMs;
-  if (resolveVmMode(Mode) == VmMode::Span) {
+  switch (resolveVmMode(Mode)) {
+  case VmMode::Span:
     ++Record.SpanRuns;
     Record.SpanInteriorMs += InteriorMs;
-  } else {
+    break;
+  case VmMode::Jit:
+    ++Record.JitRuns;
+    Record.JitInteriorMs += InteriorMs;
+    break;
+  default:
     ++Record.ScalarRuns;
     Record.ScalarInteriorMs += InteriorMs;
+    break;
   }
   if (Tiling == TilingStrategy::Overlapped) {
     ++Record.OverlappedRuns;
@@ -169,10 +176,13 @@ std::string MetricsRegistry::renderTable() const {
     for (const LaunchModelRecord &Record : Snapshot) {
       double Runs = Record.Runs ? static_cast<double>(Record.Runs) : 1.0;
       // The vm column names the interior engine; a launch measured in both
-      // modes shows the span-over-scalar interior speedup instead.
+      // span and scalar mode shows the span-over-scalar interior speedup
+      // instead.
       std::string Vm = "-";
       if (Record.spanOverScalar() > 0.0)
         Vm = formatDouble(Record.spanOverScalar(), 2) + "x";
+      else if (Record.JitRuns)
+        Vm = "jit";
       else if (Record.SpanRuns)
         Vm = "span";
       else if (Record.ScalarRuns)
@@ -270,10 +280,13 @@ std::string MetricsRegistry::toJson(const std::string &Indent) const {
     Out += "\"halo_ms\": " + formatDouble(Record.HaloMs, 6) + ", ";
     Out += "\"span_runs\": " + std::to_string(Record.SpanRuns) + ", ";
     Out += "\"scalar_runs\": " + std::to_string(Record.ScalarRuns) + ", ";
+    Out += "\"jit_runs\": " + std::to_string(Record.JitRuns) + ", ";
     Out += "\"interior_span_ms\": " +
            formatDouble(Record.SpanInteriorMs, 6) + ", ";
     Out += "\"interior_scalar_ms\": " +
            formatDouble(Record.ScalarInteriorMs, 6) + ", ";
+    Out += "\"interior_jit_ms\": " +
+           formatDouble(Record.JitInteriorMs, 6) + ", ";
     Out += "\"span_over_scalar\": " +
            formatDouble(Record.spanOverScalar(), 6) + ", ";
     Out += "\"overlapped_runs\": " + std::to_string(Record.OverlappedRuns) +

@@ -56,13 +56,15 @@ struct LaunchModelRecord {
   double HaloMs = 0.0;       ///< Halo-pixel share of MeasuredMs.
 
   /// Per-VM-mode interior accounting: runs executed (and interior time
-  /// spent) under the span vs the scalar interior engine, so one record
-  /// can report the scalar/span interior ratio when a launch was measured
-  /// in both modes (the A/B benches do exactly that).
+  /// spent) under the span, scalar and JIT interior engines, so one
+  /// record can report the scalar/span interior ratio when a launch was
+  /// measured in both modes (the A/B benches do exactly that).
   uint64_t SpanRuns = 0;
   uint64_t ScalarRuns = 0;
+  uint64_t JitRuns = 0;
   double SpanInteriorMs = 0.0;
   double ScalarInteriorMs = 0.0;
+  double JitInteriorMs = 0.0;
 
   /// Per-tiling-strategy accounting, same shape as the per-mode split:
   /// runs (and total measured time) under the overlapped vs the

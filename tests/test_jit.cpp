@@ -362,6 +362,8 @@ TEST(JitVm, AutoLaunchRunsJitAndOverlappedDegradesToSpan) {
   VmScratch Scratch;
   ExecutionOptions Options;
   Options.Mode = VmMode::Auto;
+  // Pinned so engine resolution is checked under any KF_TILING.
+  Options.Tiling = TilingStrategy::InteriorHalo;
 
   Image SpanOut(W, H, 1);
   {

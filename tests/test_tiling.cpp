@@ -10,8 +10,13 @@
 // against the AST walker in test_fusedvm.cpp, so overlapped == interior
 // closes the chain back to the semantic reference.
 //
+// Launches whose destination channels share producer planes (Night's
+// fused launch, a synthetic cross-channel chain) are checked against the
+// unfused AST reference under every strategy, and the Auto rule that
+// runs exactly those launches overlapped is pinned per registry launch.
+//
 // Also covers: KF_TILING / KF_TILE environment resolution, the tile-spec
-// parser, the overlap schedule's margin arithmetic, the per-strategy cost
+// parser, the merged overlap schedule's margin arithmetic, the per-strategy cost
 // model, the execution autotuner (determinism, trace spans, metrics
 // decision records), the tuned session plan, and the KF-F06 overlap
 // coverage check.
@@ -22,9 +27,11 @@
 #include "fusion/MinCutPartitioner.h"
 #include "image/Compare.h"
 #include "image/Generators.h"
+#include "ir/Verifier.h"
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
 #include "sim/Metrics.h"
+#include "sim/Server.h"
 #include "sim/Session.h"
 #include "sim/Tuner.h"
 #include "support/Trace.h"
@@ -67,23 +74,95 @@ std::vector<int> threadSweep() {
   return {1, 3, static_cast<int>(Hardware)};
 }
 
+/// An image pool for \p P with its external inputs filled
+/// deterministically from \p Seed.
+std::vector<Image> randomInputs(const Program &P, uint64_t Seed) {
+  std::vector<Image> Pool = makeImagePool(P);
+  Rng Gen(Seed);
+  for (ImageId Id : P.externalInputs()) {
+    const ImageInfo &Info = P.image(Id);
+    Pool[Id] = makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
+  }
+  return Pool;
+}
+
 /// Fills the external inputs of \p P deterministically and runs \p FP
 /// under \p Options, returning the pool.
 std::vector<Image> runWith(const Program &P, const FusedProgram &FP,
                            const ExecutionOptions &Options, uint64_t Seed) {
-  std::vector<bool> Produced(P.numImages());
-  for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-    Produced[P.kernel(Id).Output] = true;
-  std::vector<Image> Pool = makeImagePool(P);
-  Rng Gen(Seed);
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    if (!Produced[Id]) {
-      const ImageInfo &Info = P.image(Id);
-      Pool[Id] =
-          makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
-    }
+  std::vector<Image> Pool = randomInputs(P, Seed);
   runFusedVm(FP, Pool, Options);
   return Pool;
+}
+
+/// Sets (or, with a null \p Value, unsets) environment variable \p Name
+/// for one scope, restoring the previous state on exit.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *NameIn, const char *Value) : Name(NameIn) {
+    const char *Saved = std::getenv(Name);
+    Had = Saved != nullptr;
+    Previous = Saved ? Saved : "";
+    if (Value)
+      ::setenv(Name, Value, 1);
+    else
+      ::unsetenv(Name);
+  }
+  ~ScopedEnv() {
+    if (Had)
+      ::setenv(Name, Previous.c_str(), 1);
+    else
+      ::unsetenv(Name);
+  }
+
+private:
+  const char *Name;
+  bool Had = false;
+  std::string Previous;
+};
+
+/// A 3-channel chain whose channels read each other at differing
+/// offsets: pre (point) -> mid (local) -> out (local). Every read mixes
+/// the current channel with a fixed one, so destination channels demand
+/// the same planes at different margins.
+Program makeCrossChannelChain(int W, int H) {
+  Program P("crosschannel");
+  ExprContext &C = P.context();
+  ImageId In = P.addImage("in", W, H, 3);
+  ImageId Pre = P.addImage("pre", W, H, 3);
+  ImageId Mid = P.addImage("mid", W, H, 3);
+  ImageId Out = P.addImage("out", W, H, 3);
+  auto AddKernel = [&](const char *Name, OperatorKind Kind, ImageId From,
+                       ImageId To, const Expr *Body) {
+    Kernel K;
+    K.Name = Name;
+    K.Kind = Kind;
+    K.Inputs = {From};
+    K.Output = To;
+    K.Body = Body;
+    P.addKernel(std::move(K));
+  };
+  AddKernel("pre", OperatorKind::Point, In, Pre,
+            C.add(C.mul(C.inputAt(0), C.floatConst(0.5f)),
+                  C.floatConst(0.25f)));
+  // mid_c = pre_c(x-1, y) + pre_2(x, y+1)
+  AddKernel("mid", OperatorKind::Local, Pre, Mid,
+            C.add(C.inputAt(0, -1, 0), C.inputAt(0, 0, 1, 2)));
+  // out_c = mid_c(x+3, y) + 0.5 * mid_1(x, y-1)
+  AddKernel("out", OperatorKind::Local, Mid, Out,
+            C.add(C.inputAt(0, 3, 0),
+                  C.mul(C.floatConst(0.5f), C.inputAt(0, 0, -1, 1))));
+  verifyProgramOrDie(P);
+  return P;
+}
+
+/// Stage index of destination \p DestId within \p FK.
+uint16_t rootStage(const FusedKernel &FK, KernelId DestId) {
+  uint16_t Root = 0;
+  for (size_t I = 0; I != FK.Stages.size(); ++I)
+    if (FK.Stages[I].Kernel == DestId)
+      Root = static_cast<uint16_t>(I);
+  return Root;
 }
 
 //===--------------------------------------------------------------------===//
@@ -235,16 +314,17 @@ TEST(TilingGeometry, HarrisReachLargerThanTile) {
 // Strategy / tile-size resolution
 //===--------------------------------------------------------------------===//
 
-/// KF_TILING resolution mirrors KF_VM: explicit requests win, malformed
-/// values fall back to the interior default with a once-per-process
-/// warning. Runs in one process, so manipulate and restore carefully.
+/// KF_TILING resolution mirrors KF_VM: explicit requests win; unset and
+/// malformed values (the latter with a once-per-process warning) leave
+/// Auto to the executor's per-launch rule. Runs in one process, so
+/// manipulate and restore carefully.
 TEST(TilingResolve, ResolveTilingStrategyHonorsEnvironment) {
   const char *Saved = std::getenv("KF_TILING");
   std::string SavedCopy = Saved ? Saved : "";
 
   ::unsetenv("KF_TILING");
   EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::InteriorHalo);
+            TilingStrategy::Auto);
 
   ::setenv("KF_TILING", "overlapped", 1);
   EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
@@ -258,10 +338,10 @@ TEST(TilingResolve, ResolveTilingStrategyHonorsEnvironment) {
   EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
             TilingStrategy::Tuned);
 
-  // Malformed values fall back to the interior/halo default.
+  // Malformed values fall back to the per-launch rule.
   ::setenv("KF_TILING", "diagonal", 1);
   EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::InteriorHalo);
+            TilingStrategy::Auto);
 
   // Explicit requests win regardless of the environment.
   ::setenv("KF_TILING", "overlapped", 1);
@@ -410,43 +490,127 @@ TEST(OverlapSchedule, BlurChainMarginsMatchReach) {
 
   OverlapSchedule Schedule = buildOverlapSchedule(SP, Root, 1);
   ASSERT_TRUE(Schedule.Valid);
-  ASSERT_EQ(Schedule.PerChannel.size(), 1u);
-  ASSERT_EQ(Schedule.PerChannel[0].size(), 1u); // One eliminated stage.
-  EXPECT_EQ(Schedule.PerChannel[0][0].Stage, 0u);
-  EXPECT_EQ(Schedule.PerChannel[0][0].Margin, 1);
+  ASSERT_EQ(Schedule.Planes.size(), 1u); // One eliminated stage.
+  EXPECT_EQ(Schedule.Planes[0].Stage, 0u);
+  EXPECT_EQ(Schedule.Planes[0].Channel, 0);
+  EXPECT_EQ(Schedule.Planes[0].Margin, 1);
   EXPECT_EQ(Schedule.MaxMargin, 1);
+  EXPECT_FALSE(Schedule.SharedPlanes); // One channel shares nothing.
 
   // The scratch requirement covers the margin-grown plane.
   size_t Floats = overlapPlaneFloats(Schedule, 16, 8);
   EXPECT_EQ(Floats, static_cast<size_t>(16 + 2) * (8 + 2));
 }
 
+TEST(OverlapSchedule, MergedPlanesAppearOnceAtTheirLargestMargin) {
+  // Destination channel c reads mid_c at offset 3 and mid_1 at offset 1;
+  // mid reads pre_c and pre_2 at offset 1. So channel 1 needs mid_1 at
+  // margin 3 while channels 0 and 2 need it at 1, and pre_1 at 4 vs 2.
+  // Each (stage, channel) must appear once, at the maximum, callees
+  // first.
+  Program P = makeCrossChannelChain(40, 20);
+  FusedProgram FP =
+      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+  ASSERT_EQ(FP.Kernels.size(), 1u);
+  StagedVmProgram SP = compileFusedKernel(FP, FP.Kernels[0]);
+  ASSERT_EQ(SP.Stages.size(), 3u);
+  const uint16_t Root = 2;
+  ASSERT_EQ(SP.Reach[Root], 4);
+
+  OverlapSchedule Schedule = buildOverlapSchedule(SP, Root, 3);
+  ASSERT_TRUE(Schedule.Valid);
+  struct Want {
+    uint16_t Stage;
+    int16_t Channel;
+    int Margin;
+  };
+  const std::vector<Want> Expected = {{0, 0, 4}, {0, 1, 4}, {0, 2, 4},
+                                      {1, 0, 3}, {1, 1, 3}, {1, 2, 3}};
+  ASSERT_EQ(Schedule.Planes.size(), Expected.size());
+  for (size_t I = 0; I != Expected.size(); ++I) {
+    EXPECT_EQ(Schedule.Planes[I].Stage, Expected[I].Stage) << I;
+    EXPECT_EQ(Schedule.Planes[I].Channel, Expected[I].Channel) << I;
+    EXPECT_EQ(Schedule.Planes[I].Margin, Expected[I].Margin) << I;
+  }
+  EXPECT_EQ(Schedule.MaxMargin, 4);
+  EXPECT_TRUE(Schedule.SharedPlanes);
+
+  // The scratch holds exactly the listed planes, each once.
+  size_t Sum = 0;
+  for (const OverlapPlane &Plane : Schedule.Planes)
+    Sum += static_cast<size_t>(8 + 2 * Plane.Margin) * (5 + 2 * Plane.Margin);
+  EXPECT_EQ(overlapPlaneFloats(Schedule, 8, 5), Sum);
+  EXPECT_EQ(Sum, 3u * (16 * 13) + 3u * (14 * 11));
+}
+
+TEST(OverlapSchedule, NightScotoSharesTheAtrousPlanes) {
+  // scoto reads all three channels of the eliminated atrous1 at offset 0
+  // for each of its three destination channels: three planes, each
+  // demanded by every destination channel.
+  Program P = makeNight(37, 23);
+  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
+  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
+  unsigned Fused = 0;
+  for (const FusedKernel &FK : FP.Kernels) {
+    if (FK.Stages.size() < 2)
+      continue;
+    ++Fused;
+    StagedVmProgram SP = compileFusedKernel(FP, FK);
+    ASSERT_EQ(FK.Destinations.size(), 1u);
+    OverlapSchedule Schedule =
+        buildOverlapSchedule(SP, rootStage(FK, FK.Destinations[0]), 3);
+    ASSERT_TRUE(Schedule.Valid);
+    ASSERT_EQ(Schedule.Planes.size(), 3u);
+    for (int C = 0; C != 3; ++C) {
+      EXPECT_EQ(Schedule.Planes[C].Stage, 0u);
+      EXPECT_EQ(Schedule.Planes[C].Channel, C);
+      EXPECT_EQ(Schedule.Planes[C].Margin, 0);
+    }
+    EXPECT_TRUE(Schedule.SharedPlanes);
+    EXPECT_EQ(overlapPlaneFloats(Schedule, 128, 32), 3u * 128 * 32);
+  }
+  EXPECT_EQ(Fused, 1u);
+}
+
 TEST(OverlapSchedule, MarginPlusLoadHaloStaysWithinReach) {
   // The margin-safety invariant the executor relies on, checked here for
-  // every registry pipeline: every demanded plane's margin plus that
-  // stage's direct load halo is covered by the root's recorded reach.
-  for (const PipelineSpec &Spec : paperPipelines()) {
-    Program P = Spec.Builder(64, 32);
-    Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
+  // every registry pipeline and the cross-channel chain: every plane of
+  // the merged schedule, at its margin, plus its stage's direct load
+  // halo is covered by the root's recorded reach, and KF-F06 proves it.
+  std::vector<Program> Programs;
+  for (const PipelineSpec &Spec : paperPipelines())
+    Programs.push_back(Spec.Builder(64, 32));
+  Programs.push_back(makeCrossChannelChain(64, 32));
+  for (const Program &P : Programs) {
+    Partition Blocks = P.name() == "crosschannel"
+                           ? wholeProgramPartition(P)
+                           : runMinCutFusion(P, HardwareModel()).Blocks;
     FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
     for (const FusedKernel &FK : FP.Kernels) {
       StagedVmProgram SP = compileFusedKernel(FP, FK);
       if (!SP.UniformExtents)
         continue;
       for (KernelId DestId : FK.Destinations) {
-        uint16_t Root = 0;
-        for (size_t I = 0; I != FK.Stages.size(); ++I)
-          if (FK.Stages[I].Kernel == DestId)
-            Root = static_cast<uint16_t>(I);
+        uint16_t Root = rootStage(FK, DestId);
         const ImageInfo &Info = P.image(P.kernel(DestId).Output);
         OverlapSchedule Schedule =
             buildOverlapSchedule(SP, Root, Info.Channels);
-        ASSERT_TRUE(Schedule.Valid) << Spec.Name;
+        ASSERT_TRUE(Schedule.Valid) << P.name();
         DiagnosticEngine DE;
         checkOverlapCoverage(SP, Root, SP.Reach[Root], DE);
         EXPECT_EQ(DE.errorCount(), 0u)
-            << Spec.Name << ": " << DE.renderText();
-        EXPECT_LE(Schedule.MaxMargin, SP.Reach[Root]) << Spec.Name;
+            << P.name() << ": " << DE.renderText();
+        EXPECT_LE(Schedule.MaxMargin, SP.Reach[Root]) << P.name();
+        for (const OverlapPlane &Plane : Schedule.Planes) {
+          int LoadHalo = 0;
+          for (const VmInst &Inst : SP.Stages[Plane.Stage].Code.Insts)
+            if (Inst.Op == VmOp::Load)
+              LoadHalo = std::max({LoadHalo, std::abs(Inst.Ox),
+                                   std::abs(Inst.Oy)});
+          EXPECT_LE(Plane.Margin + LoadHalo, SP.Reach[Root])
+              << P.name() << " stage " << Plane.Stage << " channel "
+              << Plane.Channel;
+        }
       }
     }
   }
@@ -759,6 +923,255 @@ TEST(TilingTrace, LaunchMetricsSplitPerStrategy) {
 
   Registry.setEnabled(false);
   Registry.clear();
+}
+
+//===--------------------------------------------------------------------===//
+// Shared planes: differential against the unfused reference
+//===--------------------------------------------------------------------===//
+
+/// A program whose destination channels share producer planes, built at
+/// a small odd size.
+Program buildSharedPlaneProgram(const std::string &Name) {
+  if (Name == "crosschannel")
+    return makeCrossChannelChain(45, 31);
+  return Name == "night23" ? makeNight(23, 13) : makeNight(29, 17);
+}
+
+/// Auto, interior and overlapped must each reproduce runUnfused bit for
+/// bit on launches whose channels share planes, in both interpreters, at
+/// 1 / 3 / hardware threads, with the default tile and tiles that do not
+/// divide the image. The cross-channel chain also runs a tile smaller
+/// than its largest plane margin (4); Night's planes have margin 0.
+class TilingSharedPlanes : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(TilingSharedPlanes, EveryStrategyMatchesUnfused) {
+  const Program P = buildSharedPlaneProgram(GetParam());
+  Partition Blocks = GetParam() == "crosschannel"
+                         ? wholeProgramPartition(P)
+                         : runMinCutFusion(P, HardwareModel()).Blocks;
+  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
+  std::vector<Image> Want = randomInputs(P, 2024);
+  runUnfused(P, Want);
+
+  std::vector<std::pair<int, int>> Tiles = {{0, 0}, {7, 5}};
+  if (GetParam() == "crosschannel")
+    Tiles.push_back({3, 2});
+  for (int Threads : threadSweep())
+    for (VmMode Mode : {VmMode::Scalar, VmMode::Span})
+      for (const auto &[TileW, TileH] : Tiles)
+        for (TilingStrategy Strategy :
+             {TilingStrategy::Auto, TilingStrategy::InteriorHalo,
+              TilingStrategy::Overlapped}) {
+          ExecutionOptions Options;
+          Options.Threads = Threads;
+          Options.Mode = Mode;
+          Options.Tiling = Strategy;
+          Options.TileWidth = TileW;
+          Options.TileHeight = TileH;
+          std::vector<Image> Got = runWith(P, FP, Options, 2024);
+          for (ImageId Out : P.terminalOutputs())
+            EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Out], Want[Out]), 0.0)
+                << GetParam() << " threads=" << Threads
+                << " vm=" << vmModeName(Mode)
+                << " tiling=" << tilingStrategyName(Strategy) << " tile "
+                << TileW << "x" << TileH;
+        }
+}
+
+INSTANTIATE_TEST_SUITE_P(SharedPlanes, TilingSharedPlanes,
+                         ::testing::Values("night23", "night29",
+                                           "crosschannel"),
+                         [](const auto &Info) { return Info.param; });
+
+//===--------------------------------------------------------------------===//
+// Auto strategy selection
+//===--------------------------------------------------------------------===//
+
+/// One compiled launch of a registry pipeline and how it ran.
+struct LaunchRun {
+  std::string Pipeline;
+  std::string Launch;
+  bool Fused = false;   ///< More than one stage.
+  bool HasJit = false;  ///< The plan carries a JIT artifact.
+  LaunchTiming Timing;
+};
+
+/// Compiles every registry pipeline at a small size into a session plan
+/// and runs each launch once under \p Options, as sim/Session does.
+std::vector<LaunchRun> runRegistryLaunches(const ExecutionOptions &Options) {
+  std::vector<LaunchRun> Runs;
+  ThreadPool TP(2);
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    Program P = Spec.Builder(67, 41);
+    Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
+    FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
+    std::shared_ptr<const CompiledPlan> Plan = compilePlan(FP, Options);
+    std::vector<Image> Frame = randomInputs(P, 31);
+    VmScratch Scratch;
+    for (const CompiledLaunch &Launch : Plan->Launches) {
+      const ImageInfo &Info = Plan->Shapes[Launch.Output];
+      Frame[Launch.Output] = Image(Info.Width, Info.Height, Info.Channels);
+      LaunchRun Run;
+      Run.Pipeline = Spec.Name;
+      Run.Launch = Launch.Name;
+      Run.Fused = Launch.Code.Stages.size() > 1;
+      Run.HasJit = Launch.Jit != nullptr;
+      runCompiledLaunch(Launch.Code, Launch.Root, Launch.Halo, Frame,
+                        Frame[Launch.Output], Options, TP, Scratch,
+                        &Run.Timing, Launch.Jit.get());
+      Runs.push_back(Run);
+    }
+  }
+  return Runs;
+}
+
+TEST(TilingAutoSelect, OnlyNightsSharedPlaneLaunchRunsOverlapped) {
+  ScopedEnv NoTiling("KF_TILING", nullptr);
+  ScopedEnv NoVm("KF_VM", nullptr);
+  unsigned Overlapped = 0;
+  for (const LaunchRun &Run : runRegistryLaunches(ExecutionOptions())) {
+    const std::string Tag = Run.Pipeline + "/" + Run.Launch;
+    if (Run.Pipeline == "night" && Run.Fused) {
+      // atrous1+scoto: scratch planes, so the span engine.
+      EXPECT_EQ(Run.Timing.Tiling, TilingStrategy::Overlapped) << Tag;
+      EXPECT_EQ(Run.Timing.Mode, VmMode::Span) << Tag;
+      ++Overlapped;
+      continue;
+    }
+    // atrous0 and every single-channel launch: interior with the JIT.
+    EXPECT_EQ(Run.Timing.Tiling, TilingStrategy::InteriorHalo) << Tag;
+    EXPECT_TRUE(Run.HasJit) << Tag;
+    EXPECT_EQ(Run.Timing.Mode, VmMode::Jit) << Tag;
+  }
+  EXPECT_EQ(Overlapped, 1u);
+}
+
+TEST(TilingAutoSelect, InteriorRequestsForceInteriorEverywhere) {
+  ScopedEnv NoVm("KF_VM", nullptr);
+  {
+    ScopedEnv NoTiling("KF_TILING", nullptr);
+    ExecutionOptions Interior;
+    Interior.Tiling = TilingStrategy::InteriorHalo;
+    for (const LaunchRun &Run : runRegistryLaunches(Interior))
+      EXPECT_EQ(Run.Timing.Tiling, TilingStrategy::InteriorHalo)
+          << Run.Pipeline << "/" << Run.Launch;
+  }
+  ScopedEnv EnvInterior("KF_TILING", "interior");
+  for (const LaunchRun &Run : runRegistryLaunches(ExecutionOptions()))
+    EXPECT_EQ(Run.Timing.Tiling, TilingStrategy::InteriorHalo)
+        << Run.Pipeline << "/" << Run.Launch;
+}
+
+TEST(TilingMetrics, LaunchesAreFiledUnderTheEngineTheyRan) {
+  ScopedEnv NoTiling("KF_TILING", nullptr);
+  ScopedEnv NoVm("KF_VM", nullptr);
+  MetricsRegistry &Registry = MetricsRegistry::global();
+  Registry.clear();
+  Registry.setEnabled(true);
+
+  Program P = makeNight(67, 41);
+  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
+  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
+  ExecutionOptions Options;
+  Options.Threads = 2;
+  PlanCache Cache(2);
+  PipelineSession Session(FP, Options, &Cache);
+  std::vector<Image> Frame = Session.acquireFrame();
+  Rng Gen(8);
+  for (ImageId Id : P.externalInputs()) {
+    const ImageInfo &Info = P.image(Id);
+    Frame[Id] = makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
+  }
+  Session.runFrame(Frame);
+
+  unsigned Seen = 0;
+  for (const LaunchModelRecord &Record : Registry.records()) {
+    if (Record.Runs == 0)
+      continue;
+    ++Seen;
+    if (Record.Stages > 1) {
+      // atrous1+scoto: (span, overlapped).
+      EXPECT_EQ(Record.SpanRuns, 1u) << Record.Launch;
+      EXPECT_EQ(Record.OverlappedRuns, 1u) << Record.Launch;
+    } else {
+      // atrous0: (jit, interior), not scalar.
+      EXPECT_EQ(Record.JitRuns, 1u) << Record.Launch;
+      EXPECT_EQ(Record.ScalarRuns, 0u) << Record.Launch;
+      EXPECT_EQ(Record.InteriorTilingRuns, 1u) << Record.Launch;
+    }
+  }
+  EXPECT_EQ(Seen, 2u);
+  const std::string Table = Registry.renderTable();
+  EXPECT_NE(Table.find("jit"), std::string::npos) << Table;
+  EXPECT_NE(Table.find("overlap"), std::string::npos) << Table;
+  EXPECT_NE(Registry.toJson().find("\"jit_runs\": 1"), std::string::npos);
+
+  Registry.setEnabled(false);
+  Registry.clear();
+}
+
+/// Server tenants run Night's Auto-overlapped launch concurrently on one
+/// shared pool, each worker with its own plane scratch, beside a
+/// single-channel tenant on the interior path; every frame must match
+/// the unfused reference.
+TEST(TilingServer, ConcurrentNightTenantsMatchUnfused) {
+  ScopedEnv NoTiling("KF_TILING", nullptr);
+  const std::vector<std::string> Names = {"night", "night", "harris",
+                                          "night"};
+  constexpr int FramesEach = 2;
+  std::vector<Program> Programs;
+  std::vector<FusedProgram> Fused;
+  Programs.reserve(Names.size());
+  for (const std::string &Name : Names)
+    Programs.push_back(findPipeline(Name)->Builder(53, 37));
+  for (const Program &P : Programs)
+    Fused.push_back(fuseProgram(P, runMinCutFusion(P, HardwareModel()).Blocks,
+                                FusionStyle::Optimized));
+
+  std::vector<std::vector<std::vector<Image>>> Served(Names.size());
+  for (auto &Frames : Served)
+    Frames.resize(FramesEach);
+  {
+    ServerOptions SO;
+    SO.Threads = 3;
+    SO.Dispatchers = 2;
+    PipelineServer Server(SO);
+    std::vector<PipelineServer::SessionId> Ids;
+    for (size_t T = 0; T != Names.size(); ++T)
+      Ids.push_back(Server.open(Fused[T]));
+    for (int Frame = 0; Frame != FramesEach; ++Frame)
+      for (size_t T = 0; T != Ids.size(); ++T) {
+        const Program &P = Programs[T];
+        std::vector<Image> *Slot = &Served[T][Frame];
+        ASSERT_TRUE(Server.submit(
+            Ids[T],
+            [&P, T](int Index, std::vector<Image> &Pool) {
+              std::vector<Image> Inputs = randomInputs(P, 100 * T + Index);
+              for (ImageId Id : P.externalInputs())
+                Pool[Id] = std::move(Inputs[Id]);
+            },
+            [Slot, &P](int, const std::vector<Image> &Pool) {
+              for (ImageId Out : P.terminalOutputs())
+                Slot->push_back(Pool[Out]);
+            }));
+      }
+    Server.drainAll();
+  }
+
+  for (size_t T = 0; T != Names.size(); ++T)
+    for (int Frame = 0; Frame != FramesEach; ++Frame) {
+      const Program &P = Programs[T];
+      std::vector<Image> Want = randomInputs(P, 100 * T + Frame);
+      runUnfused(P, Want);
+      size_t Slot = 0;
+      for (ImageId Out : P.terminalOutputs()) {
+        ASSERT_LT(Slot, Served[T][Frame].size());
+        EXPECT_DOUBLE_EQ(
+            maxAbsDifference(Served[T][Frame][Slot], Want[Out]), 0.0)
+            << Names[T] << " tenant " << T << " frame " << Frame;
+        ++Slot;
+      }
+    }
 }
 
 } // namespace

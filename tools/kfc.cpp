@@ -92,10 +92,13 @@ static void printUsage() {
       "                               scalar (per-pixel); KF_VM overrides\n"
       "                               the default\n"
       "  --tiling interior|overlapped|tuned  tiling strategy for --run:\n"
-      "                               interior/halo split (default),\n"
-      "                               overlapped tiles recomputing their\n"
-      "                               own halos, or cost-model autotuned;\n"
-      "                               KF_TILING overrides the default\n"
+      "                               interior/halo split, overlapped\n"
+      "                               tiles recomputing their own halos,\n"
+      "                               or cost-model autotuned; by default\n"
+      "                               each launch runs overlapped where its\n"
+      "                               channels share a producer plane and\n"
+      "                               interior/halo otherwise; KF_TILING\n"
+      "                               overrides the default\n"
       "  --opt on|off                 interval-fact-gated bytecode\n"
       "                               optimizer at session compile time\n"
       "                               (default on; KF_OPT overrides the\n"
