@@ -43,6 +43,10 @@ RegInterval transferAdd(const RegInterval &A, const RegInterval &B,
                         bool Subtract) {
   RegInterval R;
   R.MayNaN = A.MayNaN || B.MayNaN;
+  // Under round-to-nearest a sum is -0 only when both addends are -0,
+  // and a - b is -0 only when a is -0 and b is +0.
+  R.NoNegZero = A.neverNegZero() ||
+                (Subtract ? !B.containsZero() : B.neverNegZero());
   if (A.numericEmpty() || B.numericEmpty())
     return R; // a NaN operand propagates; no numeric outcome
   // fl(+) is monotone in both arguments, so the four float corner sums
@@ -56,9 +60,17 @@ RegInterval transferAdd(const RegInterval &A, const RegInterval &B,
   return R;
 }
 
+/// Whether a product or quotient of \p A and \p B has a clear sign bit:
+/// both operands are >= 0 and never -0.
+bool nonNegativeSigns(const RegInterval &A, const RegInterval &B) {
+  return A.Lo >= 0.0f && B.Lo >= 0.0f && A.neverNegZero() &&
+         B.neverNegZero();
+}
+
 RegInterval transferMul(const RegInterval &A, const RegInterval &B) {
   RegInterval R;
   R.MayNaN = A.MayNaN || B.MayNaN;
+  R.NoNegZero = nonNegativeSigns(A, B);
   if (A.numericEmpty() || B.numericEmpty())
     return R;
   const float Corners[4] = {A.Lo * B.Lo, A.Lo * B.Hi, A.Hi * B.Lo,
@@ -79,6 +91,7 @@ RegInterval transferMul(const RegInterval &A, const RegInterval &B) {
 RegInterval transferSquare(const RegInterval &A) {
   RegInterval R;
   R.MayNaN = A.MayNaN;
+  R.NoNegZero = true; // the operand signs are equal, so the product's is +
   if (A.numericEmpty())
     return R;
   const float LL = A.Lo * A.Lo;
@@ -91,6 +104,7 @@ RegInterval transferSquare(const RegInterval &A) {
 RegInterval transferDiv(const RegInterval &A, const RegInterval &B) {
   RegInterval R;
   R.MayNaN = A.MayNaN || B.MayNaN;
+  R.NoNegZero = nonNegativeSigns(A, B);
   if (A.numericEmpty() || B.numericEmpty())
     return R;
   if (B.containsZero()) {
@@ -121,6 +135,7 @@ RegInterval transferMin(const RegInterval &A, const RegInterval &B) {
   // B yields A (numeric) and a NaN A yields NaN.
   RegInterval R;
   R.MayNaN = A.MayNaN;
+  R.NoNegZero = A.neverNegZero() && B.neverNegZero(); // returns A or B
   if (A.numericEmpty())
     return R;
   if (!B.numericEmpty()) {
@@ -137,6 +152,7 @@ RegInterval transferMin(const RegInterval &A, const RegInterval &B) {
 RegInterval transferMax(const RegInterval &A, const RegInterval &B) {
   RegInterval R;
   R.MayNaN = A.MayNaN;
+  R.NoNegZero = A.neverNegZero() && B.neverNegZero();
   if (A.numericEmpty())
     return R;
   if (!B.numericEmpty()) {
@@ -196,6 +212,7 @@ RegInterval transferPow(const RegInterval &A, const RegInterval &B) {
 RegInterval transferSqrt(const RegInterval &A) {
   RegInterval R;
   R.MayNaN = A.MayNaN || A.Lo < 0.0f;
+  R.NoNegZero = A.neverNegZero(); // sqrt(-0) is -0
   if (A.numericEmpty() || A.Hi < 0.0f) {
     R.MayNaN = R.MayNaN || !A.numericEmpty();
     return R;
@@ -209,6 +226,7 @@ RegInterval transferSqrt(const RegInterval &A) {
 RegInterval transferExp(const RegInterval &A) {
   RegInterval R;
   R.MayNaN = A.MayNaN;
+  R.NoNegZero = true; // exp underflows to +0
   if (A.numericEmpty())
     return R;
   R.Lo = std::max(0.0f, widenDown(std::exp(A.Lo)));
@@ -219,6 +237,7 @@ RegInterval transferExp(const RegInterval &A) {
 RegInterval transferLog(const RegInterval &A) {
   RegInterval R;
   R.MayNaN = A.MayNaN || A.Lo < 0.0f;
+  R.NoNegZero = true; // log(1) is +0
   if (A.numericEmpty() || A.Hi < 0.0f) {
     R.MayNaN = R.MayNaN || !A.numericEmpty();
     return R;
@@ -241,6 +260,7 @@ RegInterval transferNeg(const RegInterval &A) {
 RegInterval transferAbs(const RegInterval &A) {
   RegInterval R;
   R.MayNaN = A.MayNaN;
+  R.NoNegZero = true;
   if (A.numericEmpty())
     return R;
   const float AL = std::abs(A.Lo);
@@ -253,6 +273,7 @@ RegInterval transferAbs(const RegInterval &A) {
 RegInterval transferFloor(const RegInterval &A) {
   RegInterval R;
   R.MayNaN = A.MayNaN;
+  R.NoNegZero = A.neverNegZero(); // floor(-0) is -0; floor(-0.5) is -1
   R.Lo = std::floor(A.Lo); // exact and monotone; +-inf are fixed points,
   R.Hi = std::floor(A.Hi); // so the empty sentinel survives
   return R;
@@ -275,6 +296,7 @@ RegInterval transferCmp(const RegInterval &A, const RegInterval &B,
     return RegInterval::point(1.0f);
   R.Lo = 0.0f;
   R.Hi = 1.0f;
+  R.NoNegZero = true; // the outcomes are +0 and 1
   return R;
 }
 
@@ -305,9 +327,10 @@ kf::analyzeStagedIntervals(const StagedVmProgram &SP, uint16_t Root,
   int MaxReach = 0;
   for (int R : SP.Reach)
     MaxReach = std::max(MaxReach, R);
-  const RegInterval CoordRange = RegInterval::range(
+  RegInterval CoordRange = RegInterval::range(
       static_cast<float>(-MaxReach),
       static_cast<float>(MaxExtent - 1 + MaxReach));
+  CoordRange.NoNegZero = true; // integer coordinates convert to +0
 
   for (size_t SI = 0; SI != SP.Stages.size(); ++SI) {
     const VmStage &Stage = SP.Stages[SI];

@@ -27,6 +27,20 @@
 /// whole subtree per reference, so discriminants like
 /// (gx - gy)^2 + 4*gxy^2 prove nonnegative under sqrt.
 ///
+/// Alongside the interval, each value carries the NoNegZero proof (no
+/// outcome is -0.0f), which lets the optimizer fold a zero-valued result
+/// to a +0 constant and drop an `x + 0`. Round-to-nearest decides it:
+///   Exp, Log, Abs, CmpLT/GT, CoordX/Y, x*x   always
+///   Const                  unless the immediate is -0
+///   Add                    either operand never -0
+///   Sub                    minuend never -0, or subtrahend never zero
+///   Mul, Div               both operands >= 0 and never -0
+///   Min, Max, Select       every operand that can be returned
+///   Sqrt, Floor            inherited from the operand
+///   Load, StageCall        the pool range / the callee's result
+/// An interval excluding zero never holds -0 whatever the bit says.
+/// Declared [0, 1] inputs stay unproven.
+///
 /// Value-quality findings are reported as KF-V diagnostics:
 ///   KF-V01  warning  possible division by zero
 ///   KF-V02  warning  Sqrt/Log of a possibly negative value
@@ -53,18 +67,29 @@ namespace kf {
 /// input filler in the repo honors. Callers must override the entry of
 /// every *produced* pool image a later launch loads (with the producing
 /// launch's result interval); an image missing from the vector is
-/// assumed to be a declared [0, 1] input.
+/// assumed to be a declared [0, 1] input. The contract admits -0.0f
+/// (it compares equal to 0), so a declared input never proves
+/// NoNegZero; a produced image carries its launch's proof.
 struct InputRange {
   float Lo = 0.0f;
   float Hi = 1.0f;
   bool MayNaN = false;
+  bool NoNegZero = false;
 
   RegInterval interval() const {
-    RegInterval R;
-    R.Lo = Lo;
-    R.Hi = Hi;
-    R.MayNaN = MayNaN;
+    RegInterval R = RegInterval::range(Lo, Hi, MayNaN);
+    R.NoNegZero = NoNegZero;
     return R;
+  }
+
+  /// The range a launch whose result interval is \p R writes.
+  static InputRange of(const RegInterval &R) {
+    InputRange In;
+    In.Lo = R.Lo;
+    In.Hi = R.Hi;
+    In.MayNaN = R.MayNaN;
+    In.NoNegZero = R.NoNegZero;
+    return In;
   }
 };
 

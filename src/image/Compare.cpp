@@ -4,6 +4,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 using namespace kf;
 
@@ -23,6 +24,14 @@ long long kf::countDifferingSamples(const Image &A, const Image &B,
   for (size_t I = 0, E = A.data().size(); I != E; ++I)
     if (std::abs(static_cast<double>(A.data()[I]) - B.data()[I]) > Tolerance)
       ++Count;
+  return Count;
+}
+
+long long kf::countBitDifferences(const Image &A, const Image &B) {
+  assert(A.sameShape(B) && "comparing images of different shapes");
+  long long Count = 0;
+  for (size_t I = 0, E = A.data().size(); I != E; ++I)
+    Count += std::memcmp(&A.data()[I], &B.data()[I], sizeof(float)) != 0;
   return Count;
 }
 

@@ -21,6 +21,11 @@ double maxAbsDifference(const Image &A, const Image &B);
 long long countDifferingSamples(const Image &A, const Image &B,
                                 double Tolerance);
 
+/// Number of samples whose bit patterns differ. Unlike the tolerance
+/// comparisons this tells -0 from +0: the check for rewrites that must
+/// be bit-identical.
+long long countBitDifferences(const Image &A, const Image &B);
+
 /// True if every sample differs by at most \p Tolerance.
 bool imagesAlmostEqual(const Image &A, const Image &B,
                        double Tolerance = 1e-4);

@@ -2,6 +2,8 @@
 
 #include "image/Generators.h"
 
+#include <vector>
+
 using namespace kf;
 
 Image kf::makeRandomImage(int Width, int Height, int Channels, Rng &Generator,
@@ -9,6 +11,32 @@ Image kf::makeRandomImage(int Width, int Height, int Channels, Rng &Generator,
   Image Result(Width, Height, Channels);
   for (float &Sample : Result.data())
     Sample = static_cast<float>(Generator.uniform(Lo, Hi));
+  return Result;
+}
+
+Image kf::makeSignedZeroImage(int Width, int Height, int Channels,
+                              Rng &Generator) {
+  constexpr int Patch = 6;
+  const int PatchesX = (Width + Patch - 1) / Patch;
+  const int PatchesY = (Height + Patch - 1) / Patch;
+  // Per patch: 0 = +0 patch, 1 = -0 patch, otherwise random data.
+  std::vector<uint64_t> Kind(static_cast<size_t>(PatchesX) * PatchesY);
+  for (uint64_t &K : Kind)
+    K = Generator.nextBelow(4);
+  Image Result(Width, Height, Channels);
+  for (int Y = 0; Y != Height; ++Y)
+    for (int X = 0; X != Width; ++X)
+      for (int Ch = 0; Ch != Channels; ++Ch) {
+        const uint64_t K = Kind[static_cast<size_t>(Y / Patch) * PatchesX +
+                                X / Patch];
+        float &Sample = Result.at(X, Y, Ch);
+        if (K == 0)
+          Sample = 0.0f;
+        else if (K == 1 || Generator.nextBelow(8) == 0)
+          Sample = -0.0f;
+        else
+          Sample = static_cast<float>(Generator.uniform(0.0, 1.0));
+      }
   return Result;
 }
 

@@ -31,6 +31,14 @@ Image makeImpulseImage(int Width, int Height, float Peak = 1.0f);
 Image makeCheckerboardImage(int Width, int Height, int Block, float Lo,
                             float Hi);
 
+/// Uniform random samples in [0, 1) with both zero signs the [0, 1]
+/// input contract admits made common: 6x6 patches of +0.0f, 6x6 patches
+/// of -0.0f, and single -0.0f samples scattered through the rest. Zero
+/// patches are where a signed-zero rewrite would show (-c * +0 is -0;
+/// a stencil over an all -0 window sums to -0).
+Image makeSignedZeroImage(int Width, int Height, int Channels,
+                          Rng &Generator);
+
 /// The 5x5 integer example matrix from Figure 4 of the paper (used by the
 /// border-fusion experiment; values are exactly the figure's).
 Image makeFigure4Matrix();

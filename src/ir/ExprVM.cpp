@@ -617,18 +617,6 @@ void evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
 
 } // namespace
 
-void kf::runVmRow(const VmProgram &VM, const Program &P, KernelId Id,
-                  const std::vector<Image> &Pool, int Y, int X0, int X1,
-                  int Channel, float *RowRegs, float *Out, int OutStride) {
-  if (X1 <= X0)
-    return;
-  const Kernel &K = P.kernel(Id);
-  evalRowImpl(VM, Pool, K.Inputs, Y, X0, X1, Channel, RowRegs, Out,
-              OutStride, [](const VmInst &, float *) {
-                KF_UNREACHABLE("StageCall in a plain kernel body");
-              });
-}
-
 void kf::runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
                    const std::vector<Image> &Pool, int Y, int X0, int X1,
                    int Channel, float *LaneRegs, float *Out, int OutStride) {
@@ -818,16 +806,6 @@ void evalStagedRow(const StagedVmProgram &SP, uint16_t StageIdx,
 }
 
 } // namespace
-
-void kf::runStagedVmRow(const StagedVmProgram &SP, uint16_t RootStage,
-                        const std::vector<Image> &Pool, int Y, int X0,
-                        int X1, int Channel, float *RowRegs, float *Out,
-                        int OutStride) {
-  if (X1 <= X0)
-    return;
-  evalStagedRow(SP, RootStage, Pool, Y, X0, X1, Channel, RowRegs,
-                static_cast<size_t>(X1 - X0), Out, OutStride);
-}
 
 void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                          const std::vector<Image> &Pool, int Y, int X0,

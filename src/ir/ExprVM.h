@@ -213,23 +213,15 @@ float runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
                     const std::vector<Image> &Pool, int X, int Y,
                     int Channel, float *Regs);
 
-/// Row-wise interior evaluation: computes pixels [X0, X1) of row \p Y for
-/// \p Channel in one call, writing result i to Out[i * OutStride]. The
-/// instruction stream is executed instruction-major -- each op streams
-/// across the whole scanline -- which amortizes per-pixel dispatch and
-/// lets the compiler vectorize the inner loops. \p RowRegs must hold
-/// VM.NumRegs * (X1 - X0) floats. Interior-only, like runVmInterior.
-void runVmRow(const VmProgram &VM, const Program &P, KernelId Id,
-              const std::vector<Image> &Pool, int Y, int X0, int X1,
-              int Channel, float *RowRegs, float *Out, int OutStride = 1);
-
-/// Span-mode interior evaluation: like runVmRow, but the span [X0, X1) is
-/// chunked into lanes of at most VmLaneWidth pixels and each chunk runs
-/// instruction-major through a fixed-size lane buffer, so the register
-/// working set is VM.NumRegs * VmLaneWidth floats regardless of the span
-/// width (L1-resident where full-row frames spill). \p LaneRegs must hold
-/// VM.NumRegs * VmLaneWidth floats. Bit-identical to runVmRow and to
-/// per-pixel runVmInterior.
+/// Span-mode interior evaluation: computes pixels [X0, X1) of row \p Y
+/// for \p Channel in one call, writing result i to Out[i * OutStride].
+/// The span is chunked into lanes of at most VmLaneWidth pixels and each
+/// chunk runs instruction-major -- each op streams across the chunk --
+/// which amortizes per-pixel dispatch and lets the compiler vectorize the
+/// inner loops, while the register working set stays VM.NumRegs *
+/// VmLaneWidth floats (L1-resident) whatever the span width. \p LaneRegs
+/// must hold VM.NumRegs * VmLaneWidth floats. Interior-only, like
+/// runVmInterior, and bit-identical to it.
 void runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
                const std::vector<Image> &Pool, int Y, int X0, int X1,
                int Channel, float *LaneRegs, float *Out, int OutStride = 1);
@@ -295,18 +287,6 @@ float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
                           const std::vector<Image> &Pool, int X, int Y,
                           int Channel, float *Regs);
 
-/// Row-wise interior evaluation of a staged program: every stage's
-/// instruction stream runs instruction-major across the scanline --
-/// StageCall ops recurse row-wise, streaming the callee's subprogram
-/// over the offset-shifted column range straight into the caller's
-/// destination row register. \p RowRegs must hold
-/// SP.NumRegs * (X1 - X0) floats (one row-register frame per stage,
-/// partitioned by VmStage::RegBase).
-void runStagedVmRow(const StagedVmProgram &SP, uint16_t RootStage,
-                    const std::vector<Image> &Pool, int Y, int X0, int X1,
-                    int Channel, float *RowRegs, float *Out,
-                    int OutStride = 1);
-
 /// Span-mode interior evaluation of a staged program: the span [X0, X1)
 /// is chunked into lanes of at most VmLaneWidth pixels; within a chunk
 /// every stage's instruction stream runs instruction-major, and StageCall
@@ -314,10 +294,9 @@ void runStagedVmRow(const StagedVmProgram &SP, uint16_t RootStage,
 /// chunk straight into the caller's destination lanes). Stage frames
 /// partition the lane buffer at VmStage::RegBase * VmLaneWidth, so a
 /// chunk never overruns a frame and the whole working set is
-/// SP.NumRegs * VmLaneWidth floats -- the locality the full-row frames of
-/// runStagedVmRow lose on wide images. \p LaneRegs must hold
-/// SP.NumRegs * VmLaneWidth floats. Bit-identical to runStagedVmRow and
-/// to per-pixel runStagedVmInterior.
+/// SP.NumRegs * VmLaneWidth floats whatever the span width. \p LaneRegs
+/// must hold SP.NumRegs * VmLaneWidth floats. Bit-identical to per-pixel
+/// runStagedVmInterior.
 void runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                      const std::vector<Image> &Pool, int Y, int X0, int X1,
                      int Channel, float *LaneRegs, float *Out,

@@ -28,6 +28,7 @@ std::string kf::formatInterval(const RegInterval &R) {
 //   std::min(a, b) = (b < a) ? b : a   -- returns a when either is NaN
 //   std::max(a, b) = (a < b) ? b : a   -- returns a when either is NaN
 //   select: cond != 0 ? a : b          -- NaN != 0 is true; -0 == 0
+//   a + b, round to nearest            -- -0 + +0 is +0
 // Note both min and max return the *first* operand on ties, so deciding
 // "TakeA" never has to distinguish -0 from +0; deciding "TakeB" requires
 // strict ordering and NaN-freedom on both sides.
@@ -54,6 +55,23 @@ ClampDecision kf::decideMax(const RegInterval &A, const RegInterval &B) {
   if (B.Hi <= A.Lo || A.numericEmpty())
     return ClampDecision::TakeA;
   if (A.Hi < B.Lo && !A.MayNaN && !B.MayNaN)
+    return ClampDecision::TakeB;
+  return ClampDecision::Keep;
+}
+
+ClampDecision kf::decideAdd(const RegInterval &A, const RegInterval &B) {
+  // x + -0 is x for every x, and x + +0 is x for every x but -0 (which
+  // it turns into +0): a zero addend of either sign goes when the other
+  // addend is never -0. A bottom fact proves nothing, though
+  // neverNegZero() holds for it vacuously.
+  if (A.bottom() || B.bottom())
+    return ClampDecision::Keep;
+  auto IsZero = [](const RegInterval &R) {
+    return !R.MayNaN && R.Lo == 0.0f && R.Hi == 0.0f;
+  };
+  if (IsZero(B) && A.neverNegZero())
+    return ClampDecision::TakeA;
+  if (IsZero(A) && B.neverNegZero())
     return ClampDecision::TakeB;
   return ClampDecision::Keep;
 }
@@ -278,10 +296,11 @@ bool kf::optimizeStagedProgram(StagedVmProgram &SP, uint16_t &Root,
       if (Inst.Op == VmOp::Select)
         Inst.Sel = Rename[Inst.Sel];
 
-      // Fact-gated decisions: collapse a decided Min/Max/Select to a
-      // rename of the surviving operand. Facts are indexed by the
-      // *original* operand registers (renames preserve runtime values,
-      // so the decision transfers to the renamed operands).
+      // Fact-gated decisions: collapse a decided Min/Max/Select, or an
+      // Add of zero, to a rename of the surviving operand. Facts are
+      // indexed by the *original* operand registers (renames preserve
+      // runtime values, so the decision transfers to the renamed
+      // operands).
       ClampDecision Decision = ClampDecision::Keep;
       if (Inst.Op == VmOp::Min)
         Decision = decideMin(factOf(Orig.A), factOf(Orig.B));
@@ -289,6 +308,8 @@ bool kf::optimizeStagedProgram(StagedVmProgram &SP, uint16_t &Root,
         Decision = decideMax(factOf(Orig.A), factOf(Orig.B));
       else if (Inst.Op == VmOp::Select)
         Decision = decideSelect(factOf(Orig.Sel));
+      else if (Inst.Op == VmOp::Add)
+        Decision = decideAdd(factOf(Orig.A), factOf(Orig.B));
       if (Decision != ClampDecision::Keep) {
         const uint16_t Src =
             Decision == ClampDecision::TakeA ? Inst.A : Inst.B;
@@ -299,25 +320,34 @@ bool kf::optimizeStagedProgram(StagedVmProgram &SP, uint16_t &Root,
         }
         if (Inst.Op == VmOp::Select)
           ++S.SelectsDecided;
+        else if (Inst.Op == VmOp::Add)
+          ++S.AddZeroRemoved;
         else
           ++S.ClampsRemoved;
         continue;
       }
 
-      // Exact constant folding. Folding to a non-finite or NaN immediate
-      // is refused: it would trade an instruction for a KF-B09 warning
-      // and a JIT refusal, and guaranteed-bad values are the analyzer's
-      // (KF-V04) business, not the optimizer's.
+      // Constant folding, exact first: all-constant operands are folded
+      // with the interpreter's own operations. Otherwise an ALU result
+      // whose fact pins one value (RegInterval::pinnedValue) becomes that
+      // constant -- facts are sound for every pixel and execution path,
+      // so the constant is what every evaluation computes. Folding to a
+      // non-finite or NaN immediate is refused: it would trade an
+      // instruction for a KF-B09 warning and a JIT refusal, and
+      // guaranteed-bad values are the analyzer's (KF-V04) business, not
+      // the optimizer's.
       if (Inst.Op == VmOp::Const) {
         HasConst[Orig.Dst] = 1;
         ConstVal[Orig.Dst] = Inst.Imm;
-      } else if (readsA(Inst.Op) && Inst.Op != VmOp::Select &&
-                 HasConst[Inst.A] &&
-                 (!readsB(Inst.Op) || HasConst[Inst.B])) {
+      } else if (readsA(Inst.Op)) {
         float Folded = 0.0f;
-        if (foldAlu(Inst.Op, ConstVal[Inst.A],
+        const bool Exact =
+            Inst.Op != VmOp::Select && HasConst[Inst.A] &&
+            (!readsB(Inst.Op) || HasConst[Inst.B]) &&
+            foldAlu(Inst.Op, ConstVal[Inst.A],
                     readsB(Inst.Op) ? ConstVal[Inst.B] : 0.0f, Folded) &&
-            std::isfinite(Folded)) {
+            std::isfinite(Folded);
+        if (Exact || factOf(Orig.Dst).pinnedValue(Folded)) {
           VmInst C;
           C.Op = VmOp::Const;
           C.Dst = Orig.Dst;
@@ -325,7 +355,7 @@ bool kf::optimizeStagedProgram(StagedVmProgram &SP, uint16_t &Root,
           Inst = C;
           HasConst[Orig.Dst] = 1;
           ConstVal[Orig.Dst] = Folded;
-          ++S.FoldedConsts;
+          ++(Exact ? S.FoldedConsts : S.PinnedConsts);
         }
       }
 
@@ -457,7 +487,8 @@ bool kf::optimizeStagedProgram(StagedVmProgram &SP, uint16_t &Root,
   for (const VmStage &Stage : New.Stages)
     S.OptimizedInsts += static_cast<unsigned>(Stage.Code.Insts.size());
 
-  const bool Changed = S.FoldedConsts != 0 || S.ClampsRemoved != 0 ||
+  const bool Changed = S.FoldedConsts != 0 || S.PinnedConsts != 0 ||
+                       S.AddZeroRemoved != 0 || S.ClampsRemoved != 0 ||
                        S.SelectsDecided != 0 || S.CseReplaced != 0 ||
                        S.RemovedStages != 0 ||
                        S.OptimizedInsts != S.OriginalInsts;

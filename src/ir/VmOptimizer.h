@@ -11,8 +11,10 @@
 /// full float precision.
 ///
 /// The passes, in order per stage: copy propagation (decided Min/Max/
-/// Select collapse to operand renames), exact constant folding (with the
-/// same std:: float operations the interpreter executes; never folding
+/// Select, and `x + 0` with x proven never -0, collapse to operand
+/// renames), constant folding (exactly, with the same std:: float
+/// operations the interpreter executes, or from a fact that pins the
+/// result to one value -- a zero only with the NoNegZero proof; never
 /// to a non-finite constant, which would trip KF-B09 and the JIT gate),
 /// common-subexpression elimination (including StageCall sites, which
 /// deduplicates whole recursive recomputes), a backward dead-instruction
@@ -44,10 +46,16 @@ namespace kf {
 /// "no non-NaN outcome exists" -- is the sentinel Lo = +inf, Hi = -inf;
 /// an always-NaN value is that sentinel with MayNaN set. Lo and Hi are
 /// themselves never NaN.
+///
+/// Float comparison cannot tell -0 from +0, so a zero endpoint says
+/// nothing about the sign of a zero outcome. NoNegZero is the separate
+/// proof that -0.0f is never an outcome; it defaults to false
+/// ("unproven"), so an interval built without it stays sound.
 struct RegInterval {
   float Lo = INFINITY;  ///< Sentinel pair: the default-constructed
   float Hi = -INFINITY; ///< interval is bottom (no value possible).
   bool MayNaN = false;
+  bool NoNegZero = false; ///< Proven: no outcome is -0.0f.
 
   /// Top: any float including NaN.
   static RegInterval full() {
@@ -59,6 +67,8 @@ struct RegInterval {
   }
 
   /// The singleton {V}; a NaN \p V maps to the always-NaN element.
+  /// The zero sign is exact here: point(+0) proves NoNegZero, point(-0)
+  /// does not.
   static RegInterval point(float V) {
     RegInterval R;
     if (std::isnan(V)) {
@@ -67,6 +77,7 @@ struct RegInterval {
       R.Lo = V;
       R.Hi = V;
     }
+    R.NoNegZero = !isNegZero(V);
     return R;
   }
 
@@ -88,6 +99,28 @@ struct RegInterval {
   /// Whether the numeric range admits zero (either sign).
   bool containsZero() const { return Lo <= 0.0f && 0.0f <= Hi; }
 
+  /// Whether -0.0f is provably not an outcome: by proof, or because the
+  /// numeric range excludes zero altogether.
+  bool neverNegZero() const { return NoNegZero || !containsZero(); }
+
+  /// The one non-NaN value every outcome equals bit for bit, if the
+  /// interval pins one: a finite point without NaN, and for a zero
+  /// point only with NoNegZero (the result is then +0.0f).
+  bool pinnedValue(float &V) const {
+    if (MayNaN || Lo != Hi || !std::isfinite(Lo))
+      return false;
+    if (Lo == 0.0f) {
+      if (!NoNegZero)
+        return false;
+      V = 0.0f; // Lo may carry either zero sign; the proof says +0.
+      return true;
+    }
+    V = Lo;
+    return true;
+  }
+
+  static bool isNegZero(float V) { return V == 0.0f && std::signbit(V); }
+
   bool mayPosInf() const { return Hi == INFINITY && !numericEmpty(); }
   bool mayNegInf() const { return Lo == -INFINITY && !numericEmpty(); }
   bool mayInf() const { return mayPosInf() || mayNegInf(); }
@@ -97,22 +130,31 @@ struct RegInterval {
   bool contains(float V) const {
     if (std::isnan(V))
       return MayNaN;
+    if (NoNegZero && isNegZero(V))
+      return false;
     return Lo <= V && V <= Hi;
   }
 
-  /// Least upper bound.
+  /// Least upper bound. Bottom is the identity: its neverNegZero() holds
+  /// vacuously.
   void join(const RegInterval &O) {
+    NoNegZero = neverNegZero() && O.neverNegZero();
     Lo = std::min(Lo, O.Lo);
     Hi = std::max(Hi, O.Hi);
     MayNaN = MayNaN || O.MayNaN;
   }
 
-  /// Folds one concrete outcome into the interval.
+  /// Folds one concrete outcome into the interval. The transfer
+  /// functions use this to build hulls from corner values, so it never
+  /// proves NoNegZero (the hull's interior holds values no corner shows);
+  /// it only withdraws the proof when \p V is -0.
   void joinValue(float V) {
     if (std::isnan(V)) {
       MayNaN = true;
       return;
     }
+    if (isNegZero(V))
+      NoNegZero = false;
     Lo = std::min(Lo, V);
     Hi = std::max(Hi, V);
   }
@@ -140,7 +182,7 @@ struct StageValueFacts {
   RegInterval Result;
 };
 
-/// How a fact decides a Min/Max/Select instruction. TakeA/TakeB assert
+/// How a fact decides a Min/Max/Select/Add instruction. TakeA/TakeB assert
 /// that replacing the instruction with a copy of the named operand is
 /// bit-identical for every value the operands can hold, including NaN
 /// propagation and signed-zero ordering under the exact
@@ -153,13 +195,19 @@ ClampDecision decideMin(const RegInterval &A, const RegInterval &B);
 /// Decision for `Dst = std::max(A, B)` (= A < B ? B : A).
 ClampDecision decideMax(const RegInterval &A, const RegInterval &B);
 
+/// Decision for `Dst = A + B`: TakeA when B is always a zero (of either
+/// sign) and A is never -0, TakeB symmetrically.
+ClampDecision decideAdd(const RegInterval &A, const RegInterval &B);
+
 /// Decision for `Dst = Sel != 0 ? A : B`, from the condition interval
 /// (NaN compares unequal to zero, so an always-NaN condition takes A).
 ClampDecision decideSelect(const RegInterval &Sel);
 
 /// Counters of one optimizeStagedProgram run.
 struct VmOptStats {
-  unsigned FoldedConsts = 0;   ///< ALU instructions folded to Const.
+  unsigned FoldedConsts = 0;   ///< All-constant ALU instructions folded.
+  unsigned PinnedConsts = 0;   ///< ALU results facts pin to one value.
+  unsigned AddZeroRemoved = 0; ///< `x + 0` collapsed to x.
   unsigned ClampsRemoved = 0;  ///< Min/Max decided to one operand.
   unsigned SelectsDecided = 0; ///< Selects decided to one arm.
   unsigned CseReplaced = 0;    ///< Instructions removed as duplicates.

@@ -101,14 +101,9 @@ MaterializedPipeline compileLazy(const LazyPipeline &LP,
     Loc.Kernel = FK.Name;
     IntervalAnalysisResult Intervals =
         analyzeStagedIntervals(SP, FirstRoot, PoolRanges, &MP.Diags, Loc);
-    for (const auto &Dest : Dests) {
-      const RegInterval &R = Intervals.Stages[Dest.second].Result;
-      InputRange Written;
-      Written.Lo = R.Lo;
-      Written.Hi = R.Hi;
-      Written.MayNaN = R.MayNaN;
-      PoolRanges[P.kernel(Dest.first).Output] = Written;
-    }
+    for (const auto &Dest : Dests)
+      PoolRanges[P.kernel(Dest.first).Output] =
+          InputRange::of(Intervals.Stages[Dest.second].Result);
   }
 
   MP.Ok = !MP.Diags.failed(Gate.Werror);

@@ -171,11 +171,7 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
           }
         }
       }
-      InputRange Written;
-      Written.Lo = Intervals.Result.Lo;
-      Written.Hi = Intervals.Result.Hi;
-      Written.MayNaN = Intervals.Result.MayNaN;
-      PoolRanges[Launch.Output] = Written;
+      PoolRanges[Launch.Output] = InputRange::of(Intervals.Result);
     }
     if (TraceRecorder::enabled())
       TraceRecorder::global().addCounter("opt.removed_insts",

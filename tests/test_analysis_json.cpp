@@ -254,12 +254,8 @@ TEST(AnalysisJson, ShippedExamplesAreIntervalClean) {
         for (size_t I = 0; I != FK.Stages.size(); ++I)
           if (FK.Stages[I].Kernel == DestId)
             DestRoot = static_cast<uint16_t>(I);
-        const RegInterval &R = Intervals.Stages[DestRoot].Result;
-        InputRange Written;
-        Written.Lo = R.Lo;
-        Written.Hi = R.Hi;
-        Written.MayNaN = R.MayNaN;
-        PoolRanges[P.kernel(DestId).Output] = Written;
+        PoolRanges[P.kernel(DestId).Output] =
+            InputRange::of(Intervals.Stages[DestRoot].Result);
       }
     }
     EXPECT_EQ(DE.errorCount(), 0u) << Spec.Name << ":\n" << DE.renderText();

@@ -25,6 +25,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
 
 using namespace kf;
 
@@ -309,6 +310,83 @@ TEST(IntervalTransfer, StageCallTakesCalleeResult) {
 }
 
 //===--------------------------------------------------------------------===//
+// Sign of zero (NoNegZero)
+//===--------------------------------------------------------------------===//
+
+TEST(IntervalNoNegZero, ContainsRejectsNegZeroUnderTheProof) {
+  RegInterval R = RegInterval::range(0.0f, 1.0f);
+  EXPECT_FALSE(R.NoNegZero); // unproven by default
+  EXPECT_TRUE(R.contains(-0.0f));
+  R.NoNegZero = true;
+  EXPECT_FALSE(R.contains(-0.0f));
+  EXPECT_TRUE(R.contains(0.0f));
+  EXPECT_TRUE(RegInterval::point(0.0f).NoNegZero);
+  EXPECT_FALSE(RegInterval::point(-0.0f).NoNegZero);
+  // A zero-free range never holds -0, proof or not; joining keeps the
+  // proof only when both sides have it.
+  EXPECT_TRUE(RegInterval::range(1.0f, 2.0f).neverNegZero());
+  RegInterval J = RegInterval::point(0.0f);
+  J.join(RegInterval::range(1.0f, 2.0f));
+  EXPECT_TRUE(J.NoNegZero);
+  J.join(RegInterval::range(-1.0f, 0.0f));
+  EXPECT_FALSE(J.NoNegZero);
+  // A -0 outcome withdraws the proof; bottom's join is the identity.
+  RegInterval V = RegInterval::point(0.5f);
+  V.joinValue(-0.0f);
+  EXPECT_FALSE(V.NoNegZero);
+  RegInterval Bottom;
+  Bottom.join(RegInterval::point(0.0f));
+  EXPECT_TRUE(Bottom.NoNegZero);
+}
+
+TEST(IntervalNoNegZero, TransferRules) {
+  // r0 = in (unproven), r1 = +0, r2 = -0.125, r3 = exp(r0), ...
+  StagedVmProgram SP = singleStage(
+      {load(0), constant(1, 0.0f), constant(2, -0.125f),
+       alu(VmOp::Exp, 3, 0),       // exp: proven
+       alu(VmOp::Mul, 4, 1, 3),    // +0 * exp: both >= 0, proven
+       alu(VmOp::Mul, 5, 1, 0),    // +0 * in: in may be -0
+       alu(VmOp::Mul, 6, 2, 0),    // -0.125 * in: negative weight
+       alu(VmOp::Add, 7, 6, 4),    // either addend proven
+       alu(VmOp::Add, 8, 6, 5),    // neither
+       alu(VmOp::Mul, 9, 0, 0),    // in * in: a square
+       alu(VmOp::Sub, 10, 0, 1),   // in - 0: minuend unproven
+       alu(VmOp::Sqrt, 11, 0),     // sqrt(-0) is -0
+       alu(VmOp::Sqrt, 12, 3),     // inherits exp's proof
+       alu(VmOp::Max, 13, 0, 3),   // may return in
+       alu(VmOp::Min, 14, 3, 9),   // both proven
+       alu(VmOp::Abs, 15, 0),      // abs: proven
+       alu(VmOp::Floor, 16, 0),    // floor(-0) is -0
+       alu(VmOp::CmpLT, 17, 0, 2), // comparisons: +0 or 1
+       alu(VmOp::Div, 18, 3, 4)},  // both >= 0 and proven
+      18, 19);
+  const StageValueFacts F = analyzeStagedIntervals(SP, 0).Stages[0];
+  const bool Want[19] = {false, true,  true,  true,  true,
+                         false, false, true,  false, true,
+                         false, false, true,  false, true,
+                         true,  false, true,  true};
+  for (unsigned R = 0; R != 19; ++R)
+    EXPECT_EQ(F.Regs[R].NoNegZero, Want[R]) << "r" << R;
+  // The +0 * exp product is pinned to +0; the +0 * in product is not.
+  float V = 1.0f;
+  EXPECT_TRUE(F.Regs[4].pinnedValue(V));
+  EXPECT_FALSE(std::signbit(V));
+  EXPECT_EQ(V, 0.0f);
+  EXPECT_FALSE(F.Regs[5].pinnedValue(V));
+}
+
+TEST(IntervalNoNegZero, DeclaredInputsStayUnprovenProducedOnesCarryIt) {
+  StagedVmProgram SP = singleStage({load(0)}, 0, 1);
+  EXPECT_FALSE(resultOf(SP).NoNegZero); // [0, 1] admits -0
+  InputRange Produced = InputRange::of(RegInterval::point(0.0f));
+  EXPECT_TRUE(resultOf(SP, {Produced}).NoNegZero);
+  // A -0 border constant withdraws the proof.
+  StagedVmProgram Bordered =
+      singleStage({load(0)}, 0, 1, BorderMode::Constant, -0.0f);
+  EXPECT_FALSE(resultOf(Bordered, {Produced}).NoNegZero);
+}
+
+//===--------------------------------------------------------------------===//
 // Soundness property suite
 //===--------------------------------------------------------------------===//
 
@@ -348,8 +426,12 @@ std::vector<std::pair<int, int>> samplePositions(int W, int H, Rng &Gen) {
 /// sentinel-initialized registers and asserts each written register --
 /// including callee-stage registers left behind by recursive stage calls
 /// at index-exchanged positions -- lies inside its predicted interval.
-/// Launch results feed the pool, so later launches read real data.
-void checkFactSoundness(const FusedProgram &FP, uint64_t Seed) {
+/// Launch results feed the pool, so later launches read real data. With
+/// \p SignedZeros the inputs are rich in +0 and -0 (makeSignedZeroImage),
+/// which is where a wrong NoNegZero proof shows: contains() rejects -0
+/// under the proof.
+void checkFactSoundness(const FusedProgram &FP, uint64_t Seed,
+                        bool SignedZeros = false) {
   ExecutionOptions Options;
   Options.Opt = OptMode::Off;
   std::shared_ptr<const CompiledPlan> Plan = compilePlan(FP, Options);
@@ -359,8 +441,10 @@ void checkFactSoundness(const FusedProgram &FP, uint64_t Seed) {
   std::vector<Image> Pool(Plan->Shapes.size());
   for (ImageId In : Plan->ExternalInputs) {
     const ImageInfo &Info = Plan->Shapes[In];
-    Pool[In] = makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen,
-                               0.0f, 1.0f);
+    Pool[In] = SignedZeros ? makeSignedZeroImage(Info.Width, Info.Height,
+                                                 Info.Channels, Gen)
+                           : makeRandomImage(Info.Width, Info.Height,
+                                             Info.Channels, Gen, 0.0f, 1.0f);
   }
 
   for (const CompiledLaunch &Launch : Plan->Launches) {
@@ -424,17 +508,39 @@ TEST(IntervalSoundness, RegistryPipelines) {
   }
 }
 
+TEST(IntervalSoundness, RegistryPipelinesSignedZeroInputs) {
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    Program P = Spec.Builder(64, 48);
+    MinCutFusionResult Result = runMinCutFusion(P, paperModel());
+    FusedProgram FP = fuseProgram(P, Result.Blocks, FusionStyle::Optimized);
+    SCOPED_TRACE(Spec.Name);
+    checkFactSoundness(FP, 0x5160 ^ std::hash<std::string>()(Spec.Name),
+                       /*SignedZeros=*/true);
+  }
+}
+
 class IntervalSoundnessRandom : public ::testing::TestWithParam<int> {};
 
-TEST_P(IntervalSoundnessRandom, RandomProgramsStayInsideFacts) {
-  uint64_t Seed = static_cast<uint64_t>(GetParam());
+FusedProgram randomFusedProgram(uint64_t Seed, std::unique_ptr<Program> &P) {
   Rng Gen(Seed * 2654435761u + 11);
   unsigned NumKernels = 3 + static_cast<unsigned>(Gen.nextBelow(8));
   double LocalFraction = Gen.uniform(0.0, 0.7);
-  Program P = makeRandomPipeline(NumKernels, LocalFraction, 16, 12, Gen);
-  MinCutFusionResult Result = runMinCutFusion(P, paperModel());
-  FusedProgram FP = fuseProgram(P, Result.Blocks, FusionStyle::Optimized);
-  checkFactSoundness(FP, Seed);
+  P = std::make_unique<Program>(
+      makeRandomPipeline(NumKernels, LocalFraction, 16, 12, Gen));
+  MinCutFusionResult Result = runMinCutFusion(*P, paperModel());
+  return fuseProgram(*P, Result.Blocks, FusionStyle::Optimized);
+}
+
+TEST_P(IntervalSoundnessRandom, RandomProgramsStayInsideFacts) {
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  std::unique_ptr<Program> P;
+  checkFactSoundness(randomFusedProgram(Seed, P), Seed);
+}
+
+TEST_P(IntervalSoundnessRandom, SignedZeroInputsStayInsideFacts) {
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  std::unique_ptr<Program> P;
+  checkFactSoundness(randomFusedProgram(Seed, P), Seed, /*SignedZeros=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IntervalSoundnessRandom,

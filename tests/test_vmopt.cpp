@@ -18,6 +18,7 @@
 #include "image/Generators.h"
 #include "jit/JitProgram.h"
 #include "pipelines/Pipelines.h"
+#include "sim/Executor.h"
 #include "sim/Session.h"
 #include "support/Random.h"
 #include "transform/Fuser.h"
@@ -83,6 +84,25 @@ TEST(ClampDecisions, SignedZeroKeepsMinMaxUndecided) {
   EXPECT_EQ(decideMax(iv(NegZero, 0), iv(0, 0)), ClampDecision::TakeA);
 }
 
+TEST(ClampDecisions, AddOfZeroDecides) {
+  RegInterval Zero = iv(0, 0); // either sign: no NoNegZero proof
+  RegInterval Unproven = iv(0, 1);
+  RegInterval Proven = iv(0, 1);
+  Proven.NoNegZero = true;
+  // x + 0 is x unless x may be -0.
+  EXPECT_EQ(decideAdd(Proven, Zero), ClampDecision::TakeA);
+  EXPECT_EQ(decideAdd(Zero, Proven), ClampDecision::TakeB);
+  EXPECT_EQ(decideAdd(iv(1, 2), Zero), ClampDecision::TakeA); // no zero
+  EXPECT_EQ(decideAdd(Unproven, Zero), ClampDecision::Keep);  // -0 + +0
+  EXPECT_EQ(decideAdd(Zero, Unproven), ClampDecision::Keep);
+  // The dropped addend must be a zero on every outcome, NaN excluded.
+  EXPECT_EQ(decideAdd(Proven, iv(0, 0, true)), ClampDecision::Keep);
+  EXPECT_EQ(decideAdd(Proven, iv(-0.0f, 1)), ClampDecision::Keep);
+  // Bottom decides nothing, though it holds neverNegZero() vacuously.
+  EXPECT_EQ(decideAdd(RegInterval(), Zero), ClampDecision::Keep);
+  EXPECT_EQ(decideAdd(Zero, RegInterval()), ClampDecision::Keep);
+}
+
 TEST(ClampDecisions, SelectDecides) {
   // Sel != 0 ? A : B; NaN != 0 is true, -0 == 0 is false.
   EXPECT_EQ(decideSelect(iv(1, 2)), ClampDecision::TakeA);
@@ -129,14 +149,17 @@ BuiltPipeline fuseRegistry(const PipelineSpec &Spec) {
 }
 
 /// Fills the plan's external inputs with seeded random data in the
-/// declared [0, 1] contract.
+/// declared [0, 1] contract; with \p SignedZeros, data rich in +0 and -0
+/// (makeSignedZeroImage).
 void fillInputs(const CompiledPlan &Plan, std::vector<Image> &Frame,
-                uint64_t Seed) {
+                uint64_t Seed, bool SignedZeros = false) {
   Rng Gen(Seed);
   for (ImageId In : Plan.ExternalInputs) {
     const ImageInfo &Info = Plan.Shapes[In];
-    Frame[In] = makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen,
-                                0.0f, 1.0f);
+    Frame[In] = SignedZeros ? makeSignedZeroImage(Info.Width, Info.Height,
+                                                  Info.Channels, Gen)
+                            : makeRandomImage(Info.Width, Info.Height,
+                                              Info.Channels, Gen, 0.0f, 1.0f);
   }
 }
 
@@ -192,6 +215,131 @@ TEST(VmOptDifferential, RegistryBitIdenticalAcrossModesAndTilings) {
       }
     }
   }
+}
+
+/// Inputs full of +0 and -0 are where a wrong sign-of-zero fact would
+/// show: optimizer on and off, every engine and tiling, must match the
+/// unfused AST reference bit for bit -- a tolerance compare would let a
+/// -0 turned +0 through.
+TEST(VmOptDifferential, SignedZeroInputsBitIdenticalToUnfused) {
+  PlanCache Cache(64);
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    SCOPED_TRACE(Spec.Name);
+    BuiltPipeline B = fuseRegistry(Spec);
+    const Program &P = *B.P;
+    const uint64_t Seed = 0x5160 ^ std::hash<std::string>()(Spec.Name);
+
+    std::vector<Image> Unfused = makeImagePool(P);
+    {
+      ExecutionOptions Options;
+      fillInputs(*compilePlan(B.FP, Options), Unfused, Seed,
+                 /*SignedZeros=*/true);
+    }
+    runUnfused(P, Unfused);
+
+    for (VmMode Mode : {VmMode::Scalar, VmMode::Span, VmMode::Jit})
+      for (TilingStrategy Tiling :
+           {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped})
+        for (OptMode Opt : {OptMode::On, OptMode::Off}) {
+          ExecutionOptions Options;
+          Options.Mode = Mode;
+          Options.Tiling = Tiling;
+          Options.Opt = Opt;
+          // Every launch output, not only the terminal ones: a sign
+          // flipped in Sobel's dx is squared away before Harris's
+          // corner response.
+          PipelineSession Session(B.FP, Options, &Cache);
+          std::vector<Image> Frame = Session.acquireFrame();
+          fillInputs(*Session.plan(), Frame, Seed, /*SignedZeros=*/true);
+          Session.runFrame(Frame);
+          for (const CompiledLaunch &Launch : Session.plan()->Launches)
+            EXPECT_EQ(countBitDifferences(Frame[Launch.Output],
+                                          Unfused[Launch.Output]),
+                      0)
+                << Launch.Name << " mode=" << vmModeName(Mode)
+                << " tiling=" << tilingStrategyName(Tiling)
+                << " opt=" << optModeName(Opt);
+        }
+  }
+}
+
+/// Instructions of \p Stage with opcode \p Op.
+unsigned countOps(const VmStage &Stage, VmOp Op) {
+  unsigned N = 0;
+  for (const VmInst &Inst : Stage.Code.Insts)
+    N += Inst.Op == Op;
+  return N;
+}
+
+/// `Mul(+0, x)` instructions of \p Stage: zero-weight stencil taps.
+unsigned zeroWeightTaps(const VmStage &Stage) {
+  std::vector<char> PlusZero(Stage.Code.NumRegs, 0);
+  unsigned N = 0;
+  for (const VmInst &Inst : Stage.Code.Insts) {
+    if (Inst.Op == VmOp::Const && Inst.Imm == 0.0f && !std::signbit(Inst.Imm))
+      PlusZero[Inst.Dst] = 1;
+    if (Inst.Op == VmOp::Mul && (PlusZero[Inst.A] || PlusZero[Inst.B]))
+      ++N;
+  }
+  return N;
+}
+
+/// Night's atrous1 pass is a 5x5 mask with 16 zero taps: their range
+/// weights `+0 * exp(...)` fold to +0 and the denominator's `+ 0` terms
+/// go, leaving the 9 exp of the nonzero taps. The numerator keeps its
+/// `+0 * load` taps: the loaded plane may hold -0.
+TEST(VmOptZeroTaps, NightAtrous1KeepsNineExp) {
+  BuiltPipeline B = fuseRegistry(*findPipeline("night"));
+  ExecutionOptions On;
+  On.Opt = OptMode::On;
+  std::shared_ptr<const CompiledPlan> Plan = compilePlan(B.FP, On);
+  bool Found = false;
+  for (const CompiledLaunch &Launch : Plan->Launches) {
+    if (Launch.Name != "atrous1+scoto")
+      continue;
+    Found = true;
+    ASSERT_EQ(Launch.Code.Stages.size(), 2u);
+    const VmStage &Atrous1 = Launch.Code.Stages[0];
+    EXPECT_EQ(countOps(Atrous1, VmOp::Exp), 9u);
+    EXPECT_EQ(zeroWeightTaps(Atrous1), 16u);
+    size_t Insts = 0;
+    for (const VmStage &Stage : Launch.Code.Stages)
+      Insts += Stage.Code.Insts.size();
+    EXPECT_LE(Insts, 170u);
+    EXPECT_GE(Launch.OptStats.PinnedConsts, 16u);
+    EXPECT_GE(Launch.OptStats.AddZeroRemoved, 16u);
+  }
+  EXPECT_TRUE(Found) << "no atrous1+scoto launch";
+}
+
+/// Sobel's zero taps multiply loads that may be -0 and feed accumulators
+/// that may be -0 (-0.125 * +0 is -0), so `acc + 0 * load` is not `acc`:
+/// every launch outside Night keeps each zero-weight tap it compiled
+/// with.
+TEST(VmOptZeroTaps, SobelZeroTapsSurvive) {
+  unsigned SobelTaps = 0;
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    if (Spec.Name == "night")
+      continue;
+    BuiltPipeline B = fuseRegistry(Spec);
+    ExecutionOptions On, Off;
+    On.Opt = OptMode::On;
+    Off.Opt = OptMode::Off;
+    std::shared_ptr<const CompiledPlan> Optimized = compilePlan(B.FP, On);
+    std::shared_ptr<const CompiledPlan> Baseline = compilePlan(B.FP, Off);
+    ASSERT_EQ(Optimized->Launches.size(), Baseline->Launches.size());
+    for (size_t L = 0; L != Baseline->Launches.size(); ++L) {
+      unsigned Want = 0, Got = 0;
+      for (const VmStage &Stage : Baseline->Launches[L].Code.Stages)
+        Want += zeroWeightTaps(Stage);
+      for (const VmStage &Stage : Optimized->Launches[L].Code.Stages)
+        Got += zeroWeightTaps(Stage);
+      EXPECT_EQ(Got, Want) << Spec.Name << " " << Baseline->Launches[L].Name;
+      if (Spec.Name == "sobel" || Spec.Name == "harris")
+        SobelTaps += Got;
+    }
+  }
+  EXPECT_GT(SobelTaps, 0u);
 }
 
 TEST(VmOptDifferential, OptimizedStreamsRevalidate) {

@@ -196,6 +196,21 @@ static std::string blockNames(const Program &P,
   return "{" + joinStrings(Names, ", ") + "}";
 }
 
+/// "N -> M": the instruction count of \p Before and \p After, or only
+/// their \p Op instructions when one is given.
+static std::string beforeAfter(const StagedVmProgram &Before,
+                               const StagedVmProgram &After,
+                               const VmOp *Op) {
+  auto Count = [Op](const StagedVmProgram &SP) {
+    size_t N = 0;
+    for (const VmStage &Stage : SP.Stages)
+      for (const VmInst &Inst : Stage.Code.Insts)
+        N += !Op || Inst.Op == *Op;
+    return N;
+  };
+  return std::to_string(Count(Before)) + " -> " + std::to_string(Count(After));
+}
+
 /// The `kfc --lazy <script>` driver: records the builder script through
 /// the lazy frontend, runs the materialization gate, and (outside
 /// --analyze) executes the pipeline --repeat times against the shared
@@ -502,13 +517,23 @@ int main(int Argc, char **Argv) {
         std::printf("  stage %zu (%s): %s\n", I,
                     P.kernel(FK.Stages[I].Kernel).Name.c_str(),
                     formatInterval(Intervals.Stages[I].Result).c_str());
+      // The optimizer's effect on each launch, as the session compile
+      // applies it: instructions and transcendental ops before -> after.
       for (const auto &Dest : Dests) {
-        const RegInterval &R = Intervals.Stages[Dest.second].Result;
-        InputRange Written;
-        Written.Lo = R.Lo;
-        Written.Hi = R.Hi;
-        Written.MayNaN = R.MayNaN;
-        PoolRanges[P.kernel(Dest.first).Output] = Written;
+        StagedVmProgram Optimized = SP;
+        uint16_t Root = Dest.second;
+        optimizeStagedProgram(Optimized, Root, Intervals.Stages);
+        std::printf("optimizer for %s -> %s: insts %s", FK.Name.c_str(),
+                    P.image(P.kernel(Dest.first).Output).Name.c_str(),
+                    beforeAfter(SP, Optimized, nullptr).c_str());
+        for (auto [Op, Name] : {std::pair{VmOp::Exp, "exp"},
+                                {VmOp::Log, "log"},
+                                {VmOp::Pow, "pow"},
+                                {VmOp::Sqrt, "sqrt"}})
+          std::printf(", %s %s", Name, beforeAfter(SP, Optimized, &Op).c_str());
+        std::printf("\n");
+        PoolRanges[P.kernel(Dest.first).Output] =
+            InputRange::of(Intervals.Stages[Dest.second].Result);
       }
     }
     return finishAnalysis();
