@@ -2,6 +2,10 @@
 
 #include "image/Generators.h"
 
+#include <bit>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 using namespace kf;
@@ -37,6 +41,30 @@ Image kf::makeSignedZeroImage(int Width, int Height, int Channels,
         else
           Sample = static_cast<float>(Generator.uniform(0.0, 1.0));
       }
+  return Result;
+}
+
+Image kf::makeSpecialValueImage(int Width, int Height, int Channels,
+                                Rng &Generator) {
+  using Limits = std::numeric_limits<float>;
+  const float NaN = Limits::quiet_NaN();
+  const float Denormal = Limits::denorm_min();
+  const float Specials[] = {
+      NaN, -NaN, std::bit_cast<float>(0x7fc00123u), // Payload NaN.
+      Limits::infinity(), -Limits::infinity(),
+      0.0f, -0.0f,
+      Denormal, -Denormal, Limits::min() - Denormal, // Largest denormal.
+      Limits::min(), -Limits::min(), Limits::max(), -Limits::max()};
+  constexpr uint64_t NumSpecials = std::size(Specials);
+  Image Result(Width, Height, Channels);
+  // About one pick in five is an ordinary value, so binary ops also meet
+  // specials against ordinary operands.
+  for (float &Sample : Result.data()) {
+    const uint64_t Pick = Generator.nextBelow(NumSpecials + NumSpecials / 3);
+    Sample = Pick < NumSpecials
+                 ? Specials[Pick]
+                 : static_cast<float>(Generator.uniform(-2.0, 2.0));
+  }
   return Result;
 }
 

@@ -39,6 +39,16 @@ Image makeCheckerboardImage(int Width, int Height, int Block, float Lo,
 Image makeSignedZeroImage(int Width, int Height, int Channels,
                           Rng &Generator);
 
+/// Samples drawn uniformly from every IEEE-754 value class a lane op can
+/// treat differently from its scalar form -- quiet NaNs of both signs and
+/// with a payload, +-inf, +-0, denormals of both signs, +-FLT_MIN,
+/// +-FLT_MAX -- and from ordinary values in [-2, 2). The signed-zero image
+/// above covers the [0, 1] input contract; this one goes outside it on
+/// purpose, for opcode-level differentials (NaN and signed-zero semantics
+/// of packed min/max/compare/blend against their scalar forms).
+Image makeSpecialValueImage(int Width, int Height, int Channels,
+                            Rng &Generator);
+
 /// The 5x5 integer example matrix from Figure 4 of the paper (used by the
 /// border-fusion experiment; values are exactly the figure's).
 Image makeFigure4Matrix();

@@ -3,6 +3,7 @@
 #include "ir/ExprVM.h"
 
 #include "image/Border.h"
+#include "ir/LaneOps.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -466,153 +467,105 @@ float kf::runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
 
 namespace {
 
-/// Executes \p Code instruction-major over pixels [X0, X1) of row \p Y.
+/// Executes \p Code instruction-major over the W lanes of row \p Y that
+/// start at column \p X0, and returns the result register's lanes. \p N is
+/// the compile-time lane count (VmLaneWidth) or 0 for a runtime-width tail
+/// chunk; registers are laneCount<N>(W) floats apart in \p RowRegs.
 /// \p Inputs resolves Load pool images; \p CallRow handles StageCall ops
-/// (writes the callee's value per pixel into the destination row).
-template <class CallRowFn>
-void evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
-                 const std::vector<ImageId> &Inputs, int Y, int X0, int X1,
-                 int Channel, float *RowRegs, float *Out, int OutStride,
-                 CallRowFn &&CallRow) {
-  const int W = X1 - X0;
+/// (writes the callee's lanes into the destination register).
+template <int N, class CallRowFn>
+const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
+                         const std::vector<ImageId> &Inputs, int Y, int X0,
+                         int W, int Channel, float *RowRegs,
+                         CallRowFn &&CallRow) {
+  W = laneCount<N>(W);
   auto Row = [&](uint16_t Reg) {
     return RowRegs + static_cast<size_t>(Reg) * W;
   };
   for (const VmInst &Inst : Code.Insts) {
     float *D = Row(Inst.Dst);
+    const float *A = Row(Inst.A), *B = Row(Inst.B);
     switch (Inst.Op) {
     case VmOp::Const:
-      for (int I = 0; I != W; ++I)
-        D[I] = Inst.Imm;
+      laneFill<N>(W, D, Inst.Imm);
       break;
     case VmOp::CoordX:
-      for (int I = 0; I != W; ++I)
-        D[I] = static_cast<float>(X0 + I);
+      laneIota<N>(W, D, X0);
       break;
     case VmOp::CoordY:
-      for (int I = 0; I != W; ++I)
-        D[I] = static_cast<float>(Y);
+      laneFill<N>(W, D, static_cast<float>(Y));
       break;
     case VmOp::Load: {
       const Image &Img = Pool[Inputs[Inst.InputIdx]];
       int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
       assert(Y + Inst.Oy >= 0 && Y + Inst.Oy < Img.height() &&
-             X0 + Inst.Ox >= 0 && X1 - 1 + Inst.Ox < Img.width() &&
+             X0 + Inst.Ox >= 0 && X0 + W - 1 + Inst.Ox < Img.width() &&
              "row evaluation outside the interior region");
       const float *Base =
           Img.data().data() +
           (static_cast<size_t>(Y + Inst.Oy) * Img.width() + (X0 + Inst.Ox)) *
               Img.channels() +
           Ch;
-      const int Stride = Img.channels();
-      for (int I = 0; I != W; ++I)
-        D[I] = Base[static_cast<size_t>(I) * Stride];
+      if (Img.channels() == 1)
+        laneCopy<N>(W, D, Base);
+      else
+        laneGather<N>(W, D, Base, Img.channels());
       break;
     }
-    case VmOp::Add: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] + B[I];
+    case VmOp::Add:
+      laneAlu<N, VmOp::Add>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Sub: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] - B[I];
+    case VmOp::Sub:
+      laneAlu<N, VmOp::Sub>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Mul: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] * B[I];
+    case VmOp::Mul:
+      laneAlu<N, VmOp::Mul>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Div: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] / B[I];
+    case VmOp::Div:
+      laneAlu<N, VmOp::Div>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Min: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::min(A[I], B[I]);
+    case VmOp::Min:
+      laneAlu<N, VmOp::Min>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Max: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::max(A[I], B[I]);
+    case VmOp::Max:
+      laneAlu<N, VmOp::Max>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Pow: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::pow(A[I], B[I]);
+    case VmOp::Pow:
+      laneAlu<N, VmOp::Pow>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::CmpLT: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] < B[I] ? 1.0f : 0.0f;
+    case VmOp::CmpLT:
+      laneAlu<N, VmOp::CmpLT>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::CmpGT: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] > B[I] ? 1.0f : 0.0f;
+    case VmOp::CmpGT:
+      laneAlu<N, VmOp::CmpGT>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Neg: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = -A[I];
+    case VmOp::Neg:
+      laneAlu<N, VmOp::Neg>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Abs: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::abs(A[I]);
+    case VmOp::Abs:
+      laneAlu<N, VmOp::Abs>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Sqrt: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::sqrt(A[I]);
+    case VmOp::Sqrt:
+      laneAlu<N, VmOp::Sqrt>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Exp: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::exp(A[I]);
+    case VmOp::Exp:
+      laneAlu<N, VmOp::Exp>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Log: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::log(A[I]);
+    case VmOp::Log:
+      laneAlu<N, VmOp::Log>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Floor: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::floor(A[I]);
+    case VmOp::Floor:
+      laneAlu<N, VmOp::Floor>(W, D, A, B, nullptr);
       break;
-    }
-    case VmOp::Select: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B), *S = Row(Inst.Sel);
-      for (int I = 0; I != W; ++I)
-        D[I] = S[I] != 0.0f ? A[I] : B[I];
+    case VmOp::Select:
+      laneAlu<N, VmOp::Select>(W, D, A, B, Row(Inst.Sel));
       break;
-    }
     case VmOp::StageCall:
       CallRow(Inst, D);
       break;
     }
   }
-  const float *Result = Row(Code.ResultReg);
-  for (int I = 0; I != W; ++I)
-    Out[static_cast<size_t>(I) * OutStride] = Result[I];
+  return Row(Code.ResultReg);
 }
 
 } // namespace
@@ -621,18 +574,19 @@ void kf::runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
                    const std::vector<Image> &Pool, int Y, int X0, int X1,
                    int Channel, float *LaneRegs, float *Out, int OutStride) {
   const Kernel &K = P.kernel(Id);
-  // Chunk the span into lanes: every chunk's per-register stride is its
-  // own width (at most VmLaneWidth), so the register file of a chunk
-  // stays within the fixed lane buffer. The tail chunk simply runs the
-  // same contiguous loops with a smaller bound.
-  for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
-    const int C1 = std::min(X1, C0 + VmLaneWidth);
-    evalRowImpl(VM, Pool, K.Inputs, Y, C0, C1, Channel, LaneRegs,
-                Out + static_cast<size_t>(C0 - X0) * OutStride, OutStride,
-                [](const VmInst &, float *) {
-                  KF_UNREACHABLE("StageCall in a plain kernel body");
-                });
-  }
+  // Each chunk's per-register stride is its own width (at most
+  // VmLaneWidth), so the register file of a chunk stays within the fixed
+  // lane buffer.
+  forEachLaneChunk(X0, X1, [&](auto Width, int C0, int From, int W) {
+    constexpr int N = decltype(Width)::value;
+    const float *Result = evalRowImpl<N>(
+        VM, Pool, K.Inputs, Y, C0, W, Channel, LaneRegs,
+        [](const VmInst &, float *) {
+          KF_UNREACHABLE("StageCall in a plain kernel body");
+        });
+    laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
+                 OutStride, Result);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -782,27 +736,31 @@ float kf::runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
 
 namespace {
 
-/// Row-wise interior evaluation of one stage over columns [X0, X1) of
-/// row \p Y. Stage calls recurse row-wise too -- the callee streams its
-/// subprogram across the (offset-shifted) scanline straight into the
-/// caller's destination row register -- so the whole staged program
-/// stays instruction-major. \p RowRegs holds SP.NumRegs * RowWidth
-/// floats partitioned by the stages' RegBase frames; the acyclic call
-/// graph guarantees a stage never reuses a live frame, and sequential
-/// calls to the same callee simply overwrite its frame.
-void evalStagedRow(const StagedVmProgram &SP, uint16_t StageIdx,
-                   const std::vector<Image> &Pool, int Y, int X0, int X1,
-                   int Channel, float *RowRegs, size_t RowWidth, float *Out,
-                   int OutStride) {
+/// Lane-wise interior evaluation of one stage over the W lanes of row
+/// \p Y that start at column \p X0; returns the stage result's lanes.
+/// Stage calls recurse lane-wise too -- the callee streams its subprogram
+/// across the (offset-shifted) lanes and its result is copied into the
+/// caller's destination register -- so the whole staged program stays
+/// instruction-major. Stage frames partition \p LaneRegs at
+/// RegBase * VmLaneWidth while each chunk's per-register stride is the
+/// chunk width (<= VmLaneWidth), so no frame ever overruns into its
+/// neighbour (the validator's KF-B11 invariant); the acyclic call graph
+/// guarantees a stage never reuses a live frame, and sequential calls to
+/// the same callee simply overwrite its frame.
+template <int N>
+const float *evalStagedRow(const StagedVmProgram &SP, uint16_t StageIdx,
+                           const std::vector<Image> &Pool, int Y, int X0,
+                           int W, int Channel, float *LaneRegs) {
   const VmStage &Stage = SP.Stages[StageIdx];
-  float *Frame = RowRegs + static_cast<size_t>(Stage.RegBase) * RowWidth;
-  evalRowImpl(Stage.Code, Pool, Stage.Inputs, Y, X0, X1, Channel, Frame,
-              Out, OutStride, [&](const VmInst &Inst, float *D) {
-                int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-                evalStagedRow(SP, Inst.Sel, Pool, Y + Inst.Oy,
-                              X0 + Inst.Ox, X1 + Inst.Ox, Ch, RowRegs,
-                              RowWidth, D, 1);
-              });
+  float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
+  return evalRowImpl<N>(
+      Stage.Code, Pool, Stage.Inputs, Y, X0, W, Channel, Frame,
+      [&](const VmInst &Inst, float *D) {
+        int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
+        laneCopy<N>(W, D,
+                    evalStagedRow<N>(SP, Inst.Sel, Pool, Y + Inst.Oy,
+                                     X0 + Inst.Ox, W, Ch, LaneRegs));
+      });
 }
 
 } // namespace
@@ -811,19 +769,17 @@ void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                          const std::vector<Image> &Pool, int Y, int X0,
                          int X1, int Channel, float *LaneRegs,
                          float *Out, int OutStride) {
-  // Chunked lane-buffer evaluation: stage frames partition the buffer at
-  // RegBase * VmLaneWidth while each chunk's per-register stride is the
-  // chunk width (<= VmLaneWidth), so no frame ever overruns into its
-  // neighbour (the validator's KF-B11 invariant) and the whole register
-  // working set is SP.NumRegs * VmLaneWidth floats. StageCall recursion
-  // inside evalStagedRow shifts the chunk's column range per call, so the
-  // callee streams over exactly the caller's lanes.
-  for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
-    const int C1 = std::min(X1, C0 + VmLaneWidth);
-    evalStagedRow(SP, RootStage, Pool, Y, C0, C1, Channel, LaneRegs,
-                  static_cast<size_t>(VmLaneWidth),
-                  Out + static_cast<size_t>(C0 - X0) * OutStride, OutStride);
-  }
+  // The working set is SP.NumRegs * VmLaneWidth floats whatever the span
+  // width. StageCall recursion inside evalStagedRow shifts the chunk's
+  // column range per call, so the callee streams over exactly the
+  // caller's lanes.
+  forEachLaneChunk(X0, X1, [&](auto Width, int C0, int From, int W) {
+    constexpr int N = decltype(Width)::value;
+    const float *Result =
+        evalStagedRow<N>(SP, RootStage, Pool, Y, C0, W, Channel, LaneRegs);
+    laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
+                 OutStride, Result);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -914,7 +870,7 @@ struct PlaneView {
 /// [RX0, RX1) x [RY0, RY1) at channel \p Ch, resolving StageCall ops
 /// against the plane views of \p Resolve, writing result (x, y) to
 /// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride]. Span mode streams
-/// evalRowImpl chunks (plane reads are contiguous row copies); scalar
+/// evalRowImpl chunks (plane reads are contiguous lane copies); scalar
 /// mode dispatches per pixel. Both run exactly the instruction streams
 /// the interior/halo strategy runs, so values are bit-identical.
 template <class ResolveFn>
@@ -929,26 +885,26 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
         Regs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
     for (int Y = RY0; Y != RY1; ++Y) {
       float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-      for (int C0 = RX0; C0 < RX1; C0 += VmLaneWidth) {
-        const int C1 = std::min(RX1, C0 + VmLaneWidth);
-        evalRowImpl(
-            Stage.Code, Pool, Stage.Inputs, Y, C0, C1, Ch, Frame,
-            DstRow + static_cast<size_t>(C0 - RX0) * DstStride, DstStride,
+      forEachLaneChunk(RX0, RX1, [&](auto Width, int C0, int From, int W) {
+        constexpr int N = decltype(Width)::value;
+        const float *Result = evalRowImpl<N>(
+            Stage.Code, Pool, Stage.Inputs, Y, C0, W, Ch, Frame,
             [&](const VmInst &Inst, float *D) {
               const PlaneView V =
                   Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
               assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
                      C0 + Inst.Ox >= V.X0 &&
-                     C1 - 1 + Inst.Ox < V.X0 + V.W &&
+                     C0 + W - 1 + Inst.Ox < V.X0 + V.W &&
                      "plane read outside the materialized margin");
-              const float *Src =
-                  V.Data +
-                  static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
-                  (C0 + Inst.Ox - V.X0);
-              for (int I = 0; I != C1 - C0; ++I)
-                D[I] = Src[I];
+              laneCopy<N>(W, D,
+                          V.Data +
+                              static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
+                              (C0 + Inst.Ox - V.X0));
             });
-      }
+        laneStore<N>(From, W,
+                     DstRow + static_cast<size_t>(C0 - RX0) * DstStride,
+                     DstStride, Result);
+      });
     }
     return;
   }

@@ -20,8 +20,9 @@
 ///   - span (the default): each instruction streams across a whole row
 ///     span through fixed-width lane buffers (VmLaneWidth floats per
 ///     register, structure-of-arrays), written as plain contiguous loops
-///     the compiler autovectorizes; tail chunks narrower than a lane run
-///     the same loops with a smaller bound.
+///     (ir/LaneOps.h) that compile to packed SIMD at the full lane width;
+///     spans narrower than a lane run the same loops with a runtime
+///     bound.
 ///   - scalar: per-pixel bytecode dispatch -- the escape hatch and the
 ///     honest baseline the span-vs-scalar benchmarks compare against.
 ///
@@ -137,8 +138,9 @@ const char *optModeName(OptMode Mode);
 /// Lane width of the span execution mode: every register of a span chunk
 /// is a contiguous block of this many floats (structure of arrays), so
 /// the whole register file of a chunk stays L1-resident independent of
-/// the image width. Tail chunks simply run with a smaller bound -- the
-/// interpreter's equivalent of masked tail handling.
+/// the image width. A span's last partial chunk re-runs the span's last
+/// full lane width; only spans narrower than a lane run with a smaller
+/// bound -- the interpreter's equivalent of masked tail handling.
 constexpr int VmLaneWidth = 64;
 
 /// VM opcodes. Loads read images with the owning kernel's border
@@ -215,10 +217,11 @@ float runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
 
 /// Span-mode interior evaluation: computes pixels [X0, X1) of row \p Y
 /// for \p Channel in one call, writing result i to Out[i * OutStride].
-/// The span is chunked into lanes of at most VmLaneWidth pixels and each
-/// chunk runs instruction-major -- each op streams across the chunk --
-/// which amortizes per-pixel dispatch and lets the compiler vectorize the
-/// inner loops, while the register working set stays VM.NumRegs *
+/// The span is chunked into lanes of VmLaneWidth pixels (the last chunk
+/// overlapping its predecessor; see forEachLaneChunk in ir/LaneOps.h) and
+/// each chunk runs instruction-major -- each op streams across the chunk
+/// -- which amortizes per-pixel dispatch and runs the inner loops as
+/// packed SIMD, while the register working set stays VM.NumRegs *
 /// VmLaneWidth floats (L1-resident) whatever the span width. \p LaneRegs
 /// must hold VM.NumRegs * VmLaneWidth floats. Interior-only, like
 /// runVmInterior, and bit-identical to it.
@@ -288,7 +291,7 @@ float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
                           int Channel, float *Regs);
 
 /// Span-mode interior evaluation of a staged program: the span [X0, X1)
-/// is chunked into lanes of at most VmLaneWidth pixels; within a chunk
+/// is chunked into lanes like runVmSpan; within a chunk
 /// every stage's instruction stream runs instruction-major, and StageCall
 /// ops recurse span-aware (the callee streams over the offset-shifted
 /// chunk straight into the caller's destination lanes). Stage frames

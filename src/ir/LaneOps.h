@@ -1,0 +1,220 @@
+//===- ir/LaneOps.h - Lane loops of the span VM and the JIT -----*- C++ -*-===//
+///
+/// \file
+/// The structure-of-arrays loops both lane engines execute: the span
+/// interpreter (evalRowImpl in ir/ExprVM.cpp) and the JIT op cells
+/// (jit/JitProgram.cpp). Each helper streams one VM operation across one
+/// chunk of lanes. Both engines call the same helpers, so every lane runs
+/// the identical float operation sequence in either engine, and span/JIT
+/// bit-identity holds by construction.
+///
+/// Width: a helper instantiated with N > 0 has the compile-time trip count
+/// N (the full chunk, N == VmLaneWidth) and ignores its runtime width
+/// argument; N == 0 runs the runtime width W (a tail narrower than a lane).
+///
+/// Vectorization: GCC's default -O2 cost model ("very cheap") vectorizes a
+/// loop only when the vector code replaces the scalar loop outright -- no
+/// runtime alias check, no scalar epilogue. Every lane loop reads and
+/// writes one lane buffer through pointers the compiler cannot tell apart,
+/// so without a hint every loop stays scalar. KF_LANE_LOOP asserts that the
+/// loop carries no dependence between iterations. That holds: two lane
+/// registers are either the same block (Dst == A is legal bytecode) or
+/// disjoint blocks (the validator's KF-B11 frame invariant), and images and
+/// overlap planes never overlap the lane buffer. `__restrict` would be
+/// undefined behaviour exactly when Dst == A, so it is not used.
+///
+/// With the hint, the full-width loops compile to packed SSE at the default
+/// build (an Add chunk is 16 iterations of movups/addps). Runtime-width
+/// tails stay scalar (they would need an epilogue), as do the loops that
+/// call libm (Exp, Log, Pow; Sqrt keeps its errno call; SSE2 has no packed
+/// floor) and the runtime-stride gathers and scatters of multi-channel
+/// images. tools/check_vectorized.py fails the build job when any other
+/// full-width lane loop stops vectorizing.
+///
+//===----------------------------------------------------------------------===//
+
+#ifndef KF_IR_LANEOPS_H
+#define KF_IR_LANEOPS_H
+
+#include "ir/ExprVM.h"
+
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <type_traits>
+
+/// Placed on its own line right before a lane loop: the loop carries no
+/// dependence between iterations (see the file comment for why that holds).
+#if defined(__clang__)
+#define KF_LANE_LOOP _Pragma("clang loop vectorize(assume_safety)")
+#elif defined(__GNUC__)
+#define KF_LANE_LOOP _Pragma("GCC ivdep")
+#else
+#define KF_LANE_LOOP
+#endif
+
+namespace kf {
+
+/// The trip count of a lane loop instantiated at width \p N.
+template <int N> constexpr int laneCount(int W) { return N > 0 ? N : W; }
+
+/// D[i] = V (Const, CoordY).
+template <int N> inline void laneFill(int W, float *D, float V) {
+  W = laneCount<N>(W);
+  KF_LANE_LOOP
+  for (int I = 0; I != W; ++I)
+    D[I] = V;
+}
+
+/// D[i] = (float)(Base + i) (CoordX).
+template <int N> inline void laneIota(int W, float *D, int Base) {
+  W = laneCount<N>(W);
+  KF_LANE_LOOP
+  for (int I = 0; I != W; ++I)
+    D[I] = static_cast<float>(Base + I);
+}
+
+/// D[i] = Src[i]: a stride-1 load, a stage-call result copy, or an
+/// overlap-plane read.
+template <int N> inline void laneCopy(int W, float *D, const float *Src) {
+  W = laneCount<N>(W);
+  KF_LANE_LOOP
+  for (int I = 0; I != W; ++I)
+    D[I] = Src[I];
+}
+
+/// D[i] = Src[i * Stride]: a load from a multi-channel image.
+template <int N>
+inline void laneGather(int W, float *D, const float *Src, int Stride) {
+  W = laneCount<N>(W);
+  KF_LANE_LOOP
+  for (int I = 0; I != W; ++I)
+    D[I] = Src[static_cast<size_t>(I) * Stride];
+}
+
+/// Out[i * OutStride] = Src[i] for lanes [From, W): the store of a chunk's
+/// result lanes, of which the first \p From were already stored by the
+/// previous chunk (see forEachLaneChunk).
+template <int N>
+inline void laneStore(int From, int W, float *Out, int OutStride,
+                      const float *Src) {
+  if (From == 0 && OutStride == 1) {
+    laneCopy<N>(W, Out, Src);
+    return;
+  }
+  W = laneCount<N>(W);
+  KF_LANE_LOOP
+  for (int I = From; I != W; ++I)
+    Out[static_cast<size_t>(I) * OutStride] = Src[I];
+}
+
+/// D = Op(A, B) lane-wise, with S the Select condition. Every operand is a
+/// lane register; the unused ones are never read. Select reads both
+/// candidates before choosing so the loop body has no conditional load
+/// (which would keep the loop scalar); the value is the same.
+template <int N, VmOp Op>
+inline void laneAlu(int W, float *D, const float *A, const float *B,
+                    const float *S) {
+  W = laneCount<N>(W);
+  if constexpr (Op == VmOp::Add) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = A[I] + B[I];
+  } else if constexpr (Op == VmOp::Sub) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = A[I] - B[I];
+  } else if constexpr (Op == VmOp::Mul) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = A[I] * B[I];
+  } else if constexpr (Op == VmOp::Div) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = A[I] / B[I];
+  } else if constexpr (Op == VmOp::Min) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::min(A[I], B[I]);
+  } else if constexpr (Op == VmOp::Max) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::max(A[I], B[I]);
+  } else if constexpr (Op == VmOp::Pow) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::pow(A[I], B[I]);
+  } else if constexpr (Op == VmOp::CmpLT) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = A[I] < B[I] ? 1.0f : 0.0f;
+  } else if constexpr (Op == VmOp::CmpGT) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = A[I] > B[I] ? 1.0f : 0.0f;
+  } else if constexpr (Op == VmOp::Neg) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = -A[I];
+  } else if constexpr (Op == VmOp::Abs) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::abs(A[I]);
+  } else if constexpr (Op == VmOp::Sqrt) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::sqrt(A[I]);
+  } else if constexpr (Op == VmOp::Exp) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::exp(A[I]);
+  } else if constexpr (Op == VmOp::Log) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::log(A[I]);
+  } else if constexpr (Op == VmOp::Floor) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I)
+      D[I] = std::floor(A[I]);
+  } else {
+    static_assert(Op == VmOp::Select, "not a register-to-register op");
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I) {
+      const float IfTrue = A[I], IfFalse = B[I];
+      D[I] = S[I] != 0.0f ? IfTrue : IfFalse;
+    }
+  }
+}
+
+/// Width tag a chunk callback receives: VmLaneWidth for a full-width
+/// chunk, 0 for a runtime-width chunk.
+template <int N> using LaneWidthTag = std::integral_constant<int, N>;
+
+/// Splits the row span [X0, X1) into lane chunks and calls
+/// Chunk(Tag, C0, From, W) for each: evaluate lanes [C0, C0 + W), then
+/// store lanes [From, W). Full chunks tile the span from X0. When the span
+/// is at least one lane wide, its last partial chunk runs at full width
+/// too, over [X1 - VmLaneWidth, X1), with From skipping the lanes the
+/// previous chunk already stored -- bit-identical, since every lane is a
+/// pure function of its own x. Only a span narrower than one lane runs
+/// the runtime-width (tail) code.
+template <class ChunkFn>
+inline void forEachLaneChunk(int X0, int X1, ChunkFn &&Chunk) {
+  const int Span = X1 - X0;
+  if (Span <= 0)
+    return;
+  if (Span < VmLaneWidth) {
+    Chunk(LaneWidthTag<0>{}, X0, 0, Span);
+    return;
+  }
+  int C0 = X0;
+  for (; X1 - C0 >= VmLaneWidth; C0 += VmLaneWidth)
+    Chunk(LaneWidthTag<VmLaneWidth>{}, C0, 0, VmLaneWidth);
+  if (C0 != X1)
+    Chunk(LaneWidthTag<VmLaneWidth>{}, X1 - VmLaneWidth,
+          C0 - (X1 - VmLaneWidth), VmLaneWidth);
+}
+
+} // namespace kf
+
+#endif // KF_IR_LANEOPS_H

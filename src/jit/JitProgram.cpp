@@ -3,10 +3,9 @@
 #include "jit/JitProgram.h"
 
 #include "analysis/BytecodeValidator.h"
+#include "ir/LaneOps.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
 
 using namespace kf;
 
@@ -17,37 +16,23 @@ namespace {
 //===--------------------------------------------------------------------===//
 //
 // Every template is instantiated twice: N = VmLaneWidth gives the full
-// chain its compile-time trip count (the loops vectorize with no runtime
-// bound checks), N = 0 gives the tail chain a runtime bound from the
-// execution state. The loop bodies are copied verbatim from the span
-// interpreter's evalRowImpl so every lane computes the identical float
+// chain its compile-time trip count (the lane loops compile to packed SIMD
+// with no runtime bound checks), N = 0 gives the tail chain a runtime bound
+// from the execution state. The loops themselves are the span
+// interpreter's (ir/LaneOps.h), so every lane computes the identical float
 // operation sequence -- bit-identity with span mode is by construction.
 
-template <int N> inline int chunkWidth(const JitExec &E) {
-  return N > 0 ? N : E.N;
-}
-
 template <int N> void opConst(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  for (int I = 0; I != W; ++I)
-    D[I] = C.Imm;
+  laneFill<N>(E.N, E.Lanes + C.Dst, C.Imm);
 }
 
 template <int N> void opCoordX(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const int Base = E.X0 + C.Ox; // Accumulated stage-call displacement.
-  for (int I = 0; I != W; ++I)
-    D[I] = static_cast<float>(Base + I);
+  // Ox is the accumulated stage-call displacement.
+  laneIota<N>(E.N, E.Lanes + C.Dst, E.X0 + C.Ox);
 }
 
 template <int N> void opCoordY(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const float V = static_cast<float>(E.Y + C.Oy);
-  for (int I = 0; I != W; ++I)
-    D[I] = V;
+  laneFill<N>(E.N, E.Lanes + C.Dst, static_cast<float>(E.Y + C.Oy));
 }
 
 /// Interior load. \p Mono specializes the single-channel (stride-1)
@@ -56,7 +41,7 @@ template <int N> void opCoordY(const JitCell &C, JitExec &E) {
 /// launch channel.
 template <int N, bool Mono, bool DynChannel>
 void opLoad(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
+  const int W = laneCount<N>(E.N);
   const Image &Img = (*E.Pool)[C.Image];
   assert(!Img.empty() && "reading an unmaterialized image");
   assert(!Mono || Img.channels() == 1);
@@ -70,51 +55,15 @@ void opLoad(const JitCell &C, JitExec &E) {
       (static_cast<size_t>(E.Y + C.Oy) * Img.width() + (E.X0 + C.Ox)) *
           Stride +
       Ch;
-  float *D = E.Lanes + C.Dst;
-  for (int I = 0; I != W; ++I)
-    D[I] = Base[static_cast<size_t>(I) * Stride];
+  if constexpr (Mono)
+    laneCopy<N>(W, E.Lanes + C.Dst, Base);
+  else
+    laneGather<N>(W, E.Lanes + C.Dst, Base, Stride);
 }
 
 template <int N, VmOp Op> void opAlu(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const float *A = E.Lanes + C.A;
-  const float *B = E.Lanes + C.B;
-  const float *S = E.Lanes + C.Sel;
-  for (int I = 0; I != W; ++I) {
-    if constexpr (Op == VmOp::Add)
-      D[I] = A[I] + B[I];
-    else if constexpr (Op == VmOp::Sub)
-      D[I] = A[I] - B[I];
-    else if constexpr (Op == VmOp::Mul)
-      D[I] = A[I] * B[I];
-    else if constexpr (Op == VmOp::Div)
-      D[I] = A[I] / B[I];
-    else if constexpr (Op == VmOp::Min)
-      D[I] = std::min(A[I], B[I]);
-    else if constexpr (Op == VmOp::Max)
-      D[I] = std::max(A[I], B[I]);
-    else if constexpr (Op == VmOp::Pow)
-      D[I] = std::pow(A[I], B[I]);
-    else if constexpr (Op == VmOp::CmpLT)
-      D[I] = A[I] < B[I] ? 1.0f : 0.0f;
-    else if constexpr (Op == VmOp::CmpGT)
-      D[I] = A[I] > B[I] ? 1.0f : 0.0f;
-    else if constexpr (Op == VmOp::Neg)
-      D[I] = -A[I];
-    else if constexpr (Op == VmOp::Abs)
-      D[I] = std::abs(A[I]);
-    else if constexpr (Op == VmOp::Sqrt)
-      D[I] = std::sqrt(A[I]);
-    else if constexpr (Op == VmOp::Exp)
-      D[I] = std::exp(A[I]);
-    else if constexpr (Op == VmOp::Log)
-      D[I] = std::log(A[I]);
-    else if constexpr (Op == VmOp::Floor)
-      D[I] = std::floor(A[I]);
-    else if constexpr (Op == VmOp::Select)
-      D[I] = S[I] != 0.0f ? A[I] : B[I];
-  }
+  laneAlu<N, Op>(E.N, E.Lanes + C.Dst, E.Lanes + C.A, E.Lanes + C.B,
+                 E.Lanes + C.Sel);
 }
 
 /// The register-copy cell a flattened StageCall leaves behind: moves the
@@ -122,11 +71,7 @@ template <int N, VmOp Op> void opAlu(const JitCell &C, JitExec &E) {
 /// (the assignment the interpreter performs when the recursive call
 /// returns).
 template <int N> void opCopy(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const float *A = E.Lanes + C.A;
-  for (int I = 0; I != W; ++I)
-    D[I] = A[I];
+  laneCopy<N>(E.N, E.Lanes + C.Dst, E.Lanes + C.A);
 }
 
 //===--------------------------------------------------------------------===//
@@ -346,20 +291,17 @@ void kf::runJitSpan(const JitProgram &JP, const std::vector<Image> &Pool,
   E.Pool = &Pool;
   E.Y = Y;
   E.Channel = Channel;
-  // Chunking mirrors runStagedVmSpan: full lanes run the chain whose op
-  // loops carry the compile-time VmLaneWidth bound, the final sub-lane
-  // chunk runs the runtime-bound tail chain.
-  for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
-    const int C1 = std::min(X1, C0 + VmLaneWidth);
+  // Chunking mirrors runStagedVmSpan: full-width chunks run the chain
+  // whose op loops carry the compile-time VmLaneWidth bound; only a span
+  // narrower than one lane runs the runtime-bound tail chain.
+  forEachLaneChunk(X0, X1, [&](auto Width, int C0, int From, int W) {
+    constexpr int N = decltype(Width)::value;
     E.X0 = C0;
-    E.N = C1 - C0;
-    const JitCell *Cell =
-        (E.N == VmLaneWidth ? JP.Full : JP.Tail).data();
-    for (; Cell->Fn; ++Cell)
+    E.N = W;
+    for (const JitCell *Cell = (N ? JP.Full : JP.Tail).data(); Cell->Fn;
+         ++Cell)
       Cell->Fn(*Cell, E);
-    const float *Result = LaneRegs + JP.ResultOffset;
-    float *O = Out + static_cast<size_t>(C0 - X0) * OutStride;
-    for (int I = 0; I != E.N; ++I)
-      O[static_cast<size_t>(I) * OutStride] = Result[I];
-  }
+    laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
+                 OutStride, LaneRegs + JP.ResultOffset);
+  });
 }

@@ -10,8 +10,9 @@
 /// realization that removes the interpreter's switch-per-instruction-per-
 /// chunk from the interior loop. Two chains are materialized per program:
 /// a *full* chain whose op templates carry the compile-time loop bound
-/// VmLaneWidth (the autovectorized steady state) and a *tail* chain with a
-/// runtime bound for the final sub-lane chunk.
+/// VmLaneWidth (the packed-SIMD steady state; the lane loops are the span
+/// interpreter's, ir/LaneOps.h) and a *tail* chain with a runtime bound
+/// for spans narrower than one lane.
 ///
 /// Stage calls are flattened at compile time: each StageCall site inlines
 /// the callee's instruction stream with the accumulated (Ox, Oy)
@@ -106,9 +107,9 @@ compileJitProgram(const StagedVmProgram &SP, uint16_t Root,
 
 /// Executes \p JP over interior pixels [X0, X1) of row \p Y for
 /// \p Channel, writing result i to Out[i * OutStride]. The span is
-/// chunked into lanes of at most VmLaneWidth pixels exactly like
-/// runStagedVmSpan; \p LaneRegs must hold JP.NumRegs * VmLaneWidth
-/// floats. Interior-only (direct loads), bit-identical to span mode.
+/// chunked into lanes exactly like runStagedVmSpan; \p LaneRegs must
+/// hold JP.NumRegs * VmLaneWidth floats. Interior-only (direct loads),
+/// bit-identical to span mode.
 void runJitSpan(const JitProgram &JP, const std::vector<Image> &Pool,
                 int Y, int X0, int X1, int Channel, float *LaneRegs,
                 float *Out, int OutStride = 1);

@@ -605,8 +605,8 @@ void kf::runUnfusedVm(const Program &P, std::vector<Image> &Pool,
   if (Mode == VmMode::Jit)
     Mode = VmMode::Span;
 
-  std::vector<std::vector<float>> Regs(TP.numThreads());
-  std::vector<std::vector<float>> LaneRegs(TP.numThreads());
+  std::vector<WorkerRegs> Regs(TP.numThreads());
+  std::vector<WorkerRegs> LaneRegs(TP.numThreads());
   for (KernelId Id : *Order) {
     const Kernel &K = P.kernel(Id);
     const ImageInfo &Info = P.image(K.Output);

@@ -31,6 +31,8 @@
 #include "support/ThreadPool.h"
 #include "transform/FusedKernel.h"
 
+#include <cstddef>
+#include <new>
 #include <vector>
 
 namespace kf {
@@ -150,19 +152,48 @@ StagedVmProgram compileFusedKernel(const FusedProgram &FP,
 void runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
                 const ExecutionOptions &Options = ExecutionOptions());
 
+/// Allocates whole cache lines: every buffer starts on a line boundary and
+/// its size is rounded up to whole lines, so no other allocation shares a
+/// line with it. Workers write their register scratch on every VM
+/// instruction; two workers' buffers sharing a line would bounce that line
+/// between cores (false sharing), at a cost that depended on where the
+/// heap happened to place the buffers in each process.
+template <class T> struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr size_t LineBytes = 64;
+
+  CacheLineAllocator() = default;
+  template <class U> CacheLineAllocator(const CacheLineAllocator<U> &) {}
+
+  T *allocate(size_t N) {
+    const size_t Lines = (N * sizeof(T) + LineBytes - 1) / LineBytes;
+    return static_cast<T *>(
+        ::operator new(Lines * LineBytes, std::align_val_t(LineBytes)));
+  }
+  void deallocate(T *P, size_t) {
+    ::operator delete(P, std::align_val_t(LineBytes));
+  }
+  template <class U> bool operator==(const CacheLineAllocator<U> &) const {
+    return true;
+  }
+};
+
+/// One worker's register scratch (see CacheLineAllocator).
+using WorkerRegs = std::vector<float, CacheLineAllocator<float>>;
+
 /// Per-worker register scratch of the VM engines, grown on demand and
 /// reusable across launches and frames. The serving layer (sim/Session.h)
 /// keeps one per session so the streaming hot path performs no per-frame
 /// scratch allocation.
 struct VmScratch {
-  std::vector<std::vector<float>> PixelRegs; ///< NumRegs floats per worker.
+  std::vector<WorkerRegs> PixelRegs; ///< NumRegs floats per worker.
   /// Span-mode lane buffers: NumRegs * VmLaneWidth floats per worker
   /// (structure-of-arrays register frames, see runStagedVmSpan).
-  std::vector<std::vector<float>> LaneRegs;
+  std::vector<WorkerRegs> LaneRegs;
   /// Overlapped-strategy plane buffers: every margin-grown plane of a
   /// tile's schedule back to back, overlapPlaneFloats floats per worker
   /// (see runOverlappedTile); empty under the interior/halo strategy.
-  std::vector<std::vector<float>> PlaneRegs;
+  std::vector<WorkerRegs> PlaneRegs;
 
   /// Grows the per-worker vectors to at least the given float counts.
   void ensure(unsigned Threads, size_t PixelFloats, size_t LaneFloats,

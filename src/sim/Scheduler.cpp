@@ -70,7 +70,8 @@ bool FrameScheduler::enqueue(unsigned Session, QueuedFrame Work) {
   S->Stats.MaxDepth = std::max(S->Stats.MaxDepth, S->Queue.size());
   if (WasIdle) {
     // The session re-enters the stride race at parity with the sessions
-    // currently competing, not with the pass it left off at.
+    // currently competing (or, with none, at the scheduler's virtual
+    // time), not with the pass it left off at.
     std::vector<unsigned> Runnable;
     for (const auto &[Id, Other] : Sessions)
       if (Id != Session && !Other.Queue.empty() && !Other.Busy)

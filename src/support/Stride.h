@@ -94,14 +94,24 @@ public:
   /// StrideOne / weight, so heavier sources advance slower and win the
   /// min-pass race proportionally more often.
   void charge(unsigned Source) {
-    if (Source < Entries.size())
+    if (Source < Entries.size()) {
+      VirtualTime = std::max(VirtualTime, Entries[Source].Pass);
       Entries[Source].Pass += StrideOne / Entries[Source].Weight;
+    }
   }
+
+  /// The scheduler's clock: the highest pass a source held when it was
+  /// served. Never decreases.
+  uint64_t virtualTime() const { return VirtualTime; }
 
   /// Called when \p Source transitions idle -> runnable while the sources
   /// in \p Runnable are already competing: clamps its pass up to the
   /// current minimum so a long-idle source re-enters at parity instead of
-  /// monopolizing the arbiter with a catch-up burst.
+  /// monopolizing the arbiter with a catch-up burst. With no competitor
+  /// runnable, the clamp is to virtualTime() instead: a source that sat
+  /// idle while others were served, and returns in a lull, must not keep
+  /// its old pass either, or the next time the sources compete it replays
+  /// its idle time as a burst and the busy sources stall behind it.
   void activate(unsigned Source, const std::vector<unsigned> &Runnable) {
     if (Source >= Entries.size())
       return;
@@ -115,7 +125,9 @@ public:
         Any = true;
       }
     }
-    if (Any && Entries[Source].Pass < Min)
+    if (!Any)
+      Min = VirtualTime;
+    if (Entries[Source].Pass < Min)
       Entries[Source].Pass = Min;
   }
 
@@ -134,6 +146,7 @@ private:
   }
 
   std::vector<Entry> Entries;
+  uint64_t VirtualTime = 0;
 };
 
 } // namespace kf

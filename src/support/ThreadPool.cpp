@@ -6,12 +6,46 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 using namespace kf;
+
+std::vector<int> kf::allowedCpus() {
+  std::vector<int> Cpus;
+#if defined(__linux__)
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    for (int Cpu = 0; Cpu != CPU_SETSIZE; ++Cpu)
+      if (CPU_ISSET(Cpu, &Set))
+        Cpus.push_back(Cpu);
+#endif
+  return Cpus;
+}
+
+bool kf::pinThread(std::thread &T, int Cpu) {
+#if defined(__linux__)
+  if (Cpu < 0 || Cpu >= CPU_SETSIZE)
+    return false;
+  cpu_set_t Set;
+  CPU_ZERO(&Set);
+  CPU_SET(Cpu, &Set);
+  return pthread_setaffinity_np(T.native_handle(), sizeof(Set), &Set) == 0;
+#else
+  (void)T;
+  (void)Cpu;
+  return false;
+#endif
+}
 
 unsigned kf::resolveThreadCount(int Requested) {
   if (Requested > 0)
@@ -48,10 +82,18 @@ ThreadPool::ThreadPool(unsigned ThreadsIn)
     Workers.emplace_back([this, I] { workerLoop(I); });
 }
 
+bool ThreadPool::pinWorkers(const std::vector<int> &Cpus) {
+  bool Ok = true;
+  for (size_t I = 0; I != Workers.size() && I != Cpus.size(); ++I)
+    Ok &= pinThread(Workers[I], Cpus[I]);
+  return Ok;
+}
+
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> Lock(Mutex);
     Shutdown = true;
+    Posted.fetch_add(1, std::memory_order_release);
   }
   StartCv.notify_all();
   for (std::thread &Worker : Workers)
@@ -148,6 +190,39 @@ size_t ThreadPool::claimTileLocked(Job &J) {
   return TileIdx;
 }
 
+namespace {
+
+/// How long a thread that runs out of tiles polls for more before it
+/// blocks. Launches of one frame follow each other within microseconds,
+/// so a worker that parks at the end of every launch pays a sleep and a
+/// wake-up per launch. Threads that slept and woke that often were also
+/// left stacked on one core by the OS more often (see PipelineServer's
+/// pinning). A worker pays at most this much CPU per idle period.
+constexpr auto SpinMicros = std::chrono::microseconds(100);
+
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+} // namespace
+
+template <class Pred> bool ThreadPool::spinUntil(Pred &&Ready) {
+  const auto Deadline = std::chrono::steady_clock::now() + SpinMicros;
+  while (!Ready()) {
+    for (int I = 0; I != 32; ++I)
+      cpuRelax();
+    if (std::chrono::steady_clock::now() >= Deadline)
+      return Ready();
+    // Hand the core over if another thread waits for it.
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 void ThreadPool::workerLoop(unsigned WorkerIdx) {
   std::unique_lock<std::mutex> Lock(Mutex);
   while (true) {
@@ -155,6 +230,14 @@ void ThreadPool::workerLoop(unsigned WorkerIdx) {
     if (!J) {
       if (Shutdown)
         return;
+      const uint64_t Seen = Posted.load(std::memory_order_relaxed);
+      Lock.unlock();
+      const bool Arrived = spinUntil([&] {
+        return Posted.load(std::memory_order_acquire) != Seen;
+      });
+      Lock.lock();
+      if (Arrived)
+        continue;
       ++IdleWaitCount; // The worker is about to block for work.
       StartCv.wait(Lock, [&] { return Shutdown || anyRunnableLocked(); });
       continue;
@@ -216,8 +299,8 @@ void ThreadPool::parallelFor2D(
     Source = 0; // Unregistered tag: charge the default source.
   J.Source = Source;
   // If this source had no job in flight, clamp its pass up to the busiest
-  // competitors' minimum so a returning tenant doesn't replay its idle
-  // time as a monopoly burst.
+  // competitors' minimum (or the virtual time, with none) so a returning
+  // tenant doesn't replay its idle time as a monopoly burst.
   std::vector<unsigned> Runnable;
   bool SourceWasIdle = true;
   for (const Job *Active : ActiveJobs) {
@@ -229,6 +312,7 @@ void ThreadPool::parallelFor2D(
   if (SourceWasIdle)
     Sched.activate(Source, Runnable);
   ActiveJobs.push_back(&J);
+  Posted.fetch_add(1, std::memory_order_release);
   ++LaunchCount;
   Lock.unlock();
   StartCv.notify_all();
@@ -248,6 +332,14 @@ void ThreadPool::parallelFor2D(
     Lock.lock();
     if (--J.Remaining == 0)
       DoneCv.notify_all();
+  }
+  if (J.Remaining != 0) {
+    // The last tiles run on other workers; they finish within a tile's
+    // time, usually sooner than a sleep and a wake-up.
+    Lock.unlock();
+    spinUntil(
+        [&] { return J.Remaining.load(std::memory_order_acquire) == 0; });
+    Lock.lock();
   }
   DoneCv.wait(Lock, [&] { return J.Remaining == 0; });
   ActiveJobs.erase(std::find(ActiveJobs.begin(), ActiveJobs.end(), &J));

@@ -42,6 +42,14 @@
 
 namespace kf {
 
+/// The CPUs this process may run on, ascending (empty where the platform
+/// does not say).
+std::vector<int> allowedCpus();
+
+/// Pins \p T to \p Cpu. Returns false where pinning failed or is not
+/// supported.
+bool pinThread(std::thread &T, int Cpu);
+
 /// A half-open 2-D tile [X0, X1) x [Y0, Y1) of an iteration space.
 struct TileRange {
   int X0 = 0;
@@ -102,6 +110,10 @@ public:
   /// Re-weights an existing source; out-of-range ids are ignored.
   void setSourceWeight(unsigned Source, uint64_t Weight);
 
+  /// Pins worker I (1 <= I < numThreads()) to CPU Cpus[I - 1]. Workers
+  /// without an entry stay unpinned. Returns false if any pin failed.
+  bool pinWorkers(const std::vector<int> &Cpus);
+
   /// Snapshot of the cumulative scheduling counters. Always maintained
   /// (the per-tile cost is one non-atomic per-worker increment); consumed
   /// by the tracing layer and `kfc --metrics`.
@@ -128,11 +140,16 @@ private:
     const std::function<void(const TileRange &, unsigned)> *Fn = nullptr;
     std::vector<TileRange> Tiles;
     size_t NextTile = 0;  ///< First unclaimed tile index.
-    size_t Remaining = 0; ///< Tiles claimed-or-unclaimed but not finished.
+    /// Tiles claimed-or-unclaimed but not finished. Written under Mutex;
+    /// atomic so the caller can poll it while it spins (spinUntil).
+    std::atomic<size_t> Remaining{0};
     unsigned Source = 0;
   };
 
   void workerLoop(unsigned WorkerIdx);
+  /// Polls \p Ready, without Mutex, for up to SpinMicros before the
+  /// caller blocks on a condition variable; returns its last value.
+  template <class Pred> static bool spinUntil(Pred &&Ready);
   /// Min-pass runnable job, or nullptr. Mutex must be held.
   Job *pickJobLocked();
   /// True if any active job still has unclaimed tiles. Mutex must be held.
@@ -149,6 +166,9 @@ private:
   std::condition_variable DoneCv;  ///< Callers: some job finished a tile.
   bool Shutdown = false;
   std::list<Job *> ActiveJobs; ///< FIFO within a source.
+  /// Bumped under Mutex whenever a launch is posted or the pool shuts
+  /// down, so an idle worker can spin on it without the lock.
+  std::atomic<uint64_t> Posted{0};
 
   StrideScheduler Sched;                ///< Guarded by Mutex.
   std::vector<std::string> SourceNames; ///< Guarded by Mutex.

@@ -28,6 +28,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -38,6 +40,18 @@
 using namespace kf;
 
 namespace {
+
+/// Span widths around the lane boundary: narrower than a lane (the
+/// runtime-width tail code), exactly one lane, and one or two full chunks
+/// followed by a partial last chunk (which runs at full width over the
+/// span's last lane).
+constexpr int LaneBoundaryWidths[] = {
+    1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1,
+    2 * VmLaneWidth - 1, 2 * VmLaneWidth, 2 * VmLaneWidth + 1};
+
+/// The bit pattern of \p V: the engines promise bit-identity, which float
+/// equality does not test (it equates -0 with +0 and fails on NaN).
+uint32_t bitsOf(float V) { return std::bit_cast<uint32_t>(V); }
 
 /// Fuses the whole program into one block (forces fusion regardless of
 /// the benefit model).
@@ -204,7 +218,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, JitBorder,
 /// VmLaneWidth + 1 must each match per-pixel interior evaluation exactly
 /// -- the widths that exercise both the full and the tail cell chain.
 TEST(JitVm, TailWidthsMatchPerPixel) {
-  int W = VmLaneWidth + 16, H = 12;
+  int W = 2 * VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Mirror);
   FusedProgram FP =
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
@@ -226,17 +240,99 @@ TEST(JitVm, TailWidthsMatchPerPixel) {
                               VmLaneWidth);
   std::vector<float> PixelRegs(SP.NumRegs);
 
-  for (int Width :
-       {1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
+  for (int Width : LaneBoundaryWidths) {
     int X0 = Halo, X1 = X0 + Width;
     ASSERT_LE(X1, W - Halo) << "test image too narrow";
     std::vector<float> Out(Width);
     runJitSpan(*JP, Pool, Y, X0, X1, 0, LaneRegs.data(), Out.data());
     for (int X = X0; X != X1; ++X)
-      EXPECT_FLOAT_EQ(Out[X - X0], runStagedVmInterior(SP, Root, Pool, X,
-                                                       Y, 0,
-                                                       PixelRegs.data()))
+      EXPECT_EQ(bitsOf(Out[X - X0]),
+                bitsOf(runStagedVmInterior(SP, Root, Pool, X, Y, 0,
+                                           PixelRegs.data())))
           << "width=" << Width << " x=" << X;
+  }
+}
+
+/// One-stage program r3 = Op(r0, r1) with r0..r2 loaded from pool images
+/// 0..2 at the pixel itself (r2 is the Select condition); unused operand
+/// fields stay zero, as the compiler emits them.
+StagedVmProgram makeSingleOpProgram(VmOp Op, int W, int H) {
+  VmStage Stage;
+  for (uint16_t I = 0; I != 3; ++I) {
+    VmInst Load;
+    Load.Op = VmOp::Load;
+    Load.Dst = I;
+    Load.InputIdx = static_cast<int16_t>(I);
+    Stage.Code.Insts.push_back(Load);
+    Stage.Inputs.push_back(I);
+  }
+  const bool Unary = Op == VmOp::Neg || Op == VmOp::Abs ||
+                     Op == VmOp::Sqrt || Op == VmOp::Exp ||
+                     Op == VmOp::Log || Op == VmOp::Floor;
+  VmInst Inst;
+  Inst.Op = Op;
+  Inst.Dst = 3;
+  Inst.A = 0;
+  Inst.B = Unary ? 0 : 1;
+  Inst.Sel = Op == VmOp::Select ? 2 : 0;
+  Stage.Code.Insts.push_back(Inst);
+  Stage.Code.ResultReg = 3;
+  Stage.Code.NumRegs = 4;
+  Stage.OutW = W;
+  Stage.OutH = H;
+  StagedVmProgram SP;
+  SP.Stages.push_back(Stage);
+  SP.NumRegs = 4;
+  SP.Reach = {0};
+  return SP;
+}
+
+/// Opcode-level differential on IEEE special values: NaNs (signed, with a
+/// payload), infinities, signed zeros and denormals through every
+/// register-to-register op, scalar vs span vs JIT, bit for bit, at span
+/// widths 63 (the runtime-width tail loops), 64 (the packed full-width
+/// loops) and 65 (a packed chunk plus the overlapping full-width last
+/// chunk). Guards the NaN and signed-zero semantics of packed
+/// min/max/compare/blend against their scalar forms.
+TEST(JitVm, SpecialValueOpsMatchScalarBitForBit) {
+  const int W = VmLaneWidth + 1, H = 64;
+  Rng Gen(41);
+  std::vector<Image> Pool;
+  std::vector<ImageInfo> Shapes;
+  for (int I = 0; I != 3; ++I) {
+    Pool.push_back(makeSpecialValueImage(W, H, 1, Gen));
+    Shapes.push_back({"in" + std::to_string(I), W, H, 1});
+  }
+  Pool.emplace_back(); // The output image's slot.
+  Shapes.push_back({"out", W, H, 1});
+
+  const VmOp Ops[] = {VmOp::Add,   VmOp::Sub,   VmOp::Mul,   VmOp::Div,
+                      VmOp::Min,   VmOp::Max,   VmOp::Pow,   VmOp::CmpLT,
+                      VmOp::CmpGT, VmOp::Neg,   VmOp::Abs,   VmOp::Sqrt,
+                      VmOp::Exp,   VmOp::Log,   VmOp::Floor, VmOp::Select};
+  for (VmOp Op : Ops) {
+    StagedVmProgram SP = makeSingleOpProgram(Op, W, H);
+    std::shared_ptr<const JitProgram> JP = compileJitProgram(SP, 0, Shapes);
+    ASSERT_NE(JP, nullptr) << "op " << static_cast<int>(Op);
+    std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) *
+                                VmLaneWidth);
+    std::vector<float> PixelRegs(SP.NumRegs);
+    long long Mismatches = 0;
+    for (int Width : {VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
+      std::vector<float> Span(Width), Jit(Width);
+      for (int Y = 0; Y != H; ++Y) {
+        runStagedVmSpan(SP, 0, Pool, Y, 0, Width, 0, LaneRegs.data(),
+                        Span.data());
+        runJitSpan(*JP, Pool, Y, 0, Width, 0, LaneRegs.data(), Jit.data());
+        for (int X = 0; X != Width; ++X) {
+          const uint32_t Scalar = bitsOf(
+              runStagedVmInterior(SP, 0, Pool, X, Y, 0, PixelRegs.data()));
+          Mismatches += bitsOf(Span[X]) != Scalar;
+          Mismatches += bitsOf(Jit[X]) != Scalar;
+        }
+      }
+    }
+    EXPECT_EQ(Mismatches, 0) << "op " << static_cast<int>(Op);
   }
 }
 

@@ -25,6 +25,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#if defined(__linux__)
+#include <sched.h>
+#endif
 #include <memory>
 #include <thread>
 
@@ -133,6 +137,33 @@ TEST(StrideScheduler, ActivateClampsToCompetitorsMinPass) {
   S.charge(B);
   S.activate(B, {A});
   EXPECT_GT(S.pass(B), S.pass(A));
+}
+
+TEST(StrideScheduler, ActivateWithNoCompetitorClampsToVirtualTime) {
+  StrideScheduler S;
+  unsigned A = S.addSource(1);
+  unsigned B = S.addSource(1);
+  // A is served five times while B is idle; B then returns while nobody
+  // else is runnable. It re-enters at the pass A held when last served,
+  // not at 0, so when the two compete they alternate instead of B taking
+  // five picks in a row.
+  for (int I = 0; I != 5; ++I)
+    S.charge(A);
+  EXPECT_EQ(S.virtualTime(), 4 * StrideScheduler::StrideOne);
+  S.activate(B, {});
+  EXPECT_EQ(S.pass(B), S.virtualTime());
+  std::vector<unsigned> Candidates = {A, B};
+  std::string Order;
+  for (int I = 0; I != 6; ++I) {
+    int Picked = S.pick(Candidates);
+    Order += Picked == static_cast<int>(A) ? 'A' : 'B';
+    S.charge(static_cast<unsigned>(Picked));
+  }
+  EXPECT_EQ(Order, "BABABA");
+  // The clock never runs backward, and activation never lowers a pass.
+  const uint64_t Pass = S.pass(A);
+  S.activate(A, {});
+  EXPECT_EQ(S.pass(A), Pass);
 }
 
 TEST(StrideScheduler, SetWeightTakesEffectOnNextCharge) {
@@ -244,6 +275,34 @@ TEST(ThreadPoolSources, UnregisteredSourceFallsBackToDefault) {
   ASSERT_EQ(Stats.TilesPerSource.size(), 1u);
   EXPECT_EQ(Stats.TilesPerSource[0], 1u);
 }
+
+#if defined(__linux__)
+TEST(ThreadPoolPinning, PinnedWorkerRunsOnItsCpu) {
+  const std::vector<int> Cpus = allowedCpus();
+  if (Cpus.size() < 2)
+    GTEST_SKIP() << "needs two CPUs";
+  ThreadPool TP(2);
+  ASSERT_TRUE(TP.pinWorkers({Cpus[1]}));
+  std::atomic<int> Wrong{0}, Ran{0};
+  // Worker 1 is the pinned thread; worker 0 is this (unpinned) caller,
+  // which holds its first tile until worker 1 has run one.
+  TP.parallelFor2D(
+      64, 1, 1, 1, [&](const TileRange &, unsigned Worker) {
+        if (Worker == 0) {
+          const auto Limit =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (Ran.load() == 0 && std::chrono::steady_clock::now() < Limit)
+            std::this_thread::yield();
+          return;
+        }
+        ++Ran;
+        if (sched_getcpu() != Cpus[1])
+          ++Wrong;
+      });
+  EXPECT_EQ(Wrong.load(), 0);
+  EXPECT_GT(Ran.load(), 0);
+}
+#endif
 
 TEST(ThreadPoolSources, ConcurrentLaunchesShareWorkersCorrectly) {
   // Two caller threads launch onto ONE pool concurrently, each writing a
@@ -557,6 +616,43 @@ TEST(ServerFairness, LateJoinerEntersAtParityNotCatchUp) {
   }
   Server.runPending();
   EXPECT_EQ(Order, (std::vector<unsigned>{0, 0, 0, 0, 0, 1, 0, 1, 0, 1}));
+}
+
+TEST(ServerFairness, TenantReturningInALullGetsNoCatchUpBurst) {
+  // Tenant 0 runs alone, then its queue drains. Tenant 1 submits first,
+  // while nothing else is queued, and tenant 0 follows. Tenant 1 must not
+  // keep the pass it had before tenant 0 ran: the schedule alternates
+  // instead of serving tenant 1's whole backlog first.
+  BuiltPipeline Built = buildPipeline("sobel", 24, 20);
+  ServerOptions SO;
+  SO.Threads = 1;
+  SO.Dispatchers = 0;
+  PipelineServer Server(SO);
+  TenantOptions TO;
+  TO.QueueCapacity = 64;
+  PipelineServer::SessionId A = Server.open(Built.FP, ExecutionOptions(), TO);
+  PipelineServer::SessionId B = Server.open(Built.FP, ExecutionOptions(), TO);
+  const Program &P = *Built.P;
+  std::vector<unsigned> Order;
+  auto SubmitOne = [&](PipelineServer::SessionId Id, unsigned Tag) {
+    ASSERT_TRUE(Server.submit(
+        Id,
+        [&P](int Index, std::vector<Image> &Pool) {
+          fillInputs(P, Pool, static_cast<uint64_t>(Index));
+        },
+        [&Order, Tag](int, const std::vector<Image> &) {
+          Order.push_back(Tag);
+        }));
+  };
+  for (int I = 0; I != 4; ++I)
+    SubmitOne(A, 0);
+  Server.runPending();
+  for (int I = 0; I != 3; ++I)
+    SubmitOne(B, 1);
+  for (int I = 0; I != 3; ++I)
+    SubmitOne(A, 0);
+  Server.runPending();
+  EXPECT_EQ(Order, (std::vector<unsigned>{0, 0, 0, 0, 1, 0, 1, 0, 1, 0}));
 }
 
 //===--------------------------------------------------------------------===//

@@ -20,6 +20,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <thread>
 #include <vector>
@@ -27,6 +29,18 @@
 using namespace kf;
 
 namespace {
+
+/// Span widths around the lane boundary: narrower than a lane (the
+/// runtime-width tail code), exactly one lane, and one or two full chunks
+/// followed by a partial last chunk (which runs at full width over the
+/// span's last lane).
+constexpr int LaneBoundaryWidths[] = {
+    1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1,
+    2 * VmLaneWidth - 1, 2 * VmLaneWidth, 2 * VmLaneWidth + 1};
+
+/// The bit pattern of \p V: the engines promise bit-identity, which float
+/// equality does not test (it equates -0 with +0 and fails on NaN).
+uint32_t bitsOf(float V) { return std::bit_cast<uint32_t>(V); }
 
 /// Fuses the whole program into one block (forces fusion regardless of
 /// the benefit model).
@@ -186,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, VmSpanBorder,
 /// VmLaneWidth + 1 must each match per-pixel interior evaluation exactly
 /// -- the widths that straddle the chunking boundary.
 TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
-  int W = VmLaneWidth + 16, H = 12;
+  int W = 2 * VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Mirror);
   FusedProgram FP =
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
@@ -203,23 +217,22 @@ TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
                               VmLaneWidth);
   std::vector<float> PixelRegs(SP.NumRegs);
 
-  for (int Width :
-       {1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
+  for (int Width : LaneBoundaryWidths) {
     int X0 = Halo, X1 = X0 + Width;
     ASSERT_LE(X1, W - Halo) << "test image too narrow";
     std::vector<float> Out(Width);
     runStagedVmSpan(SP, Root, Pool, Y, X0, X1, 0, LaneRegs.data(),
                     Out.data());
     for (int X = X0; X != X1; ++X)
-      EXPECT_FLOAT_EQ(Out[X - X0], runStagedVmInterior(SP, Root, Pool, X,
-                                                       Y, 0,
-                                                       PixelRegs.data()))
+      EXPECT_EQ(bitsOf(Out[X - X0]),
+                bitsOf(runStagedVmInterior(SP, Root, Pool, X, Y, 0,
+                                           PixelRegs.data())))
           << "width=" << Width << " x=" << X;
   }
 }
 
 TEST(VmSpan, PlainKernelTailWidthsMatchPerPixel) {
-  int W = VmLaneWidth + 16, H = 12;
+  int W = 2 * VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Clamp);
   KernelId Id = 0; // First blur: a plain 3x3 convolution.
   VmProgram VM = compileKernelBody(P, Id);
@@ -234,15 +247,15 @@ TEST(VmSpan, PlainKernelTailWidthsMatchPerPixel) {
                               VmLaneWidth);
   std::vector<float> PixelRegs(VM.NumRegs);
 
-  for (int Width :
-       {1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
+  for (int Width : LaneBoundaryWidths) {
     int X0 = Halo, X1 = X0 + Width;
     ASSERT_LE(X1, W - Halo) << "test image too narrow";
     std::vector<float> Out(Width);
     runVmSpan(VM, P, Id, Pool, Y, X0, X1, 0, LaneRegs.data(), Out.data());
     for (int X = X0; X != X1; ++X)
-      EXPECT_FLOAT_EQ(Out[X - X0], runVmInterior(VM, P, Id, Pool, X, Y, 0,
-                                                 PixelRegs.data()))
+      EXPECT_EQ(bitsOf(Out[X - X0]),
+                bitsOf(runVmInterior(VM, P, Id, Pool, X, Y, 0,
+                                     PixelRegs.data())))
           << "width=" << Width << " x=" << X;
   }
 }
