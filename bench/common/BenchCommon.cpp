@@ -101,17 +101,12 @@ double kf::measureVariantWallMs(const AppVariants &App, Variant V,
   double Best = 0.0;
   for (int R = 0; R < std::max(Repeats, 1); ++R) {
     auto Start = std::chrono::steady_clock::now();
-    if (V == Variant::Baseline) {
-      if (Engine == ExecEngine::Ast)
-        runUnfused(P, Pool, Options);
-      else
-        runUnfusedVm(P, Pool, Options);
-    } else {
-      if (Engine == ExecEngine::Ast)
-        runFused(FP, Pool, Options);
-      else
-        runFusedVm(FP, Pool, Options);
-    }
+    if (Engine == ExecEngine::Vm)
+      runFusedVm(FP, Pool, Options);
+    else if (V == Variant::Baseline)
+      runUnfused(P, Pool, Options);
+    else
+      runFused(FP, Pool, Options);
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - Start)
                     .count();

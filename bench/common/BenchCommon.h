@@ -68,8 +68,10 @@ void fillExternalInputs(const Program &P, std::vector<Image> &Pool,
 
 /// Wall-clock milliseconds to actually execute one variant's pixels on
 /// the host with the given engine and execution options (best of
-/// \p Repeats runs on a shared pre-filled pool). The Baseline variant
-/// runs the unfused engines; fused variants run runFused / runFusedVm.
+/// \p Repeats runs on a shared pre-filled pool). The VM engine runs every
+/// variant through runFusedVm (the Baseline variant is the singleton
+/// partition); the AST engine runs runUnfused for the Baseline and
+/// runFused otherwise.
 double measureVariantWallMs(const AppVariants &App, Variant V,
                             const ExecutionOptions &Options,
                             ExecEngine Engine, int Repeats = 3);

@@ -111,12 +111,15 @@ BENCHMARK(BM_InterpreterHarris)->Unit(benchmark::kMillisecond);
 
 static void BM_BytecodeVmHarris(benchmark::State &State) {
   Program P = makeHarris(96, 96);
+  FusedProgram Unfused = unfusedProgram(P);
   Rng Gen(1);
   std::vector<Image> Pool = makeImagePool(P);
   Pool[0] = makeRandomImage(96, 96, 1, Gen);
+  ExecutionOptions Serial;
+  Serial.Threads = 1;
   for (auto _ : State) {
     std::vector<Image> Work = Pool;
-    runUnfusedVm(P, Work);
+    runFusedVm(Unfused, Work, Serial);
     benchmark::DoNotOptimize(Work[9].at(48, 48));
   }
 }
@@ -125,8 +128,8 @@ BENCHMARK(BM_BytecodeVmHarris)->Unit(benchmark::kMillisecond);
 static void BM_VmCompilation(benchmark::State &State) {
   Program P = makeNight(32, 32); // The fattest bodies (unrolled 5x5 x2).
   for (auto _ : State) {
-    VmProgram VM = compileKernelBody(P, 1);
-    benchmark::DoNotOptimize(VM.Insts.size());
+    StagedVmProgram SP = compileStagedProgram(P, {1}, {false});
+    benchmark::DoNotOptimize(SP.Stages[0].Code.Insts.size());
   }
 }
 BENCHMARK(BM_VmCompilation);

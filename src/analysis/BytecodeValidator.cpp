@@ -9,16 +9,14 @@ using namespace kf;
 
 namespace {
 
-/// Validates one instruction stream against its register frame and input
-/// table. \p AllowStageCalls distinguishes staged subprograms from plain
-/// kernel programs; \p CheckStageCall is invoked for every StageCall so
+/// Validates one stage's instruction stream against its register frame
+/// and input table; \p CheckStageCall is invoked for every StageCall so
 /// the staged validator can apply its cross-stage rules.
 template <class StageCallFn>
-void validateStream(const VmProgram &Code, size_t NumInputs,
-                    const std::vector<ImageInfo> *PoolShapes,
-                    const std::vector<ImageId> *Inputs, bool AllowStageCalls,
-                    DiagnosticEngine &DE, const DiagLocation &Loc,
-                    StageCallFn &&CheckStageCall) {
+void validateStream(const VmProgram &Code,
+                    const std::vector<ImageInfo> &PoolShapes,
+                    const std::vector<ImageId> &Inputs, DiagnosticEngine &DE,
+                    const DiagLocation &Loc, StageCallFn &&CheckStageCall) {
   if (Code.Insts.empty()) {
     DE.error("KF-B01", "empty instruction stream", Loc);
     return;
@@ -61,11 +59,11 @@ void validateStream(const VmProgram &Code, size_t NumInputs,
       break;
     case VmOp::Load: {
       if (Inst.InputIdx < 0 ||
-          static_cast<size_t>(Inst.InputIdx) >= NumInputs) {
+          static_cast<size_t>(Inst.InputIdx) >= Inputs.size()) {
         DE.error("KF-B04",
                  "load input index " + std::to_string(Inst.InputIdx) +
                      " out of range (stage has " +
-                     std::to_string(NumInputs) + " inputs)",
+                     std::to_string(Inputs.size()) + " inputs)",
                  located(I));
         break;
       }
@@ -74,23 +72,20 @@ void validateStream(const VmProgram &Code, size_t NumInputs,
                  "load channel " + std::to_string(Inst.Channel) +
                      " is invalid (-1 or a fixed channel index)",
                  located(I));
-      if (PoolShapes && Inputs) {
-        ImageId Img = (*Inputs)[Inst.InputIdx];
-        if (Img >= PoolShapes->size()) {
-          DE.error("KF-B04",
-                   "load targets pool image " + std::to_string(Img) +
-                       " beyond the plan's " +
-                       std::to_string(PoolShapes->size()) + " images",
-                   located(I));
-        } else if (Inst.Channel >= (*PoolShapes)[Img].Channels) {
-          DE.error("KF-B04",
-                   "load channel " + std::to_string(Inst.Channel) +
-                       " out of range for image '" +
-                       (*PoolShapes)[Img].Name + "' (" +
-                       std::to_string((*PoolShapes)[Img].Channels) +
-                       " channels)",
-                   located(I));
-        }
+      ImageId Img = Inputs[Inst.InputIdx];
+      if (Img >= PoolShapes.size()) {
+        DE.error("KF-B04",
+                 "load targets pool image " + std::to_string(Img) +
+                     " beyond the plan's " +
+                     std::to_string(PoolShapes.size()) + " images",
+                 located(I));
+      } else if (Inst.Channel >= PoolShapes[Img].Channels) {
+        DE.error("KF-B04",
+                 "load channel " + std::to_string(Inst.Channel) +
+                     " out of range for image '" + PoolShapes[Img].Name +
+                     "' (" + std::to_string(PoolShapes[Img].Channels) +
+                     " channels)",
+                 located(I));
       }
       break;
     }
@@ -120,11 +115,6 @@ void validateStream(const VmProgram &Code, size_t NumInputs,
       checkReg(Inst.Sel, "condition", I, /*Read=*/true);
       break;
     case VmOp::StageCall:
-      if (!AllowStageCalls) {
-        DE.error("KF-B06", "StageCall in a plain kernel program",
-                 located(I));
-        break;
-      }
       CheckStageCall(Inst, I);
       break;
     }
@@ -147,13 +137,6 @@ void validateStream(const VmProgram &Code, size_t NumInputs,
 }
 
 } // namespace
-
-void kf::validateVmProgram(const VmProgram &VM, size_t NumInputs,
-                           DiagnosticEngine &DE, DiagLocation Loc) {
-  validateStream(VM, NumInputs, /*PoolShapes=*/nullptr, /*Inputs=*/nullptr,
-                 /*AllowStageCalls=*/false, DE, Loc,
-                 [](const VmInst &, size_t) {});
-}
 
 void kf::validateStagedProgram(const StagedVmProgram &SP, uint16_t Root,
                                const std::vector<ImageInfo> &PoolShapes,
@@ -202,8 +185,7 @@ void kf::validateStagedProgram(const StagedVmProgram &SP, uint16_t Root,
 
     int Depth = 0;
     validateStream(
-        Stage.Code, Stage.Inputs.size(), &PoolShapes, &Stage.Inputs,
-        /*AllowStageCalls=*/true, DE, StageLoc,
+        Stage.Code, PoolShapes, Stage.Inputs, DE, StageLoc,
         [&](const VmInst &Inst, size_t InstIdx) {
           DiagLocation InstLoc = StageLoc;
           InstLoc.Inst = static_cast<int>(InstIdx);

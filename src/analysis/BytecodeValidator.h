@@ -17,7 +17,6 @@
 ///   - stage calls target a *preceding* stage, which bounds the call depth
 ///     by the (validated) stage count and makes recursion impossible
 ///     (KF-B05, KF-B10);
-///   - plain kernel programs contain no StageCall at all (KF-B06);
 ///   - stage register frames are pairwise disjoint (KF-B11), the layout
 ///     the span-mode interpreter (runStagedVmSpan) relies on: a caller's
 ///     lane frame stays live across its stage calls, so overlapping
@@ -39,11 +38,6 @@
 #include "ir/ExprVM.h"
 
 namespace kf {
-
-/// Validates a plain (single-kernel) VM program compiled for a kernel
-/// with \p NumInputs inputs. Reports into \p DE under \p Loc.
-void validateVmProgram(const VmProgram &VM, size_t NumInputs,
-                       DiagnosticEngine &DE, DiagLocation Loc = {});
 
 /// Validates staged fused-kernel bytecode against the pool it will
 /// execute over: \p PoolShapes are the plan's image shapes (indexed by

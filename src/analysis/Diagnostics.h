@@ -78,7 +78,6 @@ inline constexpr DiagCodeInfo DiagCodeRegistry[] = {
     {"KF-B03", DiagSeverity::Error},
     {"KF-B04", DiagSeverity::Error},
     {"KF-B05", DiagSeverity::Error},
-    {"KF-B06", DiagSeverity::Error},
     {"KF-B07", DiagSeverity::Error},
     {"KF-B08", DiagSeverity::Error},
     {"KF-B09", DiagSeverity::Warning},

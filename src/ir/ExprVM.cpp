@@ -135,13 +135,13 @@ struct StencilBinding {
   bool Active = false;
 };
 
-/// Recursive compiler from expression trees to the linear VM form. When
-/// \p Eliminated maps an input image to a stage index, reads of that
-/// image compile to StageCall instructions (fused-kernel compilation).
+/// Recursive compiler from the body of kernel \p K to the linear VM
+/// form. When \p Eliminated maps an input image of \p K to a stage index,
+/// reads of that image compile to StageCall instructions.
 class VmCompiler {
 public:
-  VmCompiler(const Program &P, const Kernel *K = nullptr,
-             const std::map<ImageId, uint16_t> *Eliminated = nullptr)
+  VmCompiler(const Program &P, const Kernel &K,
+             const std::map<ImageId, uint16_t> &Eliminated)
       : P(P), K(K), Eliminated(Eliminated) {}
 
   VmProgram compile(const Expr *Body) {
@@ -212,13 +212,10 @@ private:
         Inst.Oy = static_cast<int16_t>(Env.Dy);
       }
       Inst.Channel = static_cast<int16_t>(E->Channel);
-      if (Eliminated) {
-        assert(K && "staged compilation needs the owning kernel");
-        auto Stage = Eliminated->find(K->Inputs[E->InputIdx]);
-        if (Stage != Eliminated->end()) {
-          Inst.Op = VmOp::StageCall;
-          Inst.Sel = Stage->second;
-        }
+      auto Stage = Eliminated.find(K.Inputs[E->InputIdx]);
+      if (Stage != Eliminated.end()) {
+        Inst.Op = VmOp::StageCall;
+        Inst.Sel = Stage->second;
       }
       VM.Insts.push_back(Inst);
       return Inst.Dst;
@@ -338,8 +335,8 @@ private:
   }
 
   const Program &P;
-  const Kernel *K;
-  const std::map<ImageId, uint16_t> *Eliminated;
+  const Kernel &K;
+  const std::map<ImageId, uint16_t> &Eliminated;
   unsigned NextReg = 0;
 };
 
@@ -411,55 +408,6 @@ inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
 }
 
 } // namespace
-
-VmProgram kf::compileKernelBody(const Program &P, KernelId Id) {
-  VmCompiler Compiler(P);
-  return Compiler.compile(P.kernel(Id).Body);
-}
-
-int kf::vmHalo(const VmProgram &VM) {
-  int Halo = 0;
-  for (const VmInst &Inst : VM.Insts)
-    if (Inst.Op == VmOp::Load || Inst.Op == VmOp::StageCall)
-      Halo = std::max(Halo,
-                      std::max(std::abs(static_cast<int>(Inst.Ox)),
-                               std::abs(static_cast<int>(Inst.Oy))));
-  return Halo;
-}
-
-/// Shared evaluation loop; \p Bordered selects bordered vs direct loads.
-template <bool Bordered>
-static float runVmImpl(const VmProgram &VM, const Program &P, KernelId Id,
-                       const std::vector<Image> &Pool, int X, int Y,
-                       int Channel, float *Regs) {
-  const Kernel &K = P.kernel(Id);
-  for (const VmInst &Inst : VM.Insts) {
-    if (Inst.Op == VmOp::Load) {
-      const Image &Img = Pool[K.Inputs[Inst.InputIdx]];
-      int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      if (Bordered)
-        Regs[Inst.Dst] = sampleWithBorder(Img, X + Inst.Ox, Y + Inst.Oy,
-                                          Ch, K.Border, K.BorderConstant);
-      else
-        Regs[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, Ch);
-      continue;
-    }
-    evalAluInst(Inst, Regs, X, Y);
-  }
-  return Regs[VM.ResultReg];
-}
-
-float kf::runVm(const VmProgram &VM, const Program &P, KernelId Id,
-                const std::vector<Image> &Pool, int X, int Y, int Channel,
-                float *Regs) {
-  return runVmImpl<true>(VM, P, Id, Pool, X, Y, Channel, Regs);
-}
-
-float kf::runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
-                        const std::vector<Image> &Pool, int X, int Y,
-                        int Channel, float *Regs) {
-  return runVmImpl<false>(VM, P, Id, Pool, X, Y, Channel, Regs);
-}
 
 //===----------------------------------------------------------------------===//
 // Row-wise (instruction-major) interior evaluation
@@ -570,25 +518,6 @@ const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
 
 } // namespace
 
-void kf::runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
-                   const std::vector<Image> &Pool, int Y, int X0, int X1,
-                   int Channel, float *LaneRegs, float *Out, int OutStride) {
-  const Kernel &K = P.kernel(Id);
-  // Each chunk's per-register stride is its own width (at most
-  // VmLaneWidth), so the register file of a chunk stays within the fixed
-  // lane buffer.
-  forEachLaneChunk(X0, X1, [&](auto Width, int C0, int From, int W) {
-    constexpr int N = decltype(Width)::value;
-    const float *Result = evalRowImpl<N>(
-        VM, Pool, K.Inputs, Y, C0, W, Channel, LaneRegs,
-        [](const VmInst &, float *) {
-          KF_UNREACHABLE("StageCall in a plain kernel body");
-        });
-    laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
-                 OutStride, Result);
-  });
-}
-
 //===----------------------------------------------------------------------===//
 // Staged (fused-kernel) programs
 //===----------------------------------------------------------------------===//
@@ -623,7 +552,7 @@ kf::compileStagedProgram(const Program &P,
   for (size_t I = 0; I != StageKernels.size(); ++I) {
     const Kernel &K = P.kernel(StageKernels[I]);
     VmStage Stage;
-    VmCompiler Compiler(P, &K, &Eliminated);
+    VmCompiler Compiler(P, K, Eliminated);
     Stage.Code = Compiler.compile(K.Body);
     Stage.Inputs = K.Inputs;
     Stage.Border = K.Border;
@@ -1009,65 +938,4 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                       Resolve);
   if (Stats)
     Stats->ComputedPixels += RootArea * Channels;
-}
-
-//===----------------------------------------------------------------------===//
-// Serial unfused driver (the parallel one lives in sim/Executor)
-//===----------------------------------------------------------------------===//
-
-void kf::runUnfusedVm(const Program &P, std::vector<Image> &Pool) {
-  assert(Pool.size() == P.numImages() && "pool size mismatch");
-  std::optional<std::vector<Digraph::NodeId>> Order =
-      P.buildKernelDag().topologicalOrder();
-  assert(Order && "kernel DAG has a cycle");
-
-  std::vector<float> Regs;
-  std::vector<float> RowRegs;
-  for (KernelId Id : *Order) {
-    const Kernel &K = P.kernel(Id);
-    const ImageInfo &Info = P.image(K.Output);
-    VmProgram VM = compileKernelBody(P, Id);
-    Regs.resize(std::max<size_t>(Regs.size(), VM.NumRegs));
-    Image Out(Info.Width, Info.Height, Info.Channels);
-
-    // Interior/halo decomposition (the Section IV-B regions): the
-    // interior takes the row-wise direct-indexing fast path, only the
-    // halo pays for border handling. Inputs of an unfused kernel always
-    // match the output extent in the bundled pipelines, but guard
-    // against mismatched extents by keeping the halo conservative.
-    int Halo = vmHalo(VM);
-    for (ImageId In : K.Inputs) {
-      const ImageInfo &InInfo = P.image(In);
-      if (InInfo.Width != Info.Width || InInfo.Height != Info.Height)
-        Halo = std::max(Info.Width, Info.Height);
-    }
-    int X0 = std::min(Halo, Info.Width);
-    int Y0 = std::min(Halo, Info.Height);
-    int X1 = std::max(X0, Info.Width - Halo);
-    int Y1 = std::max(Y0, Info.Height - Halo);
-
-    // Span-mode interior: the lane buffer is VM.NumRegs * VmLaneWidth
-    // floats regardless of the image width.
-    RowRegs.resize(std::max<size_t>(
-        RowRegs.size(),
-        static_cast<size_t>(VM.NumRegs) * VmLaneWidth));
-    if (X0 < X1)
-      for (int Y = Y0; Y < Y1; ++Y)
-        for (int Ch = 0; Ch != Info.Channels; ++Ch)
-          runVmSpan(VM, P, Id, Pool, Y, X0, X1, Ch, RowRegs.data(),
-                    Out.data().data() +
-                        (static_cast<size_t>(Y) * Info.Width + X0) *
-                            Info.Channels +
-                        Ch,
-                    Info.Channels);
-    for (int Y = 0; Y != Info.Height; ++Y)
-      for (int X = 0; X != Info.Width; ++X) {
-        bool Interior = X >= X0 && X < X1 && Y >= Y0 && Y < Y1;
-        if (Interior)
-          continue;
-        for (int Ch = 0; Ch != Info.Channels; ++Ch)
-          Out.at(X, Y, Ch) = runVm(VM, P, Id, Pool, X, Y, Ch, Regs.data());
-      }
-    Pool[K.Output] = std::move(Out);
-  }
 }

@@ -7,14 +7,16 @@
 /// folding mask coefficients and window offsets into immediate operands
 /// -- and then evaluates a flat instruction stream into a register file.
 ///
-/// Fused kernels compile to a *staged* VM program (StagedVmProgram): one
+/// Every launch compiles to a *staged* VM program (StagedVmProgram): one
 /// subprogram per original kernel, where reads of eliminated intermediates
 /// become StageCall instructions that evaluate the producer's subprogram at
 /// an offset-shifted position -- the runtime mirror of the recompute-based
 /// fusion of Section IV, including the index-exchange border handling of
-/// Section IV-B. Interior evaluation (runVmInterior / runStagedVmInterior /
-/// the row-wise variants) skips every border check, implementing the
-/// interior/halo specialization the generated GPU code performs.
+/// Section IV-B. An unfused kernel is the trivial case: a one-stage
+/// program, as the singleton partition (transform/Fuser's unfusedProgram)
+/// yields. Interior evaluation (runStagedVmInterior / runStagedVmSpan)
+/// skips every border check, implementing the interior/halo
+/// specialization the generated GPU code performs.
 ///
 /// Interior evaluation comes in two selectable modes (VmMode):
 ///   - span (the default): each instruction streams across a whole row
@@ -185,7 +187,7 @@ struct VmInst {
   int16_t Channel = -1; ///< Load/StageCall: -1 = current channel.
 };
 
-/// A compiled kernel body.
+/// A compiled kernel body: the instruction stream of one VmStage.
 struct VmProgram {
   std::vector<VmInst> Insts;
   uint16_t ResultReg = 0;
@@ -193,45 +195,6 @@ struct VmProgram {
 
   bool empty() const { return Insts.empty(); }
 };
-
-/// Compiles kernel \p Id of \p P. Stencil reductions are fully unrolled:
-/// the instruction count grows with the mask sizes.
-VmProgram compileKernelBody(const Program &P, KernelId Id);
-
-/// Evaluates \p VM for kernel \p Id at (X, Y, Channel), reading inputs
-/// from \p Pool with the kernel's border handling. \p Regs is scratch
-/// space of at least VM.NumRegs floats (caller-owned to avoid per-pixel
-/// allocation).
-float runVm(const VmProgram &VM, const Program &P, KernelId Id,
-            const std::vector<Image> &Pool, int X, int Y, int Channel,
-            float *Regs);
-
-/// Interior fast path: like runVm but loads index the images directly,
-/// skipping border handling. Only valid when every access of the body
-/// stays in bounds -- i.e. (X, Y) lies in the kernel's interior region
-/// (the same interior/halo decomposition Section IV-B uses for the
-/// fused kernels).
-float runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
-                    const std::vector<Image> &Pool, int X, int Y,
-                    int Channel, float *Regs);
-
-/// Span-mode interior evaluation: computes pixels [X0, X1) of row \p Y
-/// for \p Channel in one call, writing result i to Out[i * OutStride].
-/// The span is chunked into lanes of VmLaneWidth pixels (the last chunk
-/// overlapping its predecessor; see forEachLaneChunk in ir/LaneOps.h) and
-/// each chunk runs instruction-major -- each op streams across the chunk
-/// -- which amortizes per-pixel dispatch and runs the inner loops as
-/// packed SIMD, while the register working set stays VM.NumRegs *
-/// VmLaneWidth floats (L1-resident) whatever the span width. \p LaneRegs
-/// must hold VM.NumRegs * VmLaneWidth floats. Interior-only, like
-/// runVmInterior, and bit-identical to it.
-void runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
-               const std::vector<Image> &Pool, int Y, int X0, int X1,
-               int Channel, float *LaneRegs, float *Out, int OutStride = 1);
-
-/// The largest absolute load offset of \p VM on either axis: the kernel's
-/// access halo, bounding the region where border handling can trigger.
-int vmHalo(const VmProgram &VM);
 
 /// One stage of a staged (fused-kernel) VM program.
 struct VmStage {
@@ -265,10 +228,11 @@ struct StagedVmProgram {
 };
 
 /// Compiles kernels \p StageKernels of \p P (topological order) into a
-/// staged program. \p IsEliminated[i] marks stages whose output image is
-/// eliminated by fusion: reads of those images from later stages become
-/// StageCall instructions instead of pool loads. sim/Executor uses this
-/// to compile FusedKernels (compileFusedKernel).
+/// staged program. Stencil reductions are fully unrolled: the instruction
+/// count grows with the mask sizes. \p IsEliminated[i] marks stages whose
+/// output image is eliminated by fusion: reads of those images from later
+/// stages become StageCall instructions instead of pool loads.
+/// sim/Executor uses this to compile FusedKernels (compileFusedKernel).
 StagedVmProgram compileStagedProgram(const Program &P,
                                      const std::vector<KernelId> &StageKernels,
                                      const std::vector<bool> &IsEliminated);
@@ -290,9 +254,12 @@ float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
                           const std::vector<Image> &Pool, int X, int Y,
                           int Channel, float *Regs);
 
-/// Span-mode interior evaluation of a staged program: the span [X0, X1)
-/// is chunked into lanes like runVmSpan; within a chunk
-/// every stage's instruction stream runs instruction-major, and StageCall
+/// Span-mode interior evaluation of a staged program: computes pixels
+/// [X0, X1) of row \p Y for \p Channel in one call, writing result i to
+/// Out[i * OutStride]. The span is chunked into lanes of VmLaneWidth
+/// pixels (the last chunk overlapping its predecessor; see
+/// forEachLaneChunk in ir/LaneOps.h); within a chunk every stage's
+/// instruction stream runs instruction-major, and StageCall
 /// ops recurse span-aware (the callee streams over the offset-shifted
 /// chunk straight into the caller's destination lanes). Stage frames
 /// partition the lane buffer at VmStage::RegBase * VmLaneWidth, so a
@@ -381,12 +348,6 @@ void runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                        int Y0, int Y1, int Channels, VmMode Mode,
                        float *PlaneScratch, float *Regs, float *OutBase,
                        int OutWidth, OverlapTileStats *Stats = nullptr);
-
-/// Executes every kernel of \p P unfused through the VM, filling the
-/// pool's non-input images -- the fast-path equivalent of runUnfused.
-/// Serial; the parallel tiled driver lives in sim/Executor
-/// (runUnfusedVm with ExecutionOptions).
-void runUnfusedVm(const Program &P, std::vector<Image> &Pool);
 
 } // namespace kf
 

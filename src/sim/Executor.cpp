@@ -13,15 +13,12 @@
 #include "sim/Tuner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 using namespace kf;
 
@@ -301,20 +298,6 @@ void kf::resolveTileSize(const ExecutionOptions &Options,
                          TilingStrategy Strategy, int ImageW, int ImageH,
                          unsigned Threads, int &TileW, int &TileH) {
   int W = Options.TileWidth, H = Options.TileHeight;
-  // The environment override only applies when the caller left the tile
-  // unset, mirroring KF_THREADS: explicit configuration always wins.
-  if (W <= 0 && H <= 0) {
-    if (const char *Env = std::getenv("KF_TILE")) {
-      if (!parseTileSpec(Env, W, H)) {
-        static std::atomic<bool> Warned{false};
-        if (!Warned.exchange(true))
-          std::fprintf(stderr,
-                       "warning: ignoring invalid KF_TILE='%s' (expected "
-                       "'WxH' with extents in [1, 65536])\n",
-                       Env);
-      }
-    }
-  }
   if (Strategy == TilingStrategy::Overlapped) {
     // A block whose grown planes stay L2-resident for typical reaches;
     // the tuner refines this per plan.
@@ -334,12 +317,58 @@ void kf::resolveTileSize(const ExecutionOptions &Options,
 
 namespace {
 
+using Clock = std::chrono::steady_clock;
+
+/// A clock read in the timed instantiation of a tile loop; the untimed
+/// instantiation returns the epoch and reads no clock.
+template <bool Timed> Clock::time_point tick() {
+  if constexpr (Timed)
+    return Clock::now();
+  else
+    return {};
+}
+
+double elapsedUs(Clock::time_point A, Clock::time_point B) {
+  return std::chrono::duration<double, std::micro>(B - A).count();
+}
+
+/// Adds a timed tile loop's wall time since \p Start and its per-worker
+/// interior/halo CPU times (disjoint slots, summed after the join) to
+/// \p Timing.
+void addTileTimes(LaunchTiming &Timing, Clock::time_point Start,
+                  const std::vector<double> &InteriorUs,
+                  const std::vector<double> &HaloUs) {
+  Timing.TotalMs += elapsedUs(Start, Clock::now()) / 1e3;
+  for (size_t I = 0; I != InteriorUs.size(); ++I) {
+    Timing.InteriorMs += InteriorUs[I] / 1e3;
+    Timing.HaloMs += HaloUs[I] / 1e3;
+  }
+}
+
+/// Writes pixels [XA, XB) of row \p Y of \p Out by per-pixel bordered
+/// evaluation (\p Pixel). The output pointer is loop-invariant state:
+/// hoisted to the span start and walked pixel by pixel instead of
+/// re-deriving (Y*W + X)*C + Ch per sample.
+template <class PixelFn>
+void haloSpan(Image &Out, int Y, int XA, int XB, unsigned Worker,
+              PixelFn &Pixel) {
+  const int C = Out.channels();
+  float *Px =
+      Out.data().data() + (static_cast<size_t>(Y) * Out.width() + XA) * C;
+  for (int X = XA; X < XB; ++X, Px += C)
+    for (int Ch = 0; Ch != C; ++Ch)
+      Px[Ch] = Pixel(X, Y, Ch, Worker);
+}
+
 /// Runs the interior/halo-decomposed tile loop over one output image.
 /// Rows inside [Y0int, Y1int) split into a halo-left span, an interior
-/// span evaluated by \p Row (row-wise fast path), and a halo-right span;
-/// rows outside are entirely halo, evaluated per pixel by \p Pixel (the
-/// bordered slow path). \p Halo is the fused access footprint.
-template <class RowFn, class PixelFn>
+/// span evaluated by \p Row (row-wise fast path, one call per channel
+/// from a hoisted row base), and a halo-right span; rows outside are
+/// entirely halo, evaluated per pixel by \p Pixel (the bordered slow
+/// path). \p Halo is the fused access footprint. The \p Timed
+/// instantiation brackets each row's halo and interior spans with clock
+/// reads and adds them to \p Timing.
+template <bool Timed, class RowFn, class PixelFn>
 void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
                    Image &Out, int Halo, RowFn &&Row, PixelFn &&Pixel,
                    LaunchTiming *Timing = nullptr) {
@@ -352,79 +381,39 @@ void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
   resolveTileSize(Options, TilingStrategy::InteriorHalo, W, H,
                   TP.numThreads(), TileW, TileH);
 
-  // The halo span [XA, XB) of one row: per-pixel bordered evaluation.
-  // The output pointer is loop-invariant state: hoisted to the span start
-  // and walked pixel by pixel instead of re-deriving (Y*W + X)*C + Ch
-  // per sample.
-  auto haloSpan = [&](int Y, int XA, int XB, unsigned Worker) {
-    float *Px = OutBase + (static_cast<size_t>(Y) * W + XA) * C;
-    for (int X = XA; X < XB; ++X, Px += C)
-      for (int Ch = 0; Ch != C; ++Ch)
-        Px[Ch] = Pixel(X, Y, Ch, Worker);
-  };
-  // The interior span [IA, IB) of one row: row-wise fast path, one call
-  // per channel from a hoisted row base.
-  auto interiorSpan = [&](int Y, int IA, int IB, unsigned Worker) {
-    float *RowPx = OutBase + (static_cast<size_t>(Y) * W + IA) * C;
-    for (int Ch = 0; Ch != C; ++Ch)
-      Row(Y, IA, IB, Ch, RowPx + Ch, C, Worker);
-  };
-  auto rowBounds = [&](int Y, const TileRange &T, int &IA, int &IB) {
-    const bool RowHasInterior = Y >= Y0 && Y < Y1;
-    IA = RowHasInterior ? std::clamp(X0, T.X0, T.X1) : T.X1;
-    IB = RowHasInterior ? std::clamp(X1, T.X0, T.X1) : T.X1;
-  };
-
-  if (!Timing) {
-    TP.parallelFor2D(W, H, TileW, TileH,
-                     [&](const TileRange &T, unsigned Worker) {
-                       for (int Y = T.Y0; Y != T.Y1; ++Y) {
-                         int IA, IB;
-                         rowBounds(Y, T, IA, IB);
-                         haloSpan(Y, T.X0, IA, Worker);
-                         if (IA < IB)
-                           interiorSpan(Y, IA, IB, Worker);
-                         haloSpan(Y, IB, T.X1, Worker);
-                       }
-                     },
-                     Options.Source);
-    return;
+  std::vector<double> InteriorUs, HaloUs;
+  if constexpr (Timed) {
+    InteriorUs.assign(TP.numThreads(), 0.0);
+    HaloUs.assign(TP.numThreads(), 0.0);
   }
-
-  // Timing path: clock reads bracket the halo and interior spans of each
-  // row, accumulated per worker (disjoint slots, summed after the join).
-  using Clock = std::chrono::steady_clock;
-  auto Us = [](Clock::time_point A, Clock::time_point B) {
-    return std::chrono::duration<double, std::micro>(B - A).count();
-  };
-  std::vector<double> InteriorUs(TP.numThreads(), 0.0);
-  std::vector<double> HaloUs(TP.numThreads(), 0.0);
-  Clock::time_point Start = Clock::now();
+  const Clock::time_point Start = tick<Timed>();
   TP.parallelFor2D(W, H, TileW, TileH, [&](const TileRange &T,
                                            unsigned Worker) {
     double TileInterior = 0.0, TileHalo = 0.0;
     for (int Y = T.Y0; Y != T.Y1; ++Y) {
-      int IA, IB;
-      rowBounds(Y, T, IA, IB);
-      Clock::time_point T0 = Clock::now();
-      haloSpan(Y, T.X0, IA, Worker);
-      Clock::time_point T1 = Clock::now();
-      if (IA < IB)
-        interiorSpan(Y, IA, IB, Worker);
-      Clock::time_point T2 = Clock::now();
-      haloSpan(Y, IB, T.X1, Worker);
-      Clock::time_point T3 = Clock::now();
-      TileHalo += Us(T0, T1) + Us(T2, T3);
-      TileInterior += Us(T1, T2);
+      const bool RowHasInterior = Y >= Y0 && Y < Y1;
+      const int IA = RowHasInterior ? std::clamp(X0, T.X0, T.X1) : T.X1;
+      const int IB = RowHasInterior ? std::clamp(X1, T.X0, T.X1) : T.X1;
+      const Clock::time_point T0 = tick<Timed>();
+      haloSpan(Out, Y, T.X0, IA, Worker, Pixel);
+      const Clock::time_point T1 = tick<Timed>();
+      if (IA < IB) {
+        float *RowPx = OutBase + (static_cast<size_t>(Y) * W + IA) * C;
+        for (int Ch = 0; Ch != C; ++Ch)
+          Row(Y, IA, IB, Ch, RowPx + Ch, C, Worker);
+      }
+      const Clock::time_point T2 = tick<Timed>();
+      haloSpan(Out, Y, IB, T.X1, Worker, Pixel);
+      TileHalo += elapsedUs(T0, T1) + elapsedUs(T2, tick<Timed>());
+      TileInterior += elapsedUs(T1, T2);
     }
-    InteriorUs[Worker] += TileInterior;
-    HaloUs[Worker] += TileHalo;
+    if constexpr (Timed) {
+      InteriorUs[Worker] += TileInterior;
+      HaloUs[Worker] += TileHalo;
+    }
   }, Options.Source);
-  Timing->TotalMs += Us(Start, Clock::now()) / 1e3;
-  for (unsigned I = 0; I != TP.numThreads(); ++I) {
-    Timing->InteriorMs += InteriorUs[I] / 1e3;
-    Timing->HaloMs += HaloUs[I] / 1e3;
-  }
+  if constexpr (Timed)
+    addTileTimes(*Timing, Start, InteriorUs, HaloUs);
 }
 
 /// Lane-scratch floats one worker needs for interior execution of a
@@ -446,8 +435,10 @@ size_t laneScratchFloats(VmMode Mode, unsigned NumRegs) {
 /// runOverlappedTile: demanded producer stages materialize into the
 /// worker's margin-grown scratch planes and the root reads the planes
 /// instead of recursing. Tiles never exchange data -- the margins are
-/// recomputed redundantly by every adjacent tile.
-template <class PixelFn>
+/// recomputed redundantly by every adjacent tile. The \p Timed
+/// instantiation brackets each tile's ring and interior with clock reads
+/// and adds them, with the overlap statistics, to \p Timing.
+template <bool Timed, class PixelFn>
 void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
                         Image &Out, int Halo, const StagedVmProgram &SP,
                         uint16_t Root, const OverlapSchedule &Schedule,
@@ -466,81 +457,51 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
                  laneScratchFloats(Mode, SP.NumRegs),
                  overlapPlaneFloats(Schedule, TileW, TileH));
 
-  auto haloSpan = [&](int Y, int XA, int XB, unsigned Worker) {
-    float *Px = OutBase + (static_cast<size_t>(Y) * W + XA) * C;
-    for (int X = XA; X < XB; ++X, Px += C)
-      for (int Ch = 0; Ch != C; ++Ch)
-        Px[Ch] = Pixel(X, Y, Ch, Worker);
-  };
-  // The tile's border-ring part: rows above/below the interior band plus
-  // the left/right column strips inside it.
-  auto haloPart = [&](const TileRange &T, int IA, int IB, int JA, int JB,
-                      unsigned Worker) {
-    for (int Y = T.Y0; Y < JA; ++Y)
-      haloSpan(Y, T.X0, T.X1, Worker);
-    for (int Y = JA; Y < JB; ++Y) {
-      haloSpan(Y, T.X0, IA, Worker);
-      haloSpan(Y, IB, T.X1, Worker);
-    }
-    for (int Y = JB; Y < T.Y1; ++Y)
-      haloSpan(Y, T.X0, T.X1, Worker);
-  };
-  auto interiorPart = [&](int IA, int IB, int JA, int JB, unsigned Worker,
-                          OverlapTileStats *Stats) {
-    float *Regs = Mode == VmMode::Span
-                      ? Scratch.LaneRegs[Worker].data()
-                      : Scratch.PixelRegs[Worker].data();
-    runOverlappedTile(SP, Root, Schedule, Pool, IA, IB, JA, JB, C, Mode,
-                      Scratch.PlaneRegs[Worker].data(), Regs, OutBase, W,
-                      Stats);
-  };
-
-  if (!Timing) {
-    TP.parallelFor2D(W, H, TileW, TileH,
-                     [&](const TileRange &T, unsigned Worker) {
-                       const int IA = std::clamp(X0, T.X0, T.X1);
-                       const int IB = std::clamp(X1, T.X0, T.X1);
-                       const int JA = std::clamp(Y0, T.Y0, T.Y1);
-                       const int JB = std::clamp(Y1, T.Y0, T.Y1);
-                       haloPart(T, IA, IB, JA, JB, Worker);
-                       if (IA < IB && JA < JB)
-                         interiorPart(IA, IB, JA, JB, Worker, nullptr);
-                     },
-                     Options.Source);
-    return;
+  std::vector<double> InteriorUs, HaloUs;
+  std::vector<OverlapTileStats> WorkerStats;
+  if constexpr (Timed) {
+    InteriorUs.assign(TP.numThreads(), 0.0);
+    HaloUs.assign(TP.numThreads(), 0.0);
+    WorkerStats.resize(TP.numThreads());
   }
-
-  // Timing path: clock reads bracket the halo ring and the overlapped
-  // interior of each tile, accumulated per worker (disjoint slots).
-  using Clock = std::chrono::steady_clock;
-  auto Us = [](Clock::time_point A, Clock::time_point B) {
-    return std::chrono::duration<double, std::micro>(B - A).count();
-  };
-  std::vector<double> InteriorUs(TP.numThreads(), 0.0);
-  std::vector<double> HaloUs(TP.numThreads(), 0.0);
-  std::vector<OverlapTileStats> WorkerStats(TP.numThreads());
-  Clock::time_point Start = Clock::now();
+  const Clock::time_point Start = tick<Timed>();
   TP.parallelFor2D(W, H, TileW, TileH, [&](const TileRange &T,
                                            unsigned Worker) {
     const int IA = std::clamp(X0, T.X0, T.X1);
     const int IB = std::clamp(X1, T.X0, T.X1);
     const int JA = std::clamp(Y0, T.Y0, T.Y1);
     const int JB = std::clamp(Y1, T.Y0, T.Y1);
-    Clock::time_point T0 = Clock::now();
-    haloPart(T, IA, IB, JA, JB, Worker);
-    Clock::time_point T1 = Clock::now();
-    if (IA < IB && JA < JB)
-      interiorPart(IA, IB, JA, JB, Worker, &WorkerStats[Worker]);
-    Clock::time_point T2 = Clock::now();
-    HaloUs[Worker] += Us(T0, T1);
-    InteriorUs[Worker] += Us(T1, T2);
+    // The tile's border-ring part: rows above/below the interior band
+    // plus the left/right column strips inside it.
+    const Clock::time_point T0 = tick<Timed>();
+    for (int Y = T.Y0; Y < JA; ++Y)
+      haloSpan(Out, Y, T.X0, T.X1, Worker, Pixel);
+    for (int Y = JA; Y < JB; ++Y) {
+      haloSpan(Out, Y, T.X0, IA, Worker, Pixel);
+      haloSpan(Out, Y, IB, T.X1, Worker, Pixel);
+    }
+    for (int Y = JB; Y < T.Y1; ++Y)
+      haloSpan(Out, Y, T.X0, T.X1, Worker, Pixel);
+    const Clock::time_point T1 = tick<Timed>();
+    if (IA < IB && JA < JB) {
+      float *Regs = Mode == VmMode::Span ? Scratch.LaneRegs[Worker].data()
+                                         : Scratch.PixelRegs[Worker].data();
+      runOverlappedTile(SP, Root, Schedule, Pool, IA, IB, JA, JB, C, Mode,
+                        Scratch.PlaneRegs[Worker].data(), Regs, OutBase, W,
+                        Timed ? &WorkerStats[Worker] : nullptr);
+    }
+    if constexpr (Timed) {
+      const Clock::time_point T2 = tick<Timed>();
+      HaloUs[Worker] += elapsedUs(T0, T1);
+      InteriorUs[Worker] += elapsedUs(T1, T2);
+    }
   }, Options.Source);
-  Timing->TotalMs += Us(Start, Clock::now()) / 1e3;
-  for (unsigned I = 0; I != TP.numThreads(); ++I) {
-    Timing->InteriorMs += InteriorUs[I] / 1e3;
-    Timing->HaloMs += HaloUs[I] / 1e3;
-    Timing->OverlapPixels += WorkerStats[I].OverlapPixels;
-    Timing->ComputedPixels += WorkerStats[I].ComputedPixels;
+  if constexpr (Timed) {
+    addTileTimes(*Timing, Start, InteriorUs, HaloUs);
+    for (const OverlapTileStats &Stats : WorkerStats) {
+      Timing->OverlapPixels += Stats.OverlapPixels;
+      Timing->ComputedPixels += Stats.ComputedPixels;
+    }
   }
 }
 
@@ -580,74 +541,11 @@ void kf::runUnfused(const Program &P, std::vector<Image> &Pool,
     ExprEvaluator Eval(P, Source);
     // The AST engine has no interior specialization (border handling is
     // resolved per read): every pixel takes the Pixel path.
-    runTiledImage(
+    runTiledImage<false>(
         TP, Options, Out, std::max(Info.Width, Info.Height),
         [](int, int, int, int, float *, int, unsigned) {},
         [&](int X, int Y, int Ch, unsigned) {
           return Eval.eval(K.Body, X, Y, Ch, nullptr);
-        });
-    Pool[K.Output] = std::move(Out);
-  }
-}
-
-void kf::runUnfusedVm(const Program &P, std::vector<Image> &Pool,
-                      const ExecutionOptions &Options) {
-  assert(Pool.size() == P.numImages() && "pool size mismatch");
-  checkExternalInputs(P, Pool);
-
-  std::optional<std::vector<Digraph::NodeId>> Order =
-      P.buildKernelDag().topologicalOrder();
-  assert(Order && "kernel DAG has a cycle");
-  ThreadPool TP(resolveThreadCount(Options.Threads));
-  VmMode Mode = resolveVmMode(Options.Mode);
-  // The JIT backend covers fused launches (staged programs) only; plain
-  // per-kernel launches take the bit-identical span interpreter.
-  if (Mode == VmMode::Jit)
-    Mode = VmMode::Span;
-
-  std::vector<WorkerRegs> Regs(TP.numThreads());
-  std::vector<WorkerRegs> LaneRegs(TP.numThreads());
-  for (KernelId Id : *Order) {
-    const Kernel &K = P.kernel(Id);
-    const ImageInfo &Info = P.image(K.Output);
-    std::string Label = "launch " + K.Name;
-    TraceSpan Span(Label.c_str(), "sim");
-    VmProgram VM = compileKernelBody(P, Id);
-    Image Out(Info.Width, Info.Height, Info.Channels);
-
-    // Interior/halo decomposition; inputs of a different extent make the
-    // whole image halo (bordered reads everywhere).
-    int Halo = vmHalo(VM);
-    for (ImageId In : K.Inputs) {
-      const ImageInfo &InInfo = P.image(In);
-      if (InInfo.Width != Info.Width || InInfo.Height != Info.Height)
-        Halo = std::max(Info.Width, Info.Height);
-    }
-
-    size_t LaneScratch = laneScratchFloats(Mode, VM.NumRegs);
-    for (unsigned I = 0; I != TP.numThreads(); ++I) {
-      Regs[I].resize(std::max<size_t>(Regs[I].size(), VM.NumRegs));
-      LaneRegs[I].resize(std::max(LaneRegs[I].size(), LaneScratch));
-    }
-
-    runTiledImage(
-        TP, Options, Out, Halo,
-        [&](int Y, int XA, int XB, int Ch, float *OutPtr, int Stride,
-            unsigned Worker) {
-          if (Mode == VmMode::Span) {
-            runVmSpan(VM, P, Id, Pool, Y, XA, XB, Ch,
-                      LaneRegs[Worker].data(), OutPtr, Stride);
-            return;
-          }
-          // Scalar interior: per-pixel dispatch, output pointer walked
-          // across the span instead of re-derived per pixel.
-          float *Px = OutPtr;
-          for (int X = XA; X < XB; ++X, Px += Stride)
-            *Px = runVmInterior(VM, P, Id, Pool, X, Y, Ch,
-                                Regs[Worker].data());
-        },
-        [&](int X, int Y, int Ch, unsigned Worker) {
-          return runVm(VM, P, Id, Pool, X, Y, Ch, Regs[Worker].data());
         });
     Pool[K.Output] = std::move(Out);
   }
@@ -668,7 +566,7 @@ void kf::runFused(const FusedProgram &FP, std::vector<Image> &Pool,
       const Kernel &Dest = P.kernel(DestId);
       const ImageInfo &Info = P.image(Dest.Output);
       Image Out(Info.Width, Info.Height, Info.Channels);
-      runTiledImage(
+      runTiledImage<false>(
           TP, Options, Out, std::max(Info.Width, Info.Height),
           [](int, int, int, int, float *, int, unsigned) {},
           [&](int X, int Y, int Ch, unsigned) {
@@ -779,34 +677,39 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
   };
 
   if (Strategy == TilingStrategy::Overlapped) {
-    runOverlappedImage(TP, Options, Out, Halo, SP, Root, Schedule, Pool,
-                       Mode, Scratch, HaloPixel, Timing);
+    if (Timing)
+      runOverlappedImage<true>(TP, Options, Out, Halo, SP, Root, Schedule,
+                               Pool, Mode, Scratch, HaloPixel, Timing);
+    else
+      runOverlappedImage<false>(TP, Options, Out, Halo, SP, Root, Schedule,
+                                Pool, Mode, Scratch, HaloPixel, Timing);
   } else {
     Scratch.ensure(TP.numThreads(), SP.NumRegs,
                    laneScratchFloats(Mode, SP.NumRegs));
-    runTiledImage(
-        TP, Options, Out, Halo,
-        [&](int Y, int XA, int XB, int Ch, float *OutPtr, int Stride,
-            unsigned Worker) {
-          if (Mode == VmMode::Jit) {
-            runJitSpan(*Jit, Pool, Y, XA, XB, Ch,
-                       Scratch.LaneRegs[Worker].data(), OutPtr, Stride);
-            return;
-          }
-          if (Mode == VmMode::Span) {
-            runStagedVmSpan(SP, Root, Pool, Y, XA, XB, Ch,
-                            Scratch.LaneRegs[Worker].data(), OutPtr,
-                            Stride);
-            return;
-          }
-          // Scalar interior: per-pixel dispatch, output pointer walked
-          // across the span instead of re-derived per pixel.
-          float *Regs = Scratch.PixelRegs[Worker].data();
-          float *Px = OutPtr;
-          for (int X = XA; X < XB; ++X, Px += Stride)
-            *Px = runStagedVmInterior(SP, Root, Pool, X, Y, Ch, Regs);
-        },
-        HaloPixel, Timing);
+    auto InteriorRow = [&](int Y, int XA, int XB, int Ch, float *OutPtr,
+                           int Stride, unsigned Worker) {
+      if (Mode == VmMode::Jit) {
+        runJitSpan(*Jit, Pool, Y, XA, XB, Ch, Scratch.LaneRegs[Worker].data(),
+                   OutPtr, Stride);
+        return;
+      }
+      if (Mode == VmMode::Span) {
+        runStagedVmSpan(SP, Root, Pool, Y, XA, XB, Ch,
+                        Scratch.LaneRegs[Worker].data(), OutPtr, Stride);
+        return;
+      }
+      // Scalar interior: per-pixel dispatch, output pointer walked across
+      // the span instead of re-derived per pixel.
+      float *Regs = Scratch.PixelRegs[Worker].data();
+      float *Px = OutPtr;
+      for (int X = XA; X < XB; ++X, Px += Stride)
+        *Px = runStagedVmInterior(SP, Root, Pool, X, Y, Ch, Regs);
+    };
+    if (Timing)
+      runTiledImage<true>(TP, Options, Out, Halo, InteriorRow, HaloPixel,
+                          Timing);
+    else
+      runTiledImage<false>(TP, Options, Out, Halo, InteriorRow, HaloPixel);
   }
 
   if (Timing) {

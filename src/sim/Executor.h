@@ -12,10 +12,11 @@
 ///   - the AST walker (runUnfused / runFused): virtual dispatch per
 ///     expression node, recursive producer re-evaluation -- the semantic
 ///     reference;
-///   - the bytecode VM (runUnfusedVm / runFusedVm): kernels compile once
-///     to flat instruction streams (fused kernels to staged programs with
-///     stage-call ops, see ir/ExprVM.h), evaluated row-wise over the
-///     interior and per-pixel over the halo.
+///   - the bytecode VM (runFusedVm): every launch compiles once to a
+///     staged program of flat instruction streams with stage-call ops
+///     (see ir/ExprVM.h), evaluated row-wise over the interior and
+///     per-pixel over the halo. An unfused run is runFusedVm over the
+///     singleton partition, unfusedProgram(P) (transform/Fuser.h).
 /// Both engines execute over a tile decomposition driven by a thread pool
 /// (support/ThreadPool.h). Every pixel is a pure function of the inputs,
 /// so results are bit-identical at any thread count; the test suite
@@ -105,8 +106,6 @@ bool parseTileSpec(const char *Text, int &TileW, int &TileH);
 
 /// Resolves the effective tile extents of one launch over a
 /// \p ImageW x \p ImageH image: explicit positive Options extents win,
-/// then a well-formed KF_TILE environment value ("WxH", same range rules
-/// as parseTileSpec, malformed values warned about once per process),
 /// then the per-strategy default -- full rows with a height heuristic
 /// for InteriorHalo, an L2-sized 128x32 block for Overlapped. Results
 /// are clamped to the image.
@@ -124,12 +123,6 @@ std::vector<Image> makeImagePool(const Program &P);
 /// engine (the semantic reference), tiled across Options.Threads.
 void runUnfused(const Program &P, std::vector<Image> &Pool,
                 const ExecutionOptions &Options = ExecutionOptions());
-
-/// Executes every kernel of \p P unfused through the bytecode VM with
-/// the interior/halo split and row-wise evaluation, tiled across
-/// Options.Threads. Bit-identical to runUnfused.
-void runUnfusedVm(const Program &P, std::vector<Image> &Pool,
-                  const ExecutionOptions &Options);
 
 /// Executes \p FP, writing only the fused kernels' destination outputs;
 /// eliminated intermediates stay empty (that is the point of fusion).

@@ -33,7 +33,10 @@ using namespace kf;
 namespace {
 
 /// The stable code registry (docs/ANALYSIS.md). Append-only: removing or
-/// renaming an entry breaks JSON consumers.
+/// renaming an entry breaks JSON consumers. The one exception is a code
+/// whose check can no longer fire: it retires, and its number is never
+/// reused (KF-B06, a StageCall in a plain kernel program, retired with
+/// that program form).
 const std::set<std::string> &knownCodes() {
   static const std::set<std::string> Codes = {
       // Driver-level parse failure.
@@ -44,8 +47,8 @@ const std::set<std::string> &knownCodes() {
       // Footprint / halo checks.
       "KF-F01", "KF-F02", "KF-F03", "KF-F04", "KF-F05", "KF-F06",
       // Bytecode validation.
-      "KF-B01", "KF-B02", "KF-B03", "KF-B04", "KF-B05", "KF-B06", "KF-B07",
-      "KF-B08", "KF-B09", "KF-B10", "KF-B11",
+      "KF-B01", "KF-B02", "KF-B03", "KF-B04", "KF-B05", "KF-B07", "KF-B08",
+      "KF-B09", "KF-B10", "KF-B11",
       // Interval abstract interpretation.
       "KF-V01", "KF-V02", "KF-V03", "KF-V04", "KF-V05", "KF-V06",
   };

@@ -226,27 +226,18 @@ TEST(BytecodeValidator, EmptyProgramIsKFB01) {
   EXPECT_TRUE(DE.hasCode("KF-B01"));
 }
 
-TEST(BytecodeValidator, PlainProgramStageCallIsKFB06) {
-  VmProgram VM;
-  VM.NumRegs = 2;
-  VmInst Call;
-  Call.Op = VmOp::StageCall;
-  Call.Dst = 0;
-  Call.Sel = 0;
-  VM.Insts.push_back(Call);
-  VM.ResultReg = 0;
-  DiagnosticEngine DE;
-  validateVmProgram(VM, /*NumInputs=*/1, DE);
-  EXPECT_TRUE(DE.hasCode("KF-B06")) << DE.renderText();
-}
-
+/// Every kernel compiled alone -- the one-stage program an unfused
+/// launch runs -- passes validation.
 TEST(BytecodeValidator, PlainKernelBodiesPass) {
   for (const PipelineSpec &Spec : paperPipelines()) {
     Program P = Spec.Builder(64, 48);
+    std::vector<ImageInfo> Shapes;
+    for (ImageId Img = 0; Img != P.numImages(); ++Img)
+      Shapes.push_back(P.image(Img));
     for (KernelId Id = 0; Id != P.numKernels(); ++Id) {
-      VmProgram VM = compileKernelBody(P, Id);
+      StagedVmProgram SP = compileStagedProgram(P, {Id}, {false});
       DiagnosticEngine DE;
-      validateVmProgram(VM, P.kernel(Id).Inputs.size(), DE);
+      validateStagedProgram(SP, 0, Shapes, DE);
       EXPECT_TRUE(DE.empty()) << Spec.Name << " " << P.kernel(Id).Name
                               << ":\n"
                               << DE.renderText();

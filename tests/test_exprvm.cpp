@@ -5,6 +5,7 @@
 #include "ir/ExprVM.h"
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
+#include "transform/Fuser.h"
 
 #include <gtest/gtest.h>
 
@@ -12,9 +13,17 @@ using namespace kf;
 
 namespace {
 
+/// Kernel \p Id of \p P compiled alone: the one-stage program an unfused
+/// launch runs.
+StagedVmProgram compileSingleton(const Program &P, KernelId Id) {
+  return compileStagedProgram(P, {Id}, {false});
+}
+
 TEST(ExprVm, CompilesConvolutionToUnrolledStream) {
   Program P = makeBlurChain(16, 16, BorderMode::Clamp);
-  VmProgram VM = compileKernelBody(P, 0);
+  StagedVmProgram SP = compileSingleton(P, 0);
+  ASSERT_EQ(SP.Stages.size(), 1u);
+  const VmProgram &VM = SP.Stages[0].Code;
   // 9 mask constants + 9 loads + 9 muls + 8 reduce adds = 35.
   EXPECT_EQ(VM.Insts.size(), 35u);
   EXPECT_GT(VM.NumRegs, 0u);
@@ -27,7 +36,7 @@ TEST(ExprVm, CompilesConvolutionToUnrolledStream) {
 
 TEST(ExprVm, BakesMaskWeightsAsImmediates) {
   Program P = makeBlurChain(16, 16, BorderMode::Clamp);
-  VmProgram VM = compileKernelBody(P, 0);
+  const VmProgram VM = compileSingleton(P, 0).Stages[0].Code;
   // The binomial center weight 0.25 must appear as a Const immediate.
   bool SawCenterWeight = false;
   for (const VmInst &Inst : VM.Insts)
@@ -41,16 +50,17 @@ TEST(ExprVm, MatchesInterpreterAtSinglePixels) {
   std::vector<Image> Pool = makeImagePool(P);
   Rng Gen(4);
   Pool[0] = makeRandomImage(12, 12, 1, Gen);
-  VmProgram VM = compileKernelBody(P, 0);
-  std::vector<float> Regs(VM.NumRegs);
+  StagedVmProgram SP = compileSingleton(P, 0);
+  std::vector<float> Regs(SP.NumRegs);
   for (int X : {0, 1, 6, 11})
     for (int Y : {0, 5, 11})
-      EXPECT_FLOAT_EQ(runVm(VM, P, 0, Pool, X, Y, 0, Regs.data()),
+      EXPECT_FLOAT_EQ(runStagedVm(SP, 0, Pool, X, Y, 0, Regs.data()),
                       evalKernelAt(P, 0, Pool, X, Y, 0))
           << X << "," << Y;
 }
 
-/// Full-pipeline equivalence across all bundled applications.
+/// Full-pipeline equivalence across all bundled applications: the
+/// singleton partition through the VM against the AST walker.
 class VmEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(VmEquivalence, RunUnfusedVmMatchesInterpreter) {
@@ -69,7 +79,7 @@ TEST_P(VmEquivalence, RunUnfusedVmMatchesInterpreter) {
 
   std::vector<Image> VmPool = makeImagePool(P);
   VmPool[0] = Input;
-  runUnfusedVm(P, VmPool);
+  runFusedVm(unfusedProgram(P), VmPool);
 
   for (ImageId Id = 0; Id != P.numImages(); ++Id) {
     if (Reference[Id].empty())
@@ -95,7 +105,7 @@ TEST(ExprVm, BorderModesMatchInterpreter) {
     runUnfused(P, Reference);
     std::vector<Image> VmPool = makeImagePool(P);
     VmPool[0] = Reference[0];
-    runUnfusedVm(P, VmPool);
+    runFusedVm(unfusedProgram(P), VmPool);
     EXPECT_DOUBLE_EQ(maxAbsDifference(VmPool[2], Reference[2]), 0.0)
         << borderModeName(Mode);
   }
@@ -119,11 +129,11 @@ TEST(ExprVm, CoordinatesAndSelect) {
   std::vector<Image> Pool = makeImagePool(P);
   Rng Gen(5);
   Pool[0] = makeRandomImage(8, 8, 1, Gen, 0.5f, 1.0f);
-  VmProgram VM = compileKernelBody(P, 0);
-  std::vector<float> Regs(VM.NumRegs);
-  EXPECT_FLOAT_EQ(runVm(VM, P, 0, Pool, 2, 5, 0, Regs.data()),
+  StagedVmProgram SP = compileSingleton(P, 0);
+  std::vector<float> Regs(SP.NumRegs);
+  EXPECT_FLOAT_EQ(runStagedVm(SP, 0, Pool, 2, 5, 0, Regs.data()),
                   Pool[0].at(2, 5));
-  EXPECT_FLOAT_EQ(runVm(VM, P, 0, Pool, 5, 2, 0, Regs.data()),
+  EXPECT_FLOAT_EQ(runStagedVm(SP, 0, Pool, 5, 2, 0, Regs.data()),
                   -Pool[0].at(5, 2));
 }
 

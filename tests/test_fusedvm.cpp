@@ -100,7 +100,7 @@ TEST_P(FusedVmEquivalence, UnfusedVmDriverMatchesAstReference) {
   Options.Threads = 2;
   std::vector<Image> VmPool = makeImagePool(App.P);
   VmPool[0] = App.Input;
-  runUnfusedVm(App.P, VmPool, Options);
+  runFusedVm(unfusedProgram(App.P), VmPool, Options);
 
   expectPoolsIdentical(App.P, VmPool, Reference, GetParam());
 }
@@ -249,7 +249,7 @@ TEST(FusedVm, ThreadCountInvariance) {
 
     std::vector<Image> B = makeImagePool(App.P);
     B[0] = App.Input;
-    runUnfusedVm(App.P, B, Options);
+    runFusedVm(unfusedProgram(App.P), B, Options);
     UnfusedVmRuns.push_back(std::move(B));
 
     std::vector<Image> C = makeImagePool(App.P);
@@ -263,7 +263,7 @@ TEST(FusedVm, ThreadCountInvariance) {
     expectPoolsIdentical(App.P, FusedRuns[I], FusedRuns[0],
                          "runFusedVm " + Tag);
     expectPoolsIdentical(App.P, UnfusedVmRuns[I], UnfusedVmRuns[0],
-                         "runUnfusedVm " + Tag);
+                         "unfused runFusedVm " + Tag);
     expectPoolsIdentical(App.P, UnfusedRuns[I], UnfusedRuns[0],
                          "runUnfused " + Tag);
   }

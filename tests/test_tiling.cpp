@@ -15,11 +15,11 @@
 // unfused AST reference under every strategy, and the Auto rule that
 // runs exactly those launches overlapped is pinned per registry launch.
 //
-// Also covers: KF_TILING / KF_TILE environment resolution, the tile-spec
-// parser, the merged overlap schedule's margin arithmetic, the per-strategy cost
-// model, the execution autotuner (determinism, trace spans, metrics
-// decision records), the tuned session plan, and the KF-F06 overlap
-// coverage check.
+// Also covers: KF_TILING environment resolution, the tile-spec parser,
+// tile-size resolution, the merged overlap schedule's margin arithmetic,
+// the per-strategy cost model, the execution autotuner (determinism,
+// trace spans, metrics decision records), the tuned session plan, and the
+// KF-F06 overlap coverage check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -399,11 +399,7 @@ TEST(TilingResolve, ParseTileSpecAcceptsOnlyWellFormedRanges) {
   EXPECT_EQ(H, -1);
 }
 
-TEST(TilingResolve, ResolveTileSizeExplicitEnvAndDefaults) {
-  const char *Saved = std::getenv("KF_TILE");
-  std::string SavedCopy = Saved ? Saved : "";
-  ::unsetenv("KF_TILE");
-
+TEST(TilingResolve, ResolveTileSizeExplicitAndDefaults) {
   int W = 0, H = 0;
   ExecutionOptions Options;
 
@@ -422,31 +418,9 @@ TEST(TilingResolve, ResolveTileSizeExplicitEnvAndDefaults) {
   // Explicit options always win.
   Options.TileWidth = 48;
   Options.TileHeight = 12;
-  ::setenv("KF_TILE", "64x64", 1);
   resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
   EXPECT_EQ(W, 48);
   EXPECT_EQ(H, 12);
-
-  // The environment fills in when the caller left the tile unset.
-  Options.TileWidth = Options.TileHeight = 0;
-  resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
-  EXPECT_EQ(W, 64);
-  EXPECT_EQ(H, 64);
-
-  // Malformed environment values are ignored (strategy default applies).
-  ::setenv("KF_TILE", "64by64", 1);
-  resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
-  EXPECT_EQ(W, 128);
-  EXPECT_EQ(H, 32);
-  ::setenv("KF_TILE", "0x7", 1);
-  resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
-  EXPECT_EQ(W, 128);
-  EXPECT_EQ(H, 32);
-
-  if (Saved)
-    ::setenv("KF_TILE", SavedCopy.c_str(), 1);
-  else
-    ::unsetenv("KF_TILE");
 }
 
 /// End-to-end: KF_TILING=overlapped must produce bit-identical results

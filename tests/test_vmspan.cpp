@@ -1,11 +1,12 @@
 //===- tests/test_vmspan.cpp - Span-mode vs scalar-mode VM execution ------------===//
 //
-// The lane-batched span interior mode (runVmSpan / runStagedVmSpan,
-// VmMode::Span) must be bit-identical to the per-pixel scalar mode on
-// every bundled pipeline, at every thread count, for every border mode,
-// and across every tail width around the lane boundary. The scalar mode
-// is itself verified against the AST walker in test_fusedvm.cpp, so
-// span == scalar closes the chain back to the semantic reference.
+// The lane-batched span interior mode (runStagedVmSpan, VmMode::Span)
+// must be bit-identical to the per-pixel scalar mode on every bundled
+// pipeline, fused and unfused (the singleton partition), at every thread
+// count, for every border mode, and across every tail width around the
+// lane boundary. The scalar mode is itself verified against the AST
+// walker in test_fusedvm.cpp, so span == scalar closes the chain back to
+// the semantic reference.
 //
 // Also covers the KF_VM environment resolution (resolveVmMode).
 //
@@ -80,7 +81,7 @@ void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
         << Tag << " image " << P.image(Id).Name;
     if (Got[Id].empty() || Want[Id].empty())
       continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
+    EXPECT_EQ(countBitDifferences(Got[Id], Want[Id]), 0)
         << Tag << " image " << P.image(Id).Name;
   }
 }
@@ -121,28 +122,39 @@ TEST_P(VmSpanEquivalence, FusedSpanMatchesScalarAcrossThreadCounts) {
   }
 }
 
+/// Unfused runs are fused launches over the singleton partition, so they
+/// reach every engine and tiling strategy: each must match the scalar
+/// interior/halo run bit for bit.
 TEST_P(VmSpanEquivalence, UnfusedSpanMatchesScalarAcrossThreadCounts) {
   TestApp App = makeTestApp(GetParam());
+  FusedProgram Unfused = unfusedProgram(App.P);
 
   for (int Threads : threadSweep()) {
     ExecutionOptions Scalar;
     Scalar.Threads = Threads;
     Scalar.TileHeight = 3;
     Scalar.Mode = VmMode::Scalar;
-    ExecutionOptions Span = Scalar;
-    Span.Mode = VmMode::Span;
-
+    Scalar.Tiling = TilingStrategy::InteriorHalo;
     std::vector<Image> ScalarPool = makeImagePool(App.P);
     ScalarPool[0] = App.Input;
-    runUnfusedVm(App.P, ScalarPool, Scalar);
+    runFusedVm(Unfused, ScalarPool, Scalar);
 
-    std::vector<Image> SpanPool = makeImagePool(App.P);
-    SpanPool[0] = App.Input;
-    runUnfusedVm(App.P, SpanPool, Span);
-
-    expectPoolsIdentical(App.P, SpanPool, ScalarPool,
-                         GetParam() + " unfused threads=" +
-                             std::to_string(Threads));
+    for (VmMode Mode : {VmMode::Scalar, VmMode::Span, VmMode::Jit})
+      for (TilingStrategy Tiling :
+           {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped}) {
+        if (Mode == VmMode::Scalar && Tiling == TilingStrategy::InteriorHalo)
+          continue;
+        ExecutionOptions Options = Scalar;
+        Options.Mode = Mode;
+        Options.Tiling = Tiling;
+        std::vector<Image> Pool = makeImagePool(App.P);
+        Pool[0] = App.Input;
+        runFusedVm(Unfused, Pool, Options);
+        expectPoolsIdentical(App.P, Pool, ScalarPool,
+                             GetParam() + " unfused " + vmModeName(Mode) +
+                                 "/" + tilingStrategyName(Tiling) +
+                                 " threads=" + std::to_string(Threads));
+      }
   }
 }
 
@@ -196,21 +208,13 @@ INSTANTIATE_TEST_SUITE_P(AllModes, VmSpanBorder,
                            return std::string(borderModeName(Info.param));
                          });
 
-/// Tail handling: spans of width 1, VmLaneWidth - 1, VmLaneWidth and
-/// VmLaneWidth + 1 must each match per-pixel interior evaluation exactly
-/// -- the widths that straddle the chunking boundary.
-TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
-  int W = 2 * VmLaneWidth + 16, H = 12;
-  Program P = makeBlurChain(W, H, BorderMode::Mirror);
-  FusedProgram FP =
-      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
-  StagedVmProgram SP = compileFusedKernel(FP, FP.Kernels[0]);
+/// Tail handling: spans of every LaneBoundaryWidths width must each
+/// match per-pixel interior evaluation of the root stage of \p SP bit for
+/// bit -- the widths that straddle the chunking boundary.
+void expectTailWidthsMatchPerPixel(const StagedVmProgram &SP,
+                                   const std::vector<Image> &Pool, int W,
+                                   int H) {
   uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-
-  std::vector<Image> Pool = makeImagePool(P);
-  Rng Gen(19);
-  Pool[0] = makeRandomImage(W, H, 1, Gen);
-
   int Halo = SP.Reach[Root];
   int Y = H / 2;
   std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) *
@@ -231,33 +235,32 @@ TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
   }
 }
 
+TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
+  int W = 2 * VmLaneWidth + 16, H = 12;
+  Program P = makeBlurChain(W, H, BorderMode::Mirror);
+  FusedProgram FP =
+      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+
+  std::vector<Image> Pool = makeImagePool(P);
+  Rng Gen(19);
+  Pool[0] = makeRandomImage(W, H, 1, Gen);
+
+  expectTailWidthsMatchPerPixel(compileFusedKernel(FP, FP.Kernels[0]), Pool,
+                                W, H);
+}
+
+/// The one-stage program an unfused launch runs: the blur chain's first
+/// blur alone, a plain 3x3 convolution.
 TEST(VmSpan, PlainKernelTailWidthsMatchPerPixel) {
   int W = 2 * VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Clamp);
-  KernelId Id = 0; // First blur: a plain 3x3 convolution.
-  VmProgram VM = compileKernelBody(P, Id);
 
   std::vector<Image> Pool = makeImagePool(P);
   Rng Gen(23);
   Pool[0] = makeRandomImage(W, H, 1, Gen);
 
-  int Halo = vmHalo(VM);
-  int Y = H / 2;
-  std::vector<float> LaneRegs(static_cast<size_t>(VM.NumRegs) *
-                              VmLaneWidth);
-  std::vector<float> PixelRegs(VM.NumRegs);
-
-  for (int Width : LaneBoundaryWidths) {
-    int X0 = Halo, X1 = X0 + Width;
-    ASSERT_LE(X1, W - Halo) << "test image too narrow";
-    std::vector<float> Out(Width);
-    runVmSpan(VM, P, Id, Pool, Y, X0, X1, 0, LaneRegs.data(), Out.data());
-    for (int X = X0; X != X1; ++X)
-      EXPECT_EQ(bitsOf(Out[X - X0]),
-                bitsOf(runVmInterior(VM, P, Id, Pool, X, Y, 0,
-                                     PixelRegs.data())))
-          << "width=" << Width << " x=" << X;
-  }
+  expectTailWidthsMatchPerPixel(compileStagedProgram(P, {0}, {false}), Pool,
+                                W, H);
 }
 
 /// Strided output: span mode must honor OutStride (the multi-channel

@@ -20,7 +20,8 @@ src/analysis/Diagnostics.h, and every warning- or error-severity
 registry code must be documented somewhere under docs/ -- so the docs
 can neither cite a code the analyses cannot emit nor silently omit one
 a user can actually be stopped by (notes are informational and may stay
-undocumented).
+undocumented). Retired codes (RETIRED_CODES) are the exception: the
+docs may still name them, and the registry must never reuse them.
 
 Run from anywhere: paths are resolved against the repo root (this
 script's parent directory). CI runs it as the docs link-check step.
@@ -109,6 +110,10 @@ def check_bench_sections(root: Path):
 REGISTRY_ENTRY_RE = re.compile(
     r'\{"(KF-[A-Z]\d{2})",\s*DiagSeverity::(\w+)\}')
 DOC_CODE_RE = re.compile(r"\bKF-[A-Z]\d{2}\b")
+# Codes whose check can no longer fire, so they left the registry. Their
+# numbers are never reused. KF-B06 (StageCall in a plain kernel program)
+# retired with the plain program form.
+RETIRED_CODES = {"KF-B06"}
 
 
 def parse_code_registry(root: Path):
@@ -139,8 +144,12 @@ def check_diag_codes(root: Path):
                 mentioned.setdefault(match.group(0),
                                      f"{doc.relative_to(root)}:{lineno}")
 
+    for code in sorted(RETIRED_CODES & registry.keys()):
+        problems.append(
+            f"src/analysis/Diagnostics.h: retired code '{code}' is back in "
+            f"DiagCodeRegistry (retired numbers are never reused)")
     for code, where in sorted(mentioned.items()):
-        if code not in registry:
+        if code not in registry and code not in RETIRED_CODES:
             problems.append(
                 f"{where}: documented code '{code}' is not in "
                 f"DiagCodeRegistry (src/analysis/Diagnostics.h)")

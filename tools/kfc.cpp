@@ -105,8 +105,7 @@ static void printUsage() {
       "                               default; off executes bytecode as\n"
       "                               compiled -- results are identical)\n"
       "  --tile <WxH>                 tile extents for --run, e.g. 128x32\n"
-      "                               (default per strategy; KF_TILE\n"
-      "                               overrides the default)\n"
+      "                               (default per strategy)\n"
       "  --frames <n>                 with --run: stream n frames through a\n"
       "                               pipeline session (compiled-plan cache\n"
       "                               + frame buffer reuse)\n"
