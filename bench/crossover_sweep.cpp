@@ -14,10 +14,13 @@
 // recompute at tile edges) vs overlapped tiling (each tile recomputes a
 // margin-grown footprint into scratch planes, Eq. 9's fused reach).
 // It sweeps fused reach against tile size on synthetic blur chains,
-// A/Bs Harris at the paper's 2048x2048, measures every registry pipeline
-// under both strategies, and checks the execution autotuner's predicted
-// winner against the measured one. Results are spliced into the shared
-// throughput JSON as the "tiling_crossover" section.
+// A/Bs Harris at the paper's 2048x2048, and measures every registry
+// pipeline under both strategies and under the default per-launch rule
+// (TilingStrategy::Auto), reporting how far the default lands from the
+// measured best. Every run goes through a PipelineSession -- the plan is
+// compiled once, then frames are timed -- so the numbers are those of the
+// served path. Results are spliced into the shared throughput JSON as the
+// "tiling_crossover" section.
 //
 // Options:
 //   --out FILE          JSON results file (default BENCH_throughput.json)
@@ -31,8 +34,7 @@
 #include "fusion/MinCutPartitioner.h"
 #include "ir/Verifier.h"
 #include "pipelines/Masks.h"
-#include "sim/Metrics.h"
-#include "sim/Tuner.h"
+#include "sim/Session.h"
 #include "support/CommandLine.h"
 #include "support/StringUtils.h"
 #include "support/TablePrinter.h"
@@ -70,16 +72,19 @@ Program makeDeepBlurChain(int Width, int Height, int Depth) {
   return P;
 }
 
-/// Best-of-\p Reps wall milliseconds for one whole-program-fused run of
-/// \p P under \p Options.
+/// Best-of-\p Reps wall milliseconds for one frame of \p FP under
+/// \p Options on a pipeline session whose plan is compiled untimed.
 double measureFusedWallMs(const Program &P, const FusedProgram &FP,
                           const ExecutionOptions &Options, int Reps) {
+  PlanCache Cache;
+  PipelineSession Session(FP, Options, &Cache);
+  Session.plan();
   std::vector<Image> Pool = makeImagePool(P);
   fillExternalInputs(P, Pool, 0x7113);
   double Best = 0.0;
   for (int R = 0; R < std::max(Reps, 1); ++R) {
     auto Start = std::chrono::steady_clock::now();
-    runFusedVm(FP, Pool, Options);
+    Session.runFrame(Pool);
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
@@ -164,8 +169,7 @@ int main(int Argc, char **Argv) {
   // Reach vs tile size: deep blur chains fused whole (reach == depth) at
   // a fixed image size, overlapped tiles shrinking against them. The
   // redundant margin area grows as (T+2R)^2/T^2, so deep chains punish
-  // small tiles -- the measured crossover the tuner's tileLoadFactor
-  // term models.
+  // small tiles.
   std::printf("\n=== Tiling crossover: fused reach vs overlapped tile size "
               "(host VM, 512x512) ===\n\n");
   TablePrinter ReachTable({"chain depth (reach)", "tile", "interior ms",
@@ -182,11 +186,11 @@ int main(int Argc, char **Argv) {
       Block.Kernels.push_back(Id);
     Whole.Blocks.push_back(Block);
     FusedProgram FP = fuseProgram(P, Whole, FusionStyle::Optimized);
+    double InteriorMs = measureFusedWallMs(
+        P, FP, abOptions(TilingStrategy::InteriorHalo, 0, 0), Reps);
     for (auto [TileW, TileH] : {std::pair<int, int>{32, 8},
                                 std::pair<int, int>{128, 32},
                                 std::pair<int, int>{256, 64}}) {
-      double InteriorMs = measureFusedWallMs(
-          P, FP, abOptions(TilingStrategy::InteriorHalo, 0, 0), Reps);
       double OverlapMs = measureFusedWallMs(
           P, FP, abOptions(TilingStrategy::Overlapped, TileW, TileH), Reps);
       double Speedup = OverlapMs > 0.0 ? InteriorMs / OverlapMs : 0.0;
@@ -208,62 +212,44 @@ int main(int Argc, char **Argv) {
   ReachJson += "\n  ]";
   std::fputs(ReachTable.render().c_str(), stdout);
 
-  // Registry pipelines under both strategies, with the execution
-  // autotuner's prediction alongside the measured winner.
+  // Registry pipelines under both strategies and under the default
+  // per-launch rule, which picks a strategy per launch and so can beat
+  // both whole-program strategies.
   std::printf("\n=== Tiling crossover: registry pipelines (scale %.2f, "
               "best of %d) ===\n\n",
               TilingScale, Reps);
-  TablePrinter AppTable({"app", "interior ms", "overlapped ms",
-                         "measured winner", "tuned prediction", "tile",
-                         "match"});
+  TablePrinter AppTable({"app", "interior ms", "overlapped ms", "auto ms",
+                         "measured winner", "auto/best"});
   std::string AppJson = "[";
-  int Matches = 0, Apps = 0, InteriorWins = 0, OverlappedWins = 0;
-  int RegistryMatches = 0, RegistryApps = 0;
+  int InteriorWins = 0, OverlappedWins = 0;
+  double WorstAutoOverBest = 0.0;
   auto measureOne = [&](const std::string &Name, const Program &P,
                         const FusedProgram &FP, bool Registry) {
     double InteriorMs = measureFusedWallMs(
         P, FP, abOptions(TilingStrategy::InteriorHalo, 0, 0), Reps);
-    ExecTuneResult Tuned = tuneExecution(
-        FP, MetricsRegistry::referenceDevice(), CostModelParams());
-    bool TunedOverlapped =
-        Tuned.Best.Candidate.Strategy == TilingStrategy::Overlapped;
     double OverlapMs = measureFusedWallMs(
-        P, FP,
-        abOptions(TilingStrategy::Overlapped,
-                  TunedOverlapped ? Tuned.Best.Candidate.Tile.Width : 0,
-                  TunedOverlapped ? Tuned.Best.Candidate.Tile.Height : 0),
-        Reps);
+        P, FP, abOptions(TilingStrategy::Overlapped, 0, 0), Reps);
+    double AutoMs = measureFusedWallMs(
+        P, FP, abOptions(TilingStrategy::Auto, 0, 0), Reps);
 
     const char *MeasuredWinner =
         OverlapMs < InteriorMs ? "overlapped" : "interior";
     (OverlapMs < InteriorMs ? OverlappedWins : InteriorWins) += 1;
-    const char *TunedWinner = tilingStrategyName(Tuned.Best.Candidate.Strategy);
-    bool Match = std::string(MeasuredWinner) == TunedWinner;
-    Matches += Match;
-    ++Apps;
-    if (Registry) {
-      RegistryMatches += Match;
-      ++RegistryApps;
-    }
-    std::string Tile =
-        TunedOverlapped
-            ? std::to_string(Tuned.Best.Candidate.Tile.Width) + "x" +
-                  std::to_string(Tuned.Best.Candidate.Tile.Height)
-            : std::string("-");
+    double BestMs = std::min(InteriorMs, OverlapMs);
+    double AutoOverBest = BestMs > 0.0 ? AutoMs / BestMs : 0.0;
+    WorstAutoOverBest = std::max(WorstAutoOverBest, AutoOverBest);
     AppTable.addRow({Name, formatDouble(InteriorMs, 3),
-                     formatDouble(OverlapMs, 3), MeasuredWinner, TunedWinner,
-                     Tile, Match ? "yes" : "no"});
+                     formatDouble(OverlapMs, 3), formatDouble(AutoMs, 3),
+                     MeasuredWinner, formatDouble(AutoOverBest, 3)});
     char Row[320];
     std::snprintf(Row, sizeof(Row),
                   "%s\n    {\"app\": \"%s\", \"registry\": %s, "
                   "\"interior_ms\": %.4f, "
-                  "\"overlapped_ms\": %.4f, \"measured_winner\": \"%s\", "
-                  "\"tuned_strategy\": \"%s\", \"tuned_tile\": \"%s\", "
-                  "\"predicted_ms\": %.4f, \"match\": %s}",
+                  "\"overlapped_ms\": %.4f, \"auto_ms\": %.4f, "
+                  "\"measured_winner\": \"%s\", \"auto_over_best\": %.4f}",
                   AppJson.size() > 1 ? "," : "", Name.c_str(),
-                  Registry ? "true" : "false", InteriorMs, OverlapMs,
-                  MeasuredWinner, TunedWinner, Tile.c_str(), Tuned.Best.TimeMs,
-                  Match ? "true" : "false");
+                  Registry ? "true" : "false", InteriorMs, OverlapMs, AutoMs,
+                  MeasuredWinner, AutoOverBest);
     AppJson += Row;
   };
 
@@ -284,10 +270,9 @@ int main(int Argc, char **Argv) {
   }
   AppJson += "\n  ]";
   std::fputs(AppTable.render().c_str(), stdout);
-  std::printf("tuner matched the measured winner on %d of %d pipelines "
-              "(%d of %d registry); wins: %d interior, %d overlapped\n",
-              Matches, Apps, RegistryMatches, RegistryApps, InteriorWins,
-              OverlappedWins);
+  std::printf("wins: %d interior, %d overlapped; the default rule is at "
+              "worst %.3fx the measured best\n",
+              InteriorWins, OverlappedWins, WorstAutoOverBest);
 
   // Harris at the paper's full frame: the headline A/B of the strategy.
   const PipelineSpec *Harris = findPipeline("harris");
@@ -309,12 +294,11 @@ int main(int Argc, char **Argv) {
   char Tail[512];
   std::snprintf(
       Tail, sizeof(Tail),
-      ",\n  \"tuner_match_count\": %d, \"tuner_pipelines\": %d, "
-      "\"registry_match_count\": %d, \"registry_pipelines\": %d,\n"
+      ",\n  \"worst_auto_over_best\": %.4f,\n"
       "  \"harris_ab\": {\"width\": %d, \"height\": %d, "
       "\"interior_ms\": %.4f, \"overlapped_ms\": %.4f, "
       "\"overlapped_speedup\": %.4f}\n}",
-      Matches, Apps, RegistryMatches, RegistryApps, HarrisSize, HarrisSize,
+      WorstAutoOverBest, HarrisSize, HarrisSize,
       HarrisInterior, HarrisOverlap,
       HarrisOverlap > 0.0 ? HarrisInterior / HarrisOverlap : 0.0);
   Section += Tail;

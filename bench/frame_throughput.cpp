@@ -3,19 +3,20 @@
 // Measures frames/sec of a streaming serving workload -- the same fused
 // pipeline applied to a stream of frames -- cold versus warm:
 //
-//   cold  per-frame runFusedVm loop: every frame re-compiles the staged
-//         bytecode, rebuilds the thread pool, and allocates every buffer
-//         (what a naive serving loop over the PR-1 engine pays);
+//   cold  per-frame runFusedVm loop: every frame re-compiles the plan
+//         (bytecode, validation, optimizer, JIT), rebuilds the thread
+//         pool, and allocates every buffer (what a naive serving loop
+//         pays);
 //   warm  PipelineSession: the plan is compiled once and served from the
 //         plan cache, frame buffers recycle through the session's frame
 //         pool, and the next frame's input fill overlaps execution on a
 //         filler thread (double buffering).
 //
-// A second experiment swaps the interior VM engine on the same compiled
-// launches: scalar (per-pixel bytecode dispatch) versus span (lane-
-// batched interpretation) versus jit (per-plan compiled cell chains,
-// src/jit), reporting the pairwise interior speedups and asserting all
-// three engines bit-identical.
+// A second experiment swaps the interior VM engine on the launches of one
+// compiled plan (optimizer off, interior/halo tiling): scalar (per-pixel
+// bytecode dispatch) versus span (lane-batched interpretation) versus jit
+// (the plan's compiled cell chains, src/jit), reporting the pairwise
+// interior speedups and asserting all three engines bit-identical.
 //
 // A third experiment compiles session plans for the primary app plus the
 // guard-heavy registry pipelines (clamp/select-dense night and enhance)
@@ -27,7 +28,9 @@
 // Results are appended to the throughput JSON (BENCH_throughput.json) as
 // "frame_throughput", "jit_speedup", and "opt_speedup" sections. The
 // final cold and warm frames use the same input and are checked
-// bit-identical.
+// bit-identical. The bench exits 1 when any of its bit-identity checks
+// fails, or when a launch holding a JIT artifact ran another engine in
+// the jit row.
 //
 // Options:
 //   --app <name>      pipeline registry name (default harris)
@@ -137,39 +140,37 @@ int main(int Argc, char **Argv) {
           std::max(MaxDiff, maxAbsDifference(WarmLast[Out], ColdLast[Out]));
     }
 
-  // Span-vs-scalar interior A/B: the same compiled launches with the
-  // interior engine swapped, interior CPU time collected per launch via
+  // Interior timing of one compiled plan: its launches run AbReps times
+  // on identical inputs, interior CPU time collected per launch via
   // LaunchTiming (min over reps -- compile time never enters the split).
+  // Shared by the engine and optimizer A/Bs.
   int AbReps = std::max(1, static_cast<int>(Cl.getIntOption("ab-reps", 3)));
-  struct InteriorMeasure {
+  struct PlanMeasure {
     double InteriorMs = 0.0;
     double HaloMs = 0.0;
+    /// A launch that holds a JIT artifact ran another engine under a Jit
+    /// request: the jit row would silently measure something else.
+    bool JitMissed = false;
     std::vector<Image> Pool;
   };
-  auto measureInterior = [&](VmMode Mode) {
-    ExecutionOptions ModeOptions = Options;
-    ModeOptions.Mode = Mode;
-    ThreadPool TP(resolveThreadCount(ModeOptions.Threads));
+  auto timePlan = [&](const Program &AppP, const CompiledPlan &Plan,
+                      const ExecutionOptions &RunOptions) {
+    ThreadPool TP(resolveThreadCount(RunOptions.Threads));
     VmScratch Scratch;
-    InteriorMeasure M;
-    M.Pool = makeImagePool(P);
-    FillFrame(0, M.Pool);
+    PlanMeasure M;
+    M.Pool = makeImagePool(AppP);
+    fillExternalInputs(AppP, M.Pool, 0xf3a7e);
     for (int R = 0; R != AbReps; ++R) {
       LaunchTiming Timing;
-      for (const FusedKernel &FK : FP.Kernels) {
-        StagedVmProgram SP = compileFusedKernel(FP, FK);
-        for (KernelId DestId : FK.Destinations) {
-          uint16_t Root = 0;
-          for (size_t I = 0; I != FK.Stages.size(); ++I)
-            if (FK.Stages[I].Kernel == DestId)
-              Root = static_cast<uint16_t>(I);
-          ImageId OutId = P.kernel(DestId).Output;
-          const ImageInfo &Info = P.image(OutId);
-          Image Out(Info.Width, Info.Height, Info.Channels);
-          runCompiledLaunch(SP, Root, fusedLaunchHalo(SP, Root, Info),
-                            M.Pool, Out, ModeOptions, TP, Scratch, &Timing);
-          M.Pool[OutId] = std::move(Out);
-        }
+      for (const CompiledLaunch &L : Plan.Launches) {
+        const ImageInfo &Info = Plan.Shapes[L.Output];
+        Image Out(Info.Width, Info.Height, Info.Channels);
+        runCompiledLaunch(L.Code, L.Root, L.Halo, M.Pool, Out, RunOptions,
+                          TP, Scratch, &Timing, L.Jit.get());
+        if (RunOptions.Mode == VmMode::Jit && L.Jit &&
+            Timing.Mode != VmMode::Jit)
+          M.JitMissed = true;
+        M.Pool[L.Output] = std::move(Out);
       }
       if (R == 0 || Timing.InteriorMs < M.InteriorMs) {
         M.InteriorMs = Timing.InteriorMs;
@@ -178,9 +179,22 @@ int main(int Argc, char **Argv) {
     }
     return M;
   };
-  InteriorMeasure Scalar = measureInterior(VmMode::Scalar);
-  InteriorMeasure Span = measureInterior(VmMode::Span);
-  InteriorMeasure Jit = measureInterior(VmMode::Jit);
+
+  // Engine A/B: one plan compiled without the optimizer, its launches
+  // run with the interior engine swapped. Tiling is pinned to the
+  // interior/halo split, the only strategy the JIT runs under.
+  ExecutionOptions AbOptions = Options;
+  AbOptions.Opt = OptMode::Off;
+  AbOptions.Tiling = TilingStrategy::InteriorHalo;
+  std::shared_ptr<const CompiledPlan> AbPlan = compilePlan(FP, AbOptions);
+  auto measureInterior = [&](VmMode Mode) {
+    ExecutionOptions ModeOptions = AbOptions;
+    ModeOptions.Mode = Mode;
+    return timePlan(P, *AbPlan, ModeOptions);
+  };
+  PlanMeasure Scalar = measureInterior(VmMode::Scalar);
+  PlanMeasure Span = measureInterior(VmMode::Span);
+  PlanMeasure Jit = measureInterior(VmMode::Jit);
   double SpanSpeedup =
       Span.InteriorMs > 0.0 ? Scalar.InteriorMs / Span.InteriorMs : 0.0;
   double JitOverSpan =
@@ -274,38 +288,22 @@ int main(int Argc, char **Argv) {
   // over AbReps plan executions on identical inputs; removed-instruction
   // counts come from the optimized plan's per-launch VmOptStats.
   struct OptMeasure {
-    double InteriorMs = 0.0;
+    PlanMeasure Run;
     unsigned Removed = 0;
     unsigned OriginalInsts = 0;
     unsigned OptimizedInsts = 0;
-    std::vector<Image> Pool;
   };
   auto measurePlan = [&](const Program &AppP, const FusedProgram &AppFP,
                          OptMode Opt) {
     ExecutionOptions PlanOptions = Options;
     PlanOptions.Opt = Opt;
     std::shared_ptr<const CompiledPlan> Plan = compilePlan(AppFP, PlanOptions);
-    ThreadPool TP(resolveThreadCount(PlanOptions.Threads));
-    VmScratch Scratch;
     OptMeasure M;
-    M.Pool = makeImagePool(AppP);
-    fillExternalInputs(AppP, M.Pool, 0xf3a7e);
+    M.Run = timePlan(AppP, *Plan, PlanOptions);
     for (const CompiledLaunch &L : Plan->Launches) {
       M.Removed += L.OptStats.removedInsts();
       M.OriginalInsts += L.OptStats.OriginalInsts;
       M.OptimizedInsts += L.OptStats.OptimizedInsts;
-    }
-    for (int R = 0; R != AbReps; ++R) {
-      LaunchTiming Timing;
-      for (const CompiledLaunch &L : Plan->Launches) {
-        const ImageInfo &Info = Plan->Shapes[L.Output];
-        Image Out(Info.Width, Info.Height, Info.Channels);
-        runCompiledLaunch(L.Code, L.Root, L.Halo, M.Pool, Out, PlanOptions,
-                          TP, Scratch, &Timing, L.Jit.get());
-        M.Pool[L.Output] = std::move(Out);
-      }
-      if (R == 0 || Timing.InteriorMs < M.InteriorMs)
-        M.InteriorMs = Timing.InteriorMs;
     }
     return M;
   };
@@ -328,17 +326,17 @@ int main(int Argc, char **Argv) {
                                  OptMode::Off);
     OptMeasure On = measurePlan(*Variants.Source, Variants.Optimized,
                                 OptMode::On);
-    double Speedup = On.InteriorMs > 0.0 ? Off.InteriorMs / On.InteriorMs
+    double Speedup = On.Run.InteriorMs > 0.0 ? Off.Run.InteriorMs / On.Run.InteriorMs
                                          : 0.0;
     double Diff = 0.0;
     for (const FusedKernel &FK : Variants.Optimized.Kernels)
       for (KernelId Dest : FK.Destinations) {
         ImageId Out = Variants.Source->kernel(Dest).Output;
-        Diff = std::max(Diff, maxAbsDifference(On.Pool[Out], Off.Pool[Out]));
+        Diff = std::max(Diff, maxAbsDifference(On.Run.Pool[Out], Off.Run.Pool[Out]));
       }
     OptAbDiff = std::max(OptAbDiff, Diff);
-    OptTable.addRow({OptApp, formatDouble(Off.InteriorMs, 3),
-                     formatDouble(On.InteriorMs, 3), formatDouble(Speedup, 3),
+    OptTable.addRow({OptApp, formatDouble(Off.Run.InteriorMs, 3),
+                     formatDouble(On.Run.InteriorMs, 3), formatDouble(Speedup, 3),
                      std::to_string(On.OriginalInsts),
                      std::to_string(On.Removed)});
     std::snprintf(
@@ -347,8 +345,8 @@ int main(int Argc, char **Argv) {
         "\"interior_opt_on_ms\": %.4f, \"opt_over_unopt_interior\": %.4f, "
         "\"original_insts\": %u, \"optimized_insts\": %u, "
         "\"removed_insts\": %u, \"max_abs_diff\": %g}",
-        OptEntries.empty() ? "" : ", ", OptApp.c_str(), Off.InteriorMs,
-        On.InteriorMs, Speedup, On.OriginalInsts, On.OptimizedInsts,
+        OptEntries.empty() ? "" : ", ", OptApp.c_str(), Off.Run.InteriorMs,
+        On.Run.InteriorMs, Speedup, On.OriginalInsts, On.OptimizedInsts,
         On.Removed, Diff);
     OptEntries += Section;
   }
@@ -393,5 +391,16 @@ int main(int Argc, char **Argv) {
               "proportional to the removed-instruction\ncount, and "
               "optimized plans must stay bit-identical (max |diff| must "
               "print 0).\n");
+
+  if (Jit.JitMissed) {
+    std::fprintf(stderr, "error: a launch with a JIT artifact ran another "
+                         "engine in the jit row\n");
+    return 1;
+  }
+  if (MaxDiff != 0.0 || AbDiff != 0.0 || OptAbDiff != 0.0) {
+    std::fprintf(stderr, "error: a bit-identity check printed a non-zero "
+                         "difference\n");
+    return 1;
+  }
   return 0;
 }

@@ -64,16 +64,13 @@ TilingStrategy kf::resolveTilingStrategy(TilingStrategy Requested) {
       return TilingStrategy::InteriorHalo;
     if (std::strcmp(Env, "overlapped") == 0)
       return TilingStrategy::Overlapped;
-    if (std::strcmp(Env, "tuned") == 0)
-      return TilingStrategy::Tuned;
     // Same warn-once policy as KF_VM: a malformed value silently changing
     // the execution strategy of every run is a debugging trap.
     static std::atomic<bool> Warned{false};
     if (!Warned.exchange(true))
       std::fprintf(stderr,
                    "warning: ignoring invalid KF_TILING='%s' (expected "
-                   "'interior', 'overlapped' or 'tuned'); choosing per "
-                   "launch\n",
+                   "'interior' or 'overlapped'); choosing per launch\n",
                    Env);
   }
   return TilingStrategy::Auto;
@@ -87,8 +84,6 @@ const char *kf::tilingStrategyName(TilingStrategy Strategy) {
     return "interior";
   case TilingStrategy::Overlapped:
     return "overlapped";
-  case TilingStrategy::Tuned:
-    return "tuned";
   }
   KF_UNREACHABLE("unknown tiling strategy");
 }

@@ -78,8 +78,8 @@ const char *vmModeName(VmMode Mode);
 
 /// How a fused launch decomposes the image across tiles.
 enum class TilingStrategy : uint8_t {
-  /// Resolve via the KF_TILING environment variable ("interior",
-  /// "overlapped" or "tuned"). When it is unset, each fused launch picks
+  /// Resolve via the KF_TILING environment variable ("interior" or
+  /// "overlapped"). When it is unset, each fused launch picks
   /// from its bytecode: Overlapped when its overlap schedule is valid and
   /// at least two destination channels demand the same producer plane
   /// (OverlapSchedule::SharedPlanes), InteriorHalo otherwise.
@@ -99,10 +99,6 @@ enum class TilingStrategy : uint8_t {
   /// Bit-identical to InteriorHalo; the border ring keeps the bordered
   /// slow path either way.
   Overlapped,
-  /// Pick strategy and tile shape per compiled plan with the analytic
-  /// cost model (sim/Tuner's tuneExecution). Engines that have no plan
-  /// context fall back to InteriorHalo.
-  Tuned,
 };
 
 /// Resolves \p Requested against the KF_TILING environment variable: an
@@ -112,7 +108,7 @@ enum class TilingStrategy : uint8_t {
 TilingStrategy resolveTilingStrategy(TilingStrategy Requested);
 
 /// Stable lower-case name of \p Strategy ("auto" / "interior" /
-/// "overlapped" / "tuned").
+/// "overlapped").
 const char *tilingStrategyName(TilingStrategy Strategy);
 
 /// Whether session plan compilation runs the fact-gated bytecode

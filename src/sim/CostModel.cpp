@@ -42,9 +42,8 @@ double tileLoadFactor(const TileShape &Tile, int Halo) {
 class LaunchAccountant {
 public:
   LaunchAccountant(const Program &P, const FusedKernel &FK,
-                   const TileShape &Tile, TilingStrategy Strategy)
-      : P(P), FK(FK), Tile(Tile),
-        Overlapped(Strategy == TilingStrategy::Overlapped) {
+                   const TileShape &Tile)
+      : P(P), FK(FK), Tile(Tile) {
     for (const FusedStage &Stage : FK.Stages)
       Costs.emplace(Stage.Kernel, analyzeKernelCost(P, Stage.Kernel));
   }
@@ -94,50 +93,31 @@ public:
       Stats.GlobalBytesRead += ImgSamples * 4.0 * tileLoadFactor(Tile, Halo);
     }
 
-    // Per-stage operations and on-chip traffic. Interior/halo evaluates
-    // a stage Multiplicity times per output pixel (recompute chains);
-    // overlapped tiling evaluates it exactly once per cell of its
-    // margin-grown plane, i.e. an area factor of the evaluation spread.
+    // Per-stage operations and on-chip traffic: a stage is evaluated
+    // Multiplicity times per output pixel (recompute chains).
     for (const FusedStage &Stage : FK.Stages) {
       const Kernel &K = P.kernel(Stage.Kernel);
       const KernelCost &Cost = Costs.at(Stage.Kernel);
-      double M = Overlapped
-                     ? tileLoadFactor(Tile, Spread.at(Stage.Kernel))
-                     : Stage.Multiplicity;
+      double M = Stage.Multiplicity;
       Stats.AluOps += M * static_cast<double>(Cost.NumAlu) * Samples;
       Stats.SfuOps += M * static_cast<double>(Cost.NumSfu) * Samples;
 
-      if (Overlapped) {
-        // Every eliminated stage fills a scratch plane: one on-chip
-        // write per plane cell.
-        if (!FK.isDestination(Stage.Kernel))
-          Stats.SharedAccesses += M * Samples;
-      } else if (Stage.OutputPlacement == Placement::SharedTile) {
-        // Tile-staged stages pay shared writes for the fill.
+      // Tile-staged stages pay shared writes for the fill.
+      if (Stage.OutputPlacement == Placement::SharedTile)
         Stats.SharedAccesses += M * Samples;
-      }
 
       for (size_t In = 0; In != K.Inputs.size(); ++In) {
         ImageId Img = K.Inputs[In];
         const InputFootprint &F = Cost.Footprints[In];
         int Halo = std::max(F.HaloX, F.HaloY);
-        double Reads = M * static_cast<double>(F.ReadsPerPixel);
-        if (!Overlapped) {
-          // Recompute chains revisit overlapping positions; the generated
-          // (unrolled) code loads each distinct pixel of the grown
-          // footprint once, so cap the charge at the distinct-footprint
-          // size. (Overlapped planes are evaluated once per cell -- no
-          // revisits, nothing to cap.)
-          double FootprintSide =
-              2.0 * (Spread.at(Stage.Kernel) + Halo) + 1.0;
-          Reads = std::min(Reads, FootprintSide * FootprintSide);
-        }
+        // Recompute chains revisit overlapping positions; the generated
+        // (unrolled) code loads each distinct pixel of the grown
+        // footprint once, so cap the charge at the distinct-footprint
+        // size.
+        double FootprintSide = 2.0 * (Spread.at(Stage.Kernel) + Halo) + 1.0;
+        double Reads = std::min(M * static_cast<double>(F.ReadsPerPixel),
+                                FootprintSide * FootprintSide);
         if (isInternal(Img)) {
-          if (Overlapped) {
-            // Internal reads hit the producer's scratch plane: on-chip.
-            Stats.SharedAccesses += Reads * Samples;
-            continue;
-          }
           const FusedStage *Producer = FK.findStage(*P.producerOf(Img));
           assert(Producer && "internal image without a stage producer");
           if (Producer->OutputPlacement == Placement::SharedTile)
@@ -169,8 +149,6 @@ public:
         if (!Windowed)
           continue;
         if (isInternal(Img)) {
-          if (Overlapped)
-            continue; // Plane bytes accounted below instead of tiles.
           const FusedStage *Producer = FK.findStage(*P.producerOf(Img));
           if (Producer->OutputPlacement != Placement::SharedTile)
             continue; // Recomputed: no tile.
@@ -181,20 +159,6 @@ public:
             (Tile.Height + 2 * Halo) * 4.0 * Info.Channels;
       }
     }
-
-    // Overlapped tiling keeps one margin-grown scratch plane per
-    // eliminated stage resident for the tile's lifetime -- that is the
-    // occupancy price of never synchronizing between tiles.
-    if (Overlapped)
-      for (const FusedStage &Stage : FK.Stages) {
-        if (FK.isDestination(Stage.Kernel))
-          continue;
-        const ImageInfo &Info = P.image(P.kernel(Stage.Kernel).Output);
-        int S = Spread.at(Stage.Kernel);
-        Stats.SharedBytesPerBlock +=
-            static_cast<double>(Tile.Width + 2 * S) *
-            (Tile.Height + 2 * S) * 4.0 * Info.Channels;
-      }
     return Stats;
   }
 
@@ -237,7 +201,6 @@ private:
   const Program &P;
   const FusedKernel &FK;
   TileShape Tile;
-  bool Overlapped;
   std::map<KernelId, KernelCost> Costs;
   std::map<KernelId, int> Spread;
 };
@@ -245,11 +208,10 @@ private:
 } // namespace
 
 ProgramStats kf::accountFusedProgram(const FusedProgram &FP,
-                                     const TileShape &Tile,
-                                     TilingStrategy Strategy) {
+                                     const TileShape &Tile) {
   ProgramStats Stats;
   for (const FusedKernel &FK : FP.Kernels) {
-    LaunchAccountant Accountant(*FP.Source, FK, Tile, Strategy);
+    LaunchAccountant Accountant(*FP.Source, FK, Tile);
     Stats.Launches.push_back(Accountant.account());
   }
   return Stats;

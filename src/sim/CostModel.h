@@ -26,7 +26,6 @@
 #ifndef KF_SIM_COSTMODEL_H
 #define KF_SIM_COSTMODEL_H
 
-#include "ir/ExprVM.h"
 #include "sim/DeviceSpec.h"
 #include "transform/Fuser.h"
 
@@ -76,15 +75,10 @@ struct CostModelParams {
 };
 
 /// Statically accounts every launch of \p FP (no pixel execution; counts
-/// scale with the iteration space analytically). The tiling strategy
-/// changes what a launch pays for: interior/halo charges recompute
-/// chains by the fuser's stage multiplicities, overlapped tiling charges
-/// each stage once per cell of its margin-grown scratch plane (the
-/// redundant-halo area factor) plus the plane fill/read traffic and the
-/// plane bytes against the per-block on-chip budget.
-ProgramStats accountFusedProgram(
-    const FusedProgram &FP, const TileShape &Tile = TileShape(),
-    TilingStrategy Strategy = TilingStrategy::InteriorHalo);
+/// scale with the iteration space analytically). Recompute chains are
+/// charged by the fuser's stage multiplicities.
+ProgramStats accountFusedProgram(const FusedProgram &FP,
+                                 const TileShape &Tile = TileShape());
 
 /// Occupancy (0..1] of a launch on \p Device: thread capacity under the
 /// shared-memory and register limits.

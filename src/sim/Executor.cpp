@@ -5,12 +5,9 @@
 #include "jit/JitProgram.h"
 
 #include "image/Border.h"
-#include "sim/Metrics.h"
 #include "support/Error.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
-
-#include "sim/Tuner.h"
 
 #include <algorithm>
 #include <cassert>
@@ -299,8 +296,7 @@ void kf::resolveTileSize(const ExecutionOptions &Options,
                          unsigned Threads, int &TileW, int &TileH) {
   int W = Options.TileWidth, H = Options.TileHeight;
   if (Strategy == TilingStrategy::Overlapped) {
-    // A block whose grown planes stay L2-resident for typical reaches;
-    // the tuner refines this per plan.
+    // A block whose grown planes stay L2-resident for typical reaches.
     if (W <= 0)
       W = 128;
     if (H <= 0)
@@ -619,12 +615,7 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
                            ThreadPool &TP, VmScratch &Scratch,
                            LaunchTiming *Timing, const JitProgram *Jit) {
   VmMode Mode = resolveVmMode(Options.Mode, /*JitAvailable=*/Jit != nullptr);
-  // Tuned is a plan-level request (sim/Session resolves it through the
-  // execution autotuner before launches run); a standalone launch falls
-  // back to the interior/halo strategy.
   TilingStrategy Strategy = resolveTilingStrategy(Options.Tiling);
-  if (Strategy == TilingStrategy::Tuned)
-    Strategy = TilingStrategy::InteriorHalo;
   // Auto decides per launch from the bytecode: overlapped exactly when
   // destination channels share a producer plane, which the interior/halo
   // recursion would recompute once per channel. A single-channel output
@@ -646,22 +637,9 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
   if (Mode == VmMode::Jit && Strategy == TilingStrategy::Overlapped)
     Mode = VmMode::Span;
 
-  // A Jit request without a plan-time artifact (e.g. KF_VM=jit through
-  // runFusedVm, which compiles bytecode per call): compile one on the
-  // fly from the pool's materialized shapes. The compile is gated on the
-  // bytecode validator; refusal falls back to the bit-identical span
-  // interpreter rather than failing the launch.
-  std::shared_ptr<const JitProgram> OwnedJit;
-  if (Mode == VmMode::Jit && !Jit) {
-    std::vector<ImageInfo> Shapes(Pool.size());
-    for (size_t I = 0; I != Pool.size(); ++I) {
-      Shapes[I].Width = Pool[I].width();
-      Shapes[I].Height = Pool[I].height();
-      Shapes[I].Channels = Pool[I].empty() ? 1 : Pool[I].channels();
-    }
-    OwnedJit = compileJitProgram(SP, Root, Shapes);
-    Jit = OwnedJit.get();
-  }
+  // A Jit request without an artifact (the plan's validator-gated JIT
+  // compile refused the launch, or the caller holds none) runs the
+  // bit-identical span interpreter.
   if (Mode == VmMode::Jit && !Jit)
     Mode = VmMode::Span;
 
@@ -736,72 +714,6 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
         TR.addCounter("tile.redundant_halo_ms",
                       InteriorDelta * static_cast<double>(OverlapDelta) /
                           static_cast<double>(ComputedDelta));
-    }
-  }
-}
-
-void kf::runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
-                    const ExecutionOptions &Options) {
-  const Program &P = *FP.Source;
-  assert(Pool.size() == P.numImages() && "pool size mismatch");
-  checkExternalInputs(P, Pool);
-  ThreadPool TP(resolveThreadCount(Options.Threads));
-
-  // Launch-level observability: the interior/halo timing split is only
-  // collected (clock reads per row) when some consumer is listening.
-  const bool Observe = TraceRecorder::enabled() || MetricsRegistry::enabled();
-  if (MetricsRegistry::enabled())
-    MetricsRegistry::global().recordPrediction(P.name(), FP);
-
-  // A Tuned tiling request resolves here, before any launch runs: the
-  // execution autotuner scores strategy x tile-shape candidates on the
-  // cost model and the whole frame runs the winner. An explicit user
-  // tile shape is respected; only unset extents take the tuned shape.
-  ExecutionOptions Effective = Options;
-  Effective.Tiling = resolveTilingStrategy(Options.Tiling);
-  if (Effective.Tiling == TilingStrategy::Tuned) {
-    const ExecTuneResult Tuned = tuneExecution(
-        FP, MetricsRegistry::referenceDevice(), CostModelParams());
-    Effective.Tiling = Tuned.Best.Candidate.Strategy;
-    if (Options.TileWidth <= 0 && Options.TileHeight <= 0) {
-      Effective.TileWidth = Tuned.Best.Candidate.Tile.Width;
-      Effective.TileHeight = Tuned.Best.Candidate.Tile.Height;
-    }
-  }
-
-  VmScratch Scratch;
-  for (const FusedKernel &FK : FP.Kernels) {
-    StagedVmProgram SP = compileFusedKernel(FP, FK);
-    for (KernelId DestId : FK.Destinations) {
-      uint16_t Root = 0;
-      for (size_t I = 0; I != FK.Stages.size(); ++I)
-        if (FK.Stages[I].Kernel == DestId)
-          Root = static_cast<uint16_t>(I);
-      const Kernel &Dest = P.kernel(DestId);
-      const ImageInfo &Info = P.image(Dest.Output);
-      Image Out(Info.Width, Info.Height, Info.Channels);
-      if (!Observe) {
-        runCompiledLaunch(SP, Root, fusedLaunchHalo(SP, Root, Info), Pool,
-                          Out, Effective, TP, Scratch);
-      } else {
-        std::string Label = "launch " + FK.Name;
-        LaunchTiming Timing;
-        TraceSpan Span(Label.c_str(), "sim");
-        runCompiledLaunch(SP, Root, fusedLaunchHalo(SP, Root, Info), Pool,
-                          Out, Effective, TP, Scratch, &Timing);
-        Span.arg("interior_ms", Timing.InteriorMs);
-        Span.arg("halo_ms", Timing.HaloMs);
-        Span.arg("vm_span", Timing.Mode == VmMode::Span ? 1.0 : 0.0);
-        Span.arg("tiling_overlapped",
-                 Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
-        Span.arg("overlap_pixels",
-                 static_cast<double>(Timing.OverlapPixels));
-        Span.arg("stages", static_cast<double>(FK.Stages.size()));
-        MetricsRegistry::global().recordLaunch(
-            P.name(), FK.Name, Timing.TotalMs, Timing.InteriorMs,
-            Timing.HaloMs, Timing.Mode, Timing.Tiling);
-      }
-      Pool[Dest.Output] = std::move(Out);
     }
   }
 }

@@ -12,11 +12,13 @@
 ///   - the AST walker (runUnfused / runFused): virtual dispatch per
 ///     expression node, recursive producer re-evaluation -- the semantic
 ///     reference;
-///   - the bytecode VM (runFusedVm): every launch compiles once to a
-///     staged program of flat instruction streams with stage-call ops
-///     (see ir/ExprVM.h), evaluated row-wise over the interior and
-///     per-pixel over the halo. An unfused run is runFusedVm over the
-///     singleton partition, unfusedProgram(P) (transform/Fuser.h).
+///   - the bytecode VM (runFusedVm): the program compiles to a session
+///     plan (compilePlan, sim/Session.h) -- validated, optimized and
+///     JIT-lowered staged programs of flat instruction streams with
+///     stage-call ops (see ir/ExprVM.h) -- evaluated row-wise over the
+///     interior and per-pixel over the halo. An unfused run is
+///     runFusedVm over the singleton partition, unfusedProgram(P)
+///     (transform/Fuser.h).
 /// Both engines execute over a tile decomposition driven by a thread pool
 /// (support/ThreadPool.h). Every pixel is a pure function of the inputs,
 /// so results are bit-identical at any thread count; the test suite
@@ -69,15 +71,14 @@ struct ExecutionOptions {
   VmMode Mode = VmMode::Auto;
 
   /// Tiling strategy of the fused VM engine. Auto resolves via the
-  /// KF_TILING environment variable ("interior", "overlapped" or
-  /// "tuned"); when it is unset, each launch picks overlapped where its
+  /// KF_TILING environment variable ("interior" or "overlapped"); when
+  /// it is unset, each launch picks overlapped where its
   /// destination channels share a producer plane and the interior/halo
   /// split (with the JIT when available) otherwise (see
   /// resolveTilingStrategy and TilingStrategy::Auto in ir/ExprVM.h).
   /// Overlapped trades redundant margin recompute for recursion-free,
-  /// cache-resident tiles; Tuned lets the cost model pick strategy and
-  /// tile shape per compiled plan. All strategies are bit-identical on
-  /// every pipeline and border mode.
+  /// cache-resident tiles. All strategies are bit-identical on every
+  /// pipeline and border mode.
   TilingStrategy Tiling = TilingStrategy::Auto;
 
   /// Whether session plan compilation runs the interval-fact-gated
@@ -138,10 +139,12 @@ void runFused(const FusedProgram &FP, std::vector<Image> &Pool,
 StagedVmProgram compileFusedKernel(const FusedProgram &FP,
                                    const FusedKernel &FK);
 
-/// Executes \p FP through the staged bytecode VM: interior tiles run the
-/// border-check-free fast path, halo tiles the index-exchange-correct
-/// slow path. Bit-identical to runFused at any thread count -- the fast
-/// path the benchmarks use for large images.
+/// Executes \p FP through the staged bytecode VM: compiles the session
+/// plan (compilePlan, sim/Session.h) and runs it with the launch loop of
+/// PipelineSession::runFrame on a fresh thread pool and scratch. Interior
+/// tiles run the border-check-free fast path, halo tiles the
+/// index-exchange-correct slow path. Bit-identical to runFused at any
+/// thread count. Defined in sim/Session.cpp.
 void runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
                 const ExecutionOptions &Options = ExecutionOptions());
 
@@ -212,8 +215,8 @@ struct LaunchTiming {
   /// The resolved interior mode the launch actually ran (never Auto), so
   /// the trace/metrics layers can split interior time scalar vs span.
   VmMode Mode = VmMode::Span;
-  /// The resolved tiling strategy the launch actually ran (never Auto or
-  /// Tuned: a schedule-less launch falls back to InteriorHalo).
+  /// The resolved tiling strategy the launch actually ran (never Auto: a
+  /// schedule-less launch falls back to InteriorHalo).
   TilingStrategy Tiling = TilingStrategy::InteriorHalo;
   /// Overlapped strategy only: redundantly computed plane cells (the
   /// margins adjacent grown tiles both evaluate) and all evaluated cells
@@ -226,16 +229,14 @@ struct LaunchTiming {
 /// at stage \p Root with interior/halo split \p Halo -- writing the
 /// destination image into \p Out *in place*. \p Out must already be shaped
 /// like the destination; it is fully overwritten (no prior clear needed).
-/// Building block of both runFusedVm (fresh buffers per call) and the
-/// streaming session layer (recycled buffers, persistent pool + scratch).
-/// A non-null \p Timing collects the wall time and the interior/halo CPU
-/// split of this launch.
+/// The building block of the plan launch loop (sim/Session.cpp) behind
+/// both runFusedVm and PipelineSession::runFrame. A non-null \p Timing
+/// collects the wall time and the interior/halo CPU split of this launch.
 ///
 /// \p Jit is the launch's JIT artifact (compiled at plan time and cached
 /// next to the plan, see sim/Session.h), or null. When the resolved mode
-/// is Jit and no artifact was supplied, one is compiled on the fly from
-/// shapes derived from \p Pool -- and if the validator-gated compilation
-/// refuses, the launch falls back to the bit-identical span interpreter.
+/// is Jit and no artifact was supplied -- the validator-gated compilation
+/// refused the launch -- it runs the bit-identical span interpreter.
 /// Under the overlapped tiling strategy interior tiles likewise run the
 /// span engine (the JIT chains read pool images, not scratch planes); a
 /// Jit request there degrades to Span, never to different results.

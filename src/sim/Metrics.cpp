@@ -92,24 +92,6 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
   }
 }
 
-void MetricsRegistry::recordTunerDecision(
-    const TunerDecisionRecord &Decision) {
-  if (!enabled())
-    return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (TunerDecisionRecord &Existing : Decisions)
-    if (Existing.Program == Decision.Program) {
-      Existing = Decision;
-      return;
-    }
-  Decisions.push_back(Decision);
-}
-
-std::vector<TunerDecisionRecord> MetricsRegistry::tunerDecisions() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Decisions;
-}
-
 ServerSessionRecord &
 MetricsRegistry::findOrCreateSession(const std::string &Session) {
   for (ServerSessionRecord &Existing : Sessions)
@@ -165,67 +147,53 @@ double MetricsRegistry::geomeanRatio() const {
 
 std::string MetricsRegistry::renderTable() const {
   std::vector<LaunchModelRecord> Snapshot = records();
-  std::vector<TunerDecisionRecord> Tuned = tunerDecisions();
-  if (Snapshot.empty() && Tuned.empty())
+  if (Snapshot.empty())
     return "";
   std::string Result;
-  if (!Snapshot.empty()) {
-    TablePrinter Table({"program", "launch", "stages", "pixels", "pred Mcyc",
-                        "pred ms", "runs", "meas ms", "interior ms", "halo ms",
-                        "vm", "tiling", "pred/meas"});
-    for (const LaunchModelRecord &Record : Snapshot) {
-      double Runs = Record.Runs ? static_cast<double>(Record.Runs) : 1.0;
-      // The vm column names the interior engine; a launch measured in both
-      // span and scalar mode shows the span-over-scalar interior speedup
-      // instead.
-      std::string Vm = "-";
-      if (Record.spanOverScalar() > 0.0)
-        Vm = formatDouble(Record.spanOverScalar(), 2) + "x";
-      else if (Record.JitRuns)
-        Vm = "jit";
-      else if (Record.SpanRuns)
-        Vm = "span";
-      else if (Record.ScalarRuns)
-        Vm = "scalar";
-      // Likewise the tiling column: strategy name, or the overlapped
-      // speedup when the launch was A/B-measured under both strategies.
-      std::string Tiling = "-";
-      if (Record.overlappedSpeedup() > 0.0)
-        Tiling = formatDouble(Record.overlappedSpeedup(), 2) + "x";
-      else if (Record.OverlappedRuns)
-        Tiling = "overlap";
-      else if (Record.InteriorTilingRuns)
-        Tiling = "interior";
-      Table.addRow({Record.Program, Record.Launch,
-                    std::to_string(Record.Stages),
-                    std::to_string(Record.Pixels),
-                    formatDouble(Record.PredictedCycles / 1e6, 3),
-                    formatDouble(Record.PredictedMs, 4),
-                    std::to_string(Record.Runs),
-                    formatDouble(Record.measuredMeanMs(), 4),
-                    formatDouble(Record.InteriorMs / Runs, 4),
-                    formatDouble(Record.HaloMs / Runs, 4), Vm, Tiling,
-                    Record.ratio() > 0.0 ? formatDouble(Record.ratio(), 3)
-                                         : std::string("-")});
-    }
-    Result += Table.render();
-    double Geomean = geomeanRatio();
-    if (Geomean > 0.0) {
-      Result += "geomean predicted/measured ratio: ";
-      Result += formatDouble(Geomean, 3);
-      Result += "\n";
-    }
+  TablePrinter Table({"program", "launch", "stages", "pixels", "pred Mcyc",
+                      "pred ms", "runs", "meas ms", "interior ms", "halo ms",
+                      "vm", "tiling", "pred/meas"});
+  for (const LaunchModelRecord &Record : Snapshot) {
+    double Runs = Record.Runs ? static_cast<double>(Record.Runs) : 1.0;
+    // The vm column names the interior engine; a launch measured in both
+    // span and scalar mode shows the span-over-scalar interior speedup
+    // instead.
+    std::string Vm = "-";
+    if (Record.spanOverScalar() > 0.0)
+      Vm = formatDouble(Record.spanOverScalar(), 2) + "x";
+    else if (Record.JitRuns)
+      Vm = "jit";
+    else if (Record.SpanRuns)
+      Vm = "span";
+    else if (Record.ScalarRuns)
+      Vm = "scalar";
+    // Likewise the tiling column: strategy name, or the overlapped
+    // speedup when the launch was A/B-measured under both strategies.
+    std::string Tiling = "-";
+    if (Record.overlappedSpeedup() > 0.0)
+      Tiling = formatDouble(Record.overlappedSpeedup(), 2) + "x";
+    else if (Record.OverlappedRuns)
+      Tiling = "overlap";
+    else if (Record.InteriorTilingRuns)
+      Tiling = "interior";
+    Table.addRow({Record.Program, Record.Launch,
+                  std::to_string(Record.Stages),
+                  std::to_string(Record.Pixels),
+                  formatDouble(Record.PredictedCycles / 1e6, 3),
+                  formatDouble(Record.PredictedMs, 4),
+                  std::to_string(Record.Runs),
+                  formatDouble(Record.measuredMeanMs(), 4),
+                  formatDouble(Record.InteriorMs / Runs, 4),
+                  formatDouble(Record.HaloMs / Runs, 4), Vm, Tiling,
+                  Record.ratio() > 0.0 ? formatDouble(Record.ratio(), 3)
+                                       : std::string("-")});
   }
-  if (!Tuned.empty()) {
-    TablePrinter Tuner({"program", "tuned tiling", "tile", "pred ms",
-                        "candidates"});
-    for (const TunerDecisionRecord &D : Tuned)
-      Tuner.addRow({D.Program, tilingStrategyName(D.Strategy),
-                    std::to_string(D.TileWidth) + "x" +
-                        std::to_string(D.TileHeight),
-                    formatDouble(D.PredictedMs, 4),
-                    std::to_string(D.Candidates)});
-    Result += Tuner.render();
+  Result += Table.render();
+  double Geomean = geomeanRatio();
+  if (Geomean > 0.0) {
+    Result += "geomean predicted/measured ratio: ";
+    Result += formatDouble(Geomean, 3);
+    Result += "\n";
   }
   std::vector<ServerSessionRecord> Serving = serverSessions();
   if (!Serving.empty()) {
@@ -309,6 +277,5 @@ std::string MetricsRegistry::toJson(const std::string &Indent) const {
 void MetricsRegistry::clear() {
   std::lock_guard<std::mutex> Lock(Mutex);
   Records.clear();
-  Decisions.clear();
   Sessions.clear();
 }

@@ -99,17 +99,6 @@ struct LaunchModelRecord {
   }
 };
 
-/// One execution-autotuner decision (sim/Tuner.h, tuneExecution): the
-/// strategy x tile-shape winner the cost model picked for a program.
-struct TunerDecisionRecord {
-  std::string Program;       ///< Pipeline / program name ("" if unnamed).
-  TilingStrategy Strategy = TilingStrategy::InteriorHalo;
-  int TileWidth = 0;
-  int TileHeight = 0;
-  double PredictedMs = 0.0;  ///< Winning candidate's model estimate.
-  unsigned Candidates = 0;   ///< Grid points scored.
-};
-
 /// Per-session serving statistics of one PipelineServer tenant: frame
 /// counts and end-to-end latency (enqueue to consume), split into the
 /// time a frame sat queued behind its session's earlier frames and the
@@ -159,10 +148,6 @@ public:
                     double HaloMs = 0.0, VmMode Mode = VmMode::Span,
                     TilingStrategy Tiling = TilingStrategy::InteriorHalo);
 
-  /// Records one execution-autotuner decision. Re-recording the same
-  /// program replaces its previous decision. No-op while disabled.
-  void recordTunerDecision(const TunerDecisionRecord &Decision);
-
   /// Merges one served frame of tenant \p Session: \p QueueMs spent
   /// queued, \p ExecMs executing. No-op while disabled.
   void recordServerFrame(const std::string &Session, double QueueMs,
@@ -174,9 +159,6 @@ public:
 
   /// Snapshot of per-tenant serving records, in first-seen order.
   std::vector<ServerSessionRecord> serverSessions() const;
-
-  /// Snapshot of recorded tuner decisions, in first-seen program order.
-  std::vector<TunerDecisionRecord> tunerDecisions() const;
 
   /// Snapshot of all records, in first-seen order.
   std::vector<LaunchModelRecord> records() const;
@@ -207,7 +189,6 @@ private:
 
   mutable std::mutex Mutex;
   std::vector<LaunchModelRecord> Records;
-  std::vector<TunerDecisionRecord> Decisions;
   std::vector<ServerSessionRecord> Sessions;
 };
 

@@ -7,7 +7,6 @@
 #include "analysis/IntervalAnalysis.h"
 #include "jit/JitProgram.h"
 #include "sim/Metrics.h"
-#include "sim/Tuner.h"
 #include "support/Error.h"
 #include "support/Trace.h"
 
@@ -31,6 +30,58 @@ double sinceMs(std::chrono::steady_clock::time_point Start) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - Start)
       .count();
+}
+
+/// The one launch loop of a compiled plan, behind both runFusedVm and
+/// PipelineSession::runFrame: checks \p Frame against the plan's pool
+/// shapes, then runs every launch in order, writing its output in place.
+/// With tracing or metrics on, each launch gets a "launch <name>" span
+/// and a MetricsRegistry::recordLaunch.
+void runPlan(const CompiledPlan &Plan, std::vector<Image> &Frame,
+             const ExecutionOptions &Options, ThreadPool &TP,
+             VmScratch &Scratch) {
+  if (Frame.size() != Plan.Shapes.size())
+    reportFatalError("image pool size mismatch for '" +
+                     Plan.ProgramName + "'");
+  for (ImageId Id : Plan.ExternalInputs) {
+    const Image &In = Frame[Id];
+    const ImageInfo &Info = Plan.Shapes[Id];
+    if (In.empty() || In.width() != Info.Width ||
+        In.height() != Info.Height || In.channels() != Info.Channels)
+      reportFatalError("external input '" + Info.Name +
+                       "' missing or mis-shaped in the image pool");
+  }
+
+  const bool Observe = TraceRecorder::enabled() || MetricsRegistry::enabled();
+  for (const CompiledLaunch &Launch : Plan.Launches) {
+    const ImageInfo &Info = Plan.Shapes[Launch.Output];
+    Image &Out = Frame[Launch.Output];
+    if (Out.width() != Info.Width || Out.height() != Info.Height ||
+        Out.channels() != Info.Channels)
+      Out = Image(Info.Width, Info.Height, Info.Channels);
+    // In-place write: a launch never reads its own output (the kernel DAG
+    // is acyclic), so reusing the previous frame's buffer is safe.
+    if (!Observe) {
+      runCompiledLaunch(Launch.Code, Launch.Root, Launch.Halo, Frame, Out,
+                        Options, TP, Scratch, nullptr, Launch.Jit.get());
+    } else {
+      std::string Label = "launch " + Launch.Name;
+      LaunchTiming Timing;
+      TraceSpan Span(Label.c_str(), "sim");
+      runCompiledLaunch(Launch.Code, Launch.Root, Launch.Halo, Frame, Out,
+                        Options, TP, Scratch, &Timing, Launch.Jit.get());
+      Span.arg("interior_ms", Timing.InteriorMs);
+      Span.arg("halo_ms", Timing.HaloMs);
+      Span.arg("vm_span", Timing.Mode == VmMode::Span ? 1.0 : 0.0);
+      Span.arg("tiling_overlapped",
+               Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
+      Span.arg("overlap_pixels",
+               static_cast<double>(Timing.OverlapPixels));
+      MetricsRegistry::global().recordLaunch(
+          Plan.ProgramName, Launch.Name, Timing.TotalMs,
+          Timing.InteriorMs, Timing.HaloMs, Timing.Mode, Timing.Tiling);
+    }
+  }
 }
 
 } // namespace
@@ -92,22 +143,6 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   for (ImageId Id = 0; Id != P.numImages(); ++Id)
     Plan->Shapes.push_back(P.image(Id));
   Plan->ExternalInputs = P.externalInputs();
-
-  // A Tuned tiling request resolves at compile time: the execution
-  // autotuner scores strategy x tile-shape candidates once and the
-  // decision rides along in the cached plan -- frames pay nothing.
-  if (resolveTilingStrategy(Options.Tiling) == TilingStrategy::Tuned) {
-    const ExecTuneResult Tuned = tuneExecution(
-        FP, MetricsRegistry::referenceDevice(), CostModelParams());
-    Plan->Tuning.Active = true;
-    Plan->Tuning.Strategy = Tuned.Best.Candidate.Strategy;
-    Plan->Tuning.TileWidth = Tuned.Best.Candidate.Tile.Width;
-    Plan->Tuning.TileHeight = Tuned.Best.Candidate.Tile.Height;
-    Plan->Tuning.PredictedMs = Tuned.Best.TimeMs;
-    Span.arg("tuned_overlapped",
-             Plan->Tuning.Strategy == TilingStrategy::Overlapped ? 1.0
-                                                                 : 0.0);
-  }
 
   // Every freshly compiled plan is statically validated before it can
   // reach the executor or the plan cache: bytecode structure, then the
@@ -188,6 +223,14 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   for (CompiledLaunch &Launch : Plan->Launches)
     Launch.Jit = compileJitProgram(Launch.Code, Launch.Root, Plan->Shapes);
   return Plan;
+}
+
+void kf::runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
+                    const ExecutionOptions &Options) {
+  std::shared_ptr<const CompiledPlan> Plan = compilePlan(FP, Options);
+  ThreadPool TP(resolveThreadCount(Options.Threads));
+  VmScratch Scratch;
+  runPlan(*Plan, Pool, Options, TP, Scratch);
 }
 
 //===--------------------------------------------------------------------===//
@@ -420,63 +463,10 @@ void PipelineSession::releaseFrame(std::vector<Image> &&Frame) {
 void PipelineSession::runFrame(std::vector<Image> &Frame) {
   std::shared_ptr<const CompiledPlan> Current = plan();
   ensureThreadPool();
-  ThreadPool &TP = SharedPool ? *SharedPool : *Pool;
-
-  if (Frame.size() != Current->Shapes.size())
-    reportFatalError("session frame pool size mismatch for '" +
-                     Current->ProgramName + "'");
-  for (ImageId Id : Current->ExternalInputs) {
-    const Image &In = Frame[Id];
-    const ImageInfo &Info = Current->Shapes[Id];
-    if (In.empty() || In.width() != Info.Width ||
-        In.height() != Info.Height || In.channels() != Info.Channels)
-      reportFatalError("external input '" + Info.Name +
-                       "' missing or mis-shaped in the session frame");
-  }
-
-  // A plan compiled under Tuned carries its decision: frames run the
-  // tuned strategy, and the tuned tile shape unless the user pinned one.
-  ExecutionOptions Effective = Options;
-  if (Current->Tuning.Active) {
-    Effective.Tiling = Current->Tuning.Strategy;
-    if (Options.TileWidth <= 0 && Options.TileHeight <= 0) {
-      Effective.TileWidth = Current->Tuning.TileWidth;
-      Effective.TileHeight = Current->Tuning.TileHeight;
-    }
-  }
-
-  const bool Observe = TraceRecorder::enabled() || MetricsRegistry::enabled();
   TraceSpan FrameSpan("session.frame", "session");
   auto Start = std::chrono::steady_clock::now();
-  for (const CompiledLaunch &Launch : Current->Launches) {
-    const ImageInfo &Info = Current->Shapes[Launch.Output];
-    Image &Out = Frame[Launch.Output];
-    if (Out.width() != Info.Width || Out.height() != Info.Height ||
-        Out.channels() != Info.Channels)
-      Out = Image(Info.Width, Info.Height, Info.Channels);
-    // In-place write: a launch never reads its own output (the kernel DAG
-    // is acyclic), so reusing the previous frame's buffer is safe.
-    if (!Observe) {
-      runCompiledLaunch(Launch.Code, Launch.Root, Launch.Halo, Frame, Out,
-                        Effective, TP, Scratch, nullptr, Launch.Jit.get());
-    } else {
-      std::string Label = "launch " + Launch.Name;
-      LaunchTiming Timing;
-      TraceSpan Span(Label.c_str(), "sim");
-      runCompiledLaunch(Launch.Code, Launch.Root, Launch.Halo, Frame, Out,
-                        Effective, TP, Scratch, &Timing, Launch.Jit.get());
-      Span.arg("interior_ms", Timing.InteriorMs);
-      Span.arg("halo_ms", Timing.HaloMs);
-      Span.arg("vm_span", Timing.Mode == VmMode::Span ? 1.0 : 0.0);
-      Span.arg("tiling_overlapped",
-               Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
-      Span.arg("overlap_pixels",
-               static_cast<double>(Timing.OverlapPixels));
-      MetricsRegistry::global().recordLaunch(
-          Current->ProgramName, Launch.Name, Timing.TotalMs,
-          Timing.InteriorMs, Timing.HaloMs, Timing.Mode, Timing.Tiling);
-    }
-  }
+  runPlan(*Current, Frame, Options, SharedPool ? *SharedPool : *Pool,
+          Scratch);
   Stats.ExecMs += sinceMs(Start);
   ++Stats.Frames;
 }

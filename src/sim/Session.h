@@ -3,9 +3,10 @@
 /// \file
 /// The serving layer: a PipelineSession applies one fused program to a
 /// stream of frames, the shape of a realistic deployment (the same
-/// pipeline over millions of camera frames). Where runFusedVm pays
-/// bytecode compilation, scratch setup, thread-pool construction, and
-/// buffer allocation on every call, a session pays them once:
+/// pipeline over millions of camera frames). runFusedVm runs the same
+/// plan through the same launch loop, but pays plan compilation, scratch
+/// setup, thread-pool construction, and buffer allocation on every call;
+/// a session pays them once:
 ///
 ///   - CompiledPlan: the immutable compile-once artifact -- per-launch
 ///     staged bytecode (compileFusedKernel), interior/halo split, and the
@@ -82,20 +83,6 @@ struct CompiledLaunch {
   VmOptStats OptStats;
 };
 
-/// The execution-tuning decision baked into a plan compiled under
-/// TilingStrategy::Tuned: compilePlan runs the execution autotuner
-/// (sim/Tuner.h, tuneExecution) once and every frame of the plan then
-/// runs the winning strategy -- and, when the user left the tile shape
-/// unset, the winning tile extents. Inactive (all defaults) for plans
-/// compiled under an explicit strategy.
-struct PlanTuning {
-  bool Active = false;
-  TilingStrategy Strategy = TilingStrategy::InteriorHalo;
-  int TileWidth = 0;        ///< 0 = executor default for the strategy.
-  int TileHeight = 0;
-  double PredictedMs = 0.0; ///< Winning candidate's model estimate.
-};
-
 /// The immutable compile-once artifact of one (program, fused structure,
 /// options) configuration. Shared between sessions via shared_ptr; never
 /// mutated after compilation.
@@ -105,7 +92,6 @@ struct CompiledPlan {
   std::vector<ImageInfo> Shapes;        ///< Pool allocation plan.
   std::vector<ImageId> ExternalInputs;  ///< Images frames must fill.
   std::vector<CompiledLaunch> Launches; ///< In launch order.
-  PlanTuning Tuning;          ///< Autotuner decision (Tuned plans only).
 };
 
 /// Cache key of a fused program under given options: content hash of the
@@ -114,7 +100,10 @@ struct CompiledPlan {
 uint64_t planKey(const FusedProgram &FP, const ExecutionOptions &Options);
 
 /// Compiles \p FP into an immutable plan (AST lowering to staged bytecode,
-/// interior/halo split, pool shapes) keyed for \p Options.
+/// static validation, the fact-gated optimizer, interior/halo split, JIT
+/// artifacts, pool shapes) keyed for \p Options. The one compile step
+/// of every VM run: sessions cache its result, runFusedVm calls it per
+/// run.
 std::shared_ptr<const CompiledPlan>
 compilePlan(const FusedProgram &FP, const ExecutionOptions &Options);
 

@@ -3,82 +3,11 @@
 #include "sim/Tuner.h"
 
 #include "fusion/MinCutPartitioner.h"
-#include "ir/CostInfo.h"
-#include "sim/Metrics.h"
-#include "support/Trace.h"
 #include "transform/Fuser.h"
 
 #include <cassert>
-#include <map>
 
 using namespace kf;
-
-namespace {
-
-/// Extra ALU operations per launch of \p FP, beyond the accountant's
-/// placement-based multiplicities, when the interior/halo strategy runs
-/// on the host VM. The GPU model caches SharedTile-placed producers in
-/// on-chip memory, but the host interior path re-evaluates an eliminated
-/// producer at every stage-call site regardless of placement -- the
-/// RegisterRecompute recurrence applied to every stage, which compounds
-/// through chains of local producers. Indexed like FP.Kernels (the order
-/// accountFusedProgram emits launches in).
-std::vector<double> hostInteriorRecomputeAlu(const FusedProgram &FP) {
-  std::vector<double> Extra(FP.Kernels.size(), 0.0);
-  if (!FP.Source)
-    return Extra;
-  const Program &P = *FP.Source;
-
-  for (size_t L = 0; L != FP.Kernels.size(); ++L) {
-    const FusedKernel &FK = FP.Kernels[L];
-    if (FK.isSingleton())
-      continue;
-    std::map<KernelId, KernelCost> Costs;
-    for (const FusedStage &Stage : FK.Stages)
-      Costs.emplace(Stage.Kernel, analyzeKernelCost(P, Stage.Kernel));
-
-    // Host evaluation multiplicity, reverse-topological: a producer runs
-    // once per read of every in-block consumer evaluation.
-    std::map<KernelId, double> HostMult;
-    for (auto It = FK.Stages.rbegin(); It != FK.Stages.rend(); ++It) {
-      KernelId Id = It->Kernel;
-      if (FK.isDestination(Id)) {
-        HostMult[Id] = 1.0;
-        continue;
-      }
-      ImageId Out = P.kernel(Id).Output;
-      double Total = 0.0;
-      for (KernelId Consumer : P.consumersOf(Out)) {
-        const FusedStage *CS = FK.findStage(Consumer);
-        if (!CS)
-          continue;
-        const KernelCost &Cost = Costs.at(Consumer);
-        const Kernel &CK = P.kernel(Consumer);
-        for (size_t In = 0; In != CK.Inputs.size(); ++In)
-          if (CK.Inputs[In] == Out)
-            Total += HostMult[Consumer] *
-                     static_cast<double>(Cost.Footprints[In].ReadsPerPixel);
-      }
-      HostMult[Id] = std::max(1.0, Total);
-    }
-
-    const ImageInfo &DestOut = P.image(P.kernel(FK.Destination).Output);
-    double Samples = static_cast<double>(DestOut.iterationSpace()) *
-                     DestOut.Channels;
-    for (const FusedStage &Stage : FK.Stages) {
-      if (FK.isDestination(Stage.Kernel))
-        continue;
-      double Host = HostMult[Stage.Kernel];
-      if (Host > Stage.Multiplicity)
-        Extra[L] += (Host - Stage.Multiplicity) *
-                    static_cast<double>(Costs.at(Stage.Kernel).NumAlu) *
-                    Samples;
-    }
-  }
-  return Extra;
-}
-
-} // namespace
 
 std::vector<TuneCandidate> kf::defaultTuneGrid() {
   std::vector<TuneCandidate> Grid;
@@ -119,93 +48,6 @@ TuneResult kf::tuneFusion(const Program &P, const DeviceSpec &Device,
       Result.Best = Point;
       Result.BestPartition = Fusion.Blocks;
     }
-  }
-  return Result;
-}
-
-std::vector<ExecTuneCandidate> kf::defaultExecTuneGrid() {
-  std::vector<ExecTuneCandidate> Grid;
-  // The interior/halo default decomposition (full rows on the host VM);
-  // the cost model scores it with the canonical thread-block shape.
-  Grid.push_back(ExecTuneCandidate{TilingStrategy::InteriorHalo, {0, 0}});
-  // Overlapped tiling at block shapes whose margin-grown planes stay
-  // L2-resident for typical fused reaches.
-  const TileShape Tiles[] = {
-      {64, 16}, {128, 32}, {256, 32}, {64, 64}, {128, 64}};
-  for (const TileShape &Tile : Tiles)
-    Grid.push_back(ExecTuneCandidate{TilingStrategy::Overlapped, Tile});
-  return Grid;
-}
-
-ExecTuneResult kf::tuneExecution(const FusedProgram &FP,
-                                 const DeviceSpec &Device,
-                                 const CostModelParams &BaseParams,
-                                 const std::vector<ExecTuneCandidate> &Grid) {
-  assert(!Grid.empty() && "execution tuning needs at least one candidate");
-
-  ExecTuneResult Result;
-  bool HaveBest = false;
-  TraceSpan Span("tuner.execution", "tuner");
-  const std::vector<double> InteriorExtraAlu = hostInteriorRecomputeAlu(FP);
-  for (const ExecTuneCandidate &Candidate : Grid) {
-    // Non-positive extents mean the executor default; score those with
-    // the canonical thread-block shape instead of a degenerate tile.
-    const bool HasTile =
-        Candidate.Tile.Width > 0 && Candidate.Tile.Height > 0;
-    const TileShape CostTile = HasTile ? Candidate.Tile : TileShape();
-    CostModelParams Params = BaseParams;
-    Params.Tile = CostTile;
-    ProgramStats Stats =
-        accountFusedProgram(FP, CostTile, Candidate.Strategy);
-    // The accountant models the GPU's shared-memory caching; the host VM
-    // the tuner is choosing for recomputes per stage-call instead.
-    if (Candidate.Strategy == TilingStrategy::InteriorHalo)
-      for (size_t L = 0;
-           L < Stats.Launches.size() && L < InteriorExtraAlu.size(); ++L)
-        Stats.Launches[L].AluOps += InteriorExtraAlu[L];
-
-    ExecTunePoint Point;
-    Point.Candidate = Candidate;
-    Point.TimeMs = estimateProgramTimeMs(Stats, Device, Params);
-    Result.Explored.push_back(Point);
-
-    if (TraceRecorder::enabled()) {
-      TraceSpan CandidateSpan("tuner.candidate", "tuner");
-      CandidateSpan.arg("overlapped",
-                        Candidate.Strategy == TilingStrategy::Overlapped
-                            ? 1.0
-                            : 0.0);
-      CandidateSpan.arg("tile_w", static_cast<double>(Candidate.Tile.Width));
-      CandidateSpan.arg("tile_h",
-                        static_cast<double>(Candidate.Tile.Height));
-      CandidateSpan.arg("predicted_ms", Point.TimeMs);
-    }
-
-    if (!HaveBest || Point.TimeMs < Result.Best.TimeMs) {
-      HaveBest = true;
-      Result.Best = Point;
-    }
-  }
-  Span.arg("best_overlapped",
-           Result.Best.Candidate.Strategy == TilingStrategy::Overlapped
-               ? 1.0
-               : 0.0);
-  Span.arg("best_tile_w",
-           static_cast<double>(Result.Best.Candidate.Tile.Width));
-  Span.arg("best_tile_h",
-           static_cast<double>(Result.Best.Candidate.Tile.Height));
-  Span.arg("best_predicted_ms", Result.Best.TimeMs);
-  Span.arg("candidates", static_cast<double>(Grid.size()));
-
-  if (MetricsRegistry::enabled()) {
-    TunerDecisionRecord Decision;
-    Decision.Program = FP.Source ? FP.Source->name() : std::string();
-    Decision.Strategy = Result.Best.Candidate.Strategy;
-    Decision.TileWidth = Result.Best.Candidate.Tile.Width;
-    Decision.TileHeight = Result.Best.Candidate.Tile.Height;
-    Decision.PredictedMs = Result.Best.TimeMs;
-    Decision.Candidates = static_cast<unsigned>(Grid.size());
-    MetricsRegistry::global().recordTunerDecision(Decision);
   }
   return Result;
 }

@@ -54,55 +54,6 @@ TuneResult tuneFusion(const Program &P, const DeviceSpec &Device,
                       const std::vector<TuneCandidate> &Grid =
                           defaultTuneGrid());
 
-//===--------------------------------------------------------------------===//
-// Execution autotuning: tiling strategy x tile shape
-//===--------------------------------------------------------------------===//
-
-/// One point of the execution search space: how an already-fused program
-/// should be tiled at run time. Non-positive tile extents mean "the
-/// executor's per-strategy default" (see resolveTileSize in
-/// sim/Executor.h).
-struct ExecTuneCandidate {
-  TilingStrategy Strategy = TilingStrategy::InteriorHalo;
-  TileShape Tile{0, 0};
-};
-
-/// One evaluated execution configuration.
-struct ExecTunePoint {
-  ExecTuneCandidate Candidate;
-  double TimeMs = 0.0;
-};
-
-/// Outcome of an execution-tuning run.
-struct ExecTuneResult {
-  ExecTunePoint Best;
-  std::vector<ExecTunePoint> Explored; ///< All evaluated points, in order.
-};
-
-/// The default execution search grid: the interior/halo default
-/// decomposition plus overlapped tiling at L2-sized block shapes around
-/// the 128x32 default.
-std::vector<ExecTuneCandidate> defaultExecTuneGrid();
-
-/// Scores every candidate on the per-strategy cost model
-/// (accountFusedProgram with the candidate's strategy and tile) and
-/// picks the cheapest estimated program time on \p Device. The fusion is
-/// taken as given -- this tunes how to *run* \p FP, not how to fuse it.
-/// Interior/halo candidates additionally pay for the host VM's
-/// per-stage-call producer recompute (the accountant's SharedTile
-/// multiplicities model the GPU's on-chip caching, which the host
-/// interior path does not have) so chains of local producers score
-/// against their real recursive cost.
-/// Deterministic; ties keep the earliest candidate. The decision (and
-/// every scored candidate) is emitted as "tuner.execution" /
-/// "tuner.candidate" trace spans when tracing is on, and recorded with
-/// MetricsRegistry::recordTunerDecision when metrics are on.
-ExecTuneResult tuneExecution(const FusedProgram &FP,
-                             const DeviceSpec &Device,
-                             const CostModelParams &BaseParams,
-                             const std::vector<ExecTuneCandidate> &Grid =
-                                 defaultExecTuneGrid());
-
 } // namespace kf
 
 #endif // KF_SIM_TUNER_H

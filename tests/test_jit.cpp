@@ -10,9 +10,10 @@
 // chain back to the semantic reference.
 //
 // Also covers: the plan-time artifact (compilePlan populates
-// CompiledLaunch::Jit and Auto prefers it), KF_VM=jit resolution, and
-// the validator gate (corrupted bytecode is refused, never compiled --
-// the systematic sweep lives in test_bytecode_validator.cpp).
+// CompiledLaunch::Jit, Auto prefers it, and runFusedVm runs it),
+// KF_VM=jit resolution, and the validator gate (corrupted bytecode is
+// refused, never compiled -- the systematic sweep lives in
+// test_bytecode_validator.cpp).
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,7 +24,9 @@
 #include "jit/JitProgram.h"
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
+#include "sim/Metrics.h"
 #include "sim/Session.h"
+#include "support/Trace.h"
 #include "transform/Fuser.h"
 
 #include <gtest/gtest.h>
@@ -494,6 +497,61 @@ TEST(JitVm, AutoLaunchRunsJitAndOverlappedDegradesToSpan) {
     EXPECT_EQ(OverlapTiming.Mode, VmMode::Span);
   }
   EXPECT_DOUBLE_EQ(maxAbsDifference(JitOut, SpanOut), 0.0);
+}
+
+/// runFusedVm runs the session plan, not bytecode of its own: every
+/// launch whose plan carries a JIT artifact runs the JIT under Auto, and
+/// the fact-gated optimizer rewrites the launches it runs.
+TEST(JitVm, RunFusedVmRunsTheCompiledPlan) {
+  ScopedClearKfVm Clear;
+  MetricsRegistry &Registry = MetricsRegistry::global();
+  Registry.clear();
+  Registry.setEnabled(true);
+
+  TestApp Harris = makeTestApp("harris");
+  FusedProgram HarrisFP = fuseProgram(
+      Harris.P, runMinCutFusion(Harris.P, HardwareModel()).Blocks,
+      FusionStyle::Optimized);
+  ExecutionOptions Options;
+  // Pinned so the JIT-eligible strategy runs under any KF_TILING.
+  Options.Tiling = TilingStrategy::InteriorHalo;
+  std::vector<Image> Pool = makeImagePool(Harris.P);
+  Pool[0] = Harris.Input;
+  runFusedVm(HarrisFP, Pool, Options);
+
+  std::vector<LaunchModelRecord> Records = Registry.records();
+  std::shared_ptr<const CompiledPlan> Plan = compilePlan(HarrisFP, Options);
+  unsigned WithArtifact = 0;
+  for (const CompiledLaunch &Launch : Plan->Launches) {
+    if (!Launch.Jit)
+      continue;
+    ++WithArtifact;
+    bool RanJit = false;
+    for (const LaunchModelRecord &Record : Records)
+      if (Record.Program == Harris.P.name() && Record.Launch == Launch.Name)
+        RanJit = Record.JitRuns > 0;
+    EXPECT_TRUE(RanJit) << Launch.Name << " holds an artifact but ran "
+                        << "another engine";
+  }
+  EXPECT_GT(WithArtifact, 0u);
+  Registry.setEnabled(false);
+  Registry.clear();
+
+  TraceRecorder &TR = TraceRecorder::global();
+  TR.clear();
+  TR.setEnabled(true);
+  TestApp Night = makeTestApp("night");
+  FusedProgram NightFP = fuseProgram(
+      Night.P, runMinCutFusion(Night.P, HardwareModel()).Blocks,
+      FusionStyle::Optimized);
+  ExecutionOptions Opt;
+  Opt.Opt = OptMode::On;
+  std::vector<Image> NightPool = makeImagePool(Night.P);
+  NightPool[0] = Night.Input;
+  runFusedVm(NightFP, NightPool, Opt);
+  EXPECT_GT(TR.counters()["opt.removed_insts"], 0.0);
+  TR.setEnabled(false);
+  TR.clear();
 }
 
 /// The plan-time artifact: compilePlan populates CompiledLaunch::Jit for

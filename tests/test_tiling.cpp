@@ -17,9 +17,7 @@
 //
 // Also covers: KF_TILING environment resolution, the tile-spec parser,
 // tile-size resolution, the merged overlap schedule's margin arithmetic,
-// the per-strategy cost model, the execution autotuner (determinism,
-// trace spans, metrics decision records), the tuned session plan, and the
-// KF-F06 overlap coverage check.
+// per-strategy session plans, and the KF-F06 overlap coverage check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +31,6 @@
 #include "sim/Metrics.h"
 #include "sim/Server.h"
 #include "sim/Session.h"
-#include "sim/Tuner.h"
 #include "support/Trace.h"
 #include "transform/Fuser.h"
 
@@ -334,14 +331,13 @@ TEST(TilingResolve, ResolveTilingStrategyHonorsEnvironment) {
   EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
             TilingStrategy::InteriorHalo);
 
-  ::setenv("KF_TILING", "tuned", 1);
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::Tuned);
-
   // Malformed values fall back to the per-launch rule.
-  ::setenv("KF_TILING", "diagonal", 1);
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::Auto);
+  for (const char *Malformed : {"diagonal", "tuned"}) {
+    ::setenv("KF_TILING", Malformed, 1);
+    EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
+              TilingStrategy::Auto)
+        << Malformed;
+  }
 
   // Explicit requests win regardless of the environment.
   ::setenv("KF_TILING", "overlapped", 1);
@@ -363,7 +359,6 @@ TEST(TilingResolve, StrategyNames) {
                "interior");
   EXPECT_STREQ(tilingStrategyName(TilingStrategy::Overlapped),
                "overlapped");
-  EXPECT_STREQ(tilingStrategyName(TilingStrategy::Tuned), "tuned");
 }
 
 TEST(TilingResolve, ParseTileSpecAcceptsOnlyWellFormedRanges) {
@@ -635,142 +630,7 @@ TEST(OverlapCoverage, UndersizedHaloIsDiagnosed) {
 }
 
 //===--------------------------------------------------------------------===//
-// Per-strategy cost model
-//===--------------------------------------------------------------------===//
-
-TEST(TilingCostModel, DefaultStrategyAccountingUnchanged) {
-  Program P = makeHarris(128, 128);
-  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
-  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
-
-  ProgramStats Default = accountFusedProgram(FP);
-  ProgramStats Explicit =
-      accountFusedProgram(FP, TileShape(), TilingStrategy::InteriorHalo);
-  ASSERT_EQ(Default.Launches.size(), Explicit.Launches.size());
-  for (size_t I = 0; I != Default.Launches.size(); ++I) {
-    EXPECT_DOUBLE_EQ(Default.Launches[I].AluOps,
-                     Explicit.Launches[I].AluOps);
-    EXPECT_DOUBLE_EQ(Default.Launches[I].SharedAccesses,
-                     Explicit.Launches[I].SharedAccesses);
-    EXPECT_DOUBLE_EQ(Default.Launches[I].SharedBytesPerBlock,
-                     Explicit.Launches[I].SharedBytesPerBlock);
-    EXPECT_DOUBLE_EQ(Default.Launches[I].GlobalBytesRead,
-                     Explicit.Launches[I].GlobalBytesRead);
-  }
-}
-
-TEST(TilingCostModel, OverlappedTradesRecomputeForPlaneTraffic) {
-  // A point producer so expensive that recompute chains dominate: the
-  // overlapped strategy, which evaluates each stage once per plane cell,
-  // must charge fewer ALU ops than interior/halo recompute -- and pay for
-  // it in on-chip plane traffic and per-block plane bytes.
-  Program P = makePointToLocal(256, 256, 64);
-  FusedProgram FP =
-      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
-  const TileShape Tile{32, 8};
-
-  ProgramStats Interior =
-      accountFusedProgram(FP, Tile, TilingStrategy::InteriorHalo);
-  ProgramStats Overlapped =
-      accountFusedProgram(FP, Tile, TilingStrategy::Overlapped);
-  ASSERT_EQ(Interior.Launches.size(), 1u);
-  ASSERT_EQ(Overlapped.Launches.size(), 1u);
-
-  EXPECT_LT(Overlapped.totalAluOps(), Interior.totalAluOps());
-  EXPECT_GT(Overlapped.Launches[0].SharedBytesPerBlock,
-            Interior.Launches[0].SharedBytesPerBlock);
-}
-
-//===--------------------------------------------------------------------===//
-// Execution autotuner
-//===--------------------------------------------------------------------===//
-
-TEST(ExecTuner, DeterministicAndExploresWholeGrid) {
-  Program P = makeHarris(256, 256);
-  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
-  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
-  DeviceSpec Device = MetricsRegistry::referenceDevice();
-
-  ExecTuneResult A = tuneExecution(FP, Device, CostModelParams());
-  ExecTuneResult B = tuneExecution(FP, Device, CostModelParams());
-  EXPECT_EQ(A.Explored.size(), defaultExecTuneGrid().size());
-  ASSERT_FALSE(A.Explored.empty());
-  EXPECT_EQ(A.Best.Candidate.Strategy, B.Best.Candidate.Strategy);
-  EXPECT_EQ(A.Best.Candidate.Tile.Width, B.Best.Candidate.Tile.Width);
-  EXPECT_EQ(A.Best.Candidate.Tile.Height, B.Best.Candidate.Tile.Height);
-  EXPECT_DOUBLE_EQ(A.Best.TimeMs, B.Best.TimeMs);
-  for (const ExecTunePoint &Point : A.Explored) {
-    EXPECT_GT(Point.TimeMs, 0.0);
-    EXPECT_GE(Point.TimeMs, A.Best.TimeMs); // Best is the minimum.
-  }
-}
-
-TEST(ExecTuner, DecisionIsDebuggableFromTraceAlone) {
-  TraceRecorder &TR = TraceRecorder::global();
-  TR.clear();
-  TR.setEnabled(true);
-
-  Program P = makeHarris(128, 128);
-  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
-  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
-  ExecTuneResult Result = tuneExecution(
-      FP, MetricsRegistry::referenceDevice(), CostModelParams());
-
-  unsigned Decisions = 0, Candidates = 0;
-  double BestMs = -1.0, BestOverlapped = -1.0;
-  for (const TraceSpanRecord &Span : TR.spans()) {
-    if (Span.Name == "tuner.candidate")
-      ++Candidates;
-    if (Span.Name != "tuner.execution")
-      continue;
-    ++Decisions;
-    for (const auto &[Key, Value] : Span.Args) {
-      if (Key == "best_predicted_ms")
-        BestMs = Value;
-      if (Key == "best_overlapped")
-        BestOverlapped = Value;
-    }
-  }
-  EXPECT_EQ(Decisions, 1u);
-  EXPECT_EQ(Candidates, static_cast<unsigned>(defaultExecTuneGrid().size()));
-  EXPECT_DOUBLE_EQ(BestMs, Result.Best.TimeMs);
-  EXPECT_EQ(BestOverlapped,
-            Result.Best.Candidate.Strategy == TilingStrategy::Overlapped
-                ? 1.0
-                : 0.0);
-
-  TR.setEnabled(false);
-  TR.clear();
-}
-
-TEST(ExecTuner, DecisionIsRecordedInMetrics) {
-  MetricsRegistry &Registry = MetricsRegistry::global();
-  Registry.clear();
-  Registry.setEnabled(true);
-
-  Program P = makeHarris(128, 128);
-  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
-  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
-  ExecTuneResult Result = tuneExecution(
-      FP, MetricsRegistry::referenceDevice(), CostModelParams());
-
-  std::vector<TunerDecisionRecord> Decisions = Registry.tunerDecisions();
-  ASSERT_EQ(Decisions.size(), 1u);
-  EXPECT_EQ(Decisions[0].Program, P.name());
-  EXPECT_EQ(Decisions[0].Strategy, Result.Best.Candidate.Strategy);
-  EXPECT_DOUBLE_EQ(Decisions[0].PredictedMs, Result.Best.TimeMs);
-  EXPECT_EQ(Decisions[0].Candidates,
-            static_cast<unsigned>(defaultExecTuneGrid().size()));
-  // The decision renders into the metrics table.
-  std::string Table = Registry.renderTable();
-  EXPECT_NE(Table.find("tuned tiling"), std::string::npos);
-
-  Registry.setEnabled(false);
-  Registry.clear();
-}
-
-//===--------------------------------------------------------------------===//
-// Tuned plans and sessions
+// Sessions
 //===--------------------------------------------------------------------===//
 
 TEST(TilingSession, TunedPlanMatchesExplicitStrategies) {
@@ -797,36 +657,14 @@ TEST(TilingSession, TunedPlanMatchesExplicitStrategies) {
 
   std::vector<Image> Interior = RunSession(TilingStrategy::InteriorHalo);
   std::vector<Image> Overlapped = RunSession(TilingStrategy::Overlapped);
-  std::vector<Image> Tuned = RunSession(TilingStrategy::Tuned);
   expectPoolsIdentical(P, Overlapped, Interior, "session overlapped");
-  expectPoolsIdentical(P, Tuned, Interior, "session tuned");
-}
-
-TEST(TilingSession, TunedPlanCarriesTheTunerDecision) {
-  Program P = makeHarris(96, 48);
-  Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
-  FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
-
-  ExecutionOptions Plain;
-  Plain.Tiling = TilingStrategy::InteriorHalo; // Pin against KF_TILING.
-  std::shared_ptr<const CompiledPlan> PlainPlan = compilePlan(FP, Plain);
-  EXPECT_FALSE(PlainPlan->Tuning.Active);
-
-  ExecutionOptions Tuned;
-  Tuned.Tiling = TilingStrategy::Tuned;
-  std::shared_ptr<const CompiledPlan> TunedPlan = compilePlan(FP, Tuned);
-  EXPECT_TRUE(TunedPlan->Tuning.Active);
-  EXPECT_GT(TunedPlan->Tuning.PredictedMs, 0.0);
-
-  ExecTuneResult Expect = tuneExecution(
-      FP, MetricsRegistry::referenceDevice(), CostModelParams());
-  EXPECT_EQ(TunedPlan->Tuning.Strategy, Expect.Best.Candidate.Strategy);
-  EXPECT_EQ(TunedPlan->Tuning.TileWidth, Expect.Best.Candidate.Tile.Width);
-  EXPECT_EQ(TunedPlan->Tuning.TileHeight,
-            Expect.Best.Candidate.Tile.Height);
 
   // Distinct strategies key distinct plans.
-  EXPECT_NE(PlainPlan->Key, TunedPlan->Key);
+  ExecutionOptions InteriorOptions;
+  InteriorOptions.Tiling = TilingStrategy::InteriorHalo;
+  ExecutionOptions OverlappedOptions;
+  OverlappedOptions.Tiling = TilingStrategy::Overlapped;
+  EXPECT_NE(planKey(FP, InteriorOptions), planKey(FP, OverlappedOptions));
 }
 
 //===--------------------------------------------------------------------===//

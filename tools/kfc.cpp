@@ -83,22 +83,25 @@ static void printUsage() {
       "  --metrics                    with --run: per-launch predicted vs\n"
       "                               measured table + span/counter summary\n"
       "  --time                       print simulated GPU times\n"
-      "  --run                        execute on random input: fused VM vs\n"
-      "                               unfused AST wall time + max |diff|\n"
+      "  --run                        execute on random input: fused VM\n"
+      "                               (plan compile + run) vs unfused AST\n"
+      "                               wall time + max |diff|\n"
       "  --threads <n>                worker threads for --run (0 = auto)\n"
-      "  --vm scalar|span|jit         interior VM engine for --run:\n"
-      "                               span (lane-batched, default), jit\n"
-      "                               (compiled per-plan cell chains), or\n"
-      "                               scalar (per-pixel); KF_VM overrides\n"
-      "                               the default\n"
-      "  --tiling interior|overlapped|tuned  tiling strategy for --run:\n"
-      "                               interior/halo split, overlapped\n"
-      "                               tiles recomputing their own halos,\n"
-      "                               or cost-model autotuned; by default\n"
-      "                               each launch runs overlapped where its\n"
-      "                               channels share a producer plane and\n"
-      "                               interior/halo otherwise; KF_TILING\n"
-      "                               overrides the default\n"
+      "  --vm scalar|span|jit         interior VM engine for --run: jit\n"
+      "                               (compiled per-plan cell chains),\n"
+      "                               span (lane-batched), or scalar\n"
+      "                               (per-pixel); by default jit where\n"
+      "                               the plan has an artifact and span\n"
+      "                               otherwise; KF_VM overrides the\n"
+      "                               default\n"
+      "  --tiling interior|overlapped tiling strategy for --run:\n"
+      "                               interior/halo split, or overlapped\n"
+      "                               tiles recomputing their own halos;\n"
+      "                               by default each launch runs\n"
+      "                               overlapped where its channels share\n"
+      "                               a producer plane and interior/halo\n"
+      "                               otherwise; KF_TILING overrides the\n"
+      "                               default\n"
       "  --opt on|off                 interval-fact-gated bytecode\n"
       "                               optimizer at session compile time\n"
       "                               (default on; KF_OPT overrides the\n"
@@ -155,12 +158,10 @@ static bool parseExecutionOptions(const CommandLine &Cl,
     Exec.Tiling = TilingStrategy::InteriorHalo;
   else if (TilingName == "overlapped")
     Exec.Tiling = TilingStrategy::Overlapped;
-  else if (TilingName == "tuned")
-    Exec.Tiling = TilingStrategy::Tuned;
   else if (TilingName != "auto") {
     std::fprintf(stderr,
-                 "error: invalid --tiling '%s' (expected 'interior', "
-                 "'overlapped' or 'tuned')\n",
+                 "error: invalid --tiling '%s' (expected 'interior' "
+                 "or 'overlapped')\n",
                  TilingName.c_str());
     return false;
   }
