@@ -249,7 +249,7 @@ int main(int Argc, char **Argv) {
       "\"span_over_scalar_interior\": %.4f}",
       AppName.c_str(), Width, Height, Frames,
       resolveThreadCount(Options.Threads),
-      vmModeName(resolveVmMode(Options.Mode)), ColdMs, WarmMs, ColdFps,
+      vmModeName(Options.Mode), ColdMs, WarmMs, ColdFps,
       WarmFps, WarmFps / ColdFps, PrimeMs,
       static_cast<unsigned long long>(S.PlanHits),
       static_cast<unsigned long long>(S.PlanMisses), Scalar.InteriorMs,

@@ -75,7 +75,7 @@ int main(int Argc, char **Argv) {
                         ", \"threads\": " +
                         std::to_string(resolveThreadCount(Options.Threads)) +
                         ", \"vm_mode\": \"" +
-                        vmModeName(resolveVmMode(Options.Mode)) + "\"" +
+                        vmModeName(Options.Mode) + "\"" +
                         ", \"reference_device\": \"" +
                         MetricsRegistry::referenceDevice().Name +
                         "\", \"geomean_ratio\": " +

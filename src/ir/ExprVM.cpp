@@ -7,45 +7,15 @@
 #include "support/Error.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 
 using namespace kf;
 
-VmMode kf::resolveVmMode(VmMode Requested, bool JitAvailable) {
-  if (Requested != VmMode::Auto)
-    return Requested;
-  if (const char *Env = std::getenv("KF_VM")) {
-    if (std::strcmp(Env, "scalar") == 0)
-      return VmMode::Scalar;
-    if (std::strcmp(Env, "span") == 0)
-      return VmMode::Span;
-    if (std::strcmp(Env, "jit") == 0)
-      return VmMode::Jit;
-    // A malformed KF_VM silently changing which interior engine every run
-    // uses is a debugging trap: say so, but only once per process (the
-    // mode is resolved per launch).
-    static std::atomic<bool> Warned{false};
-    if (!Warned.exchange(true))
-      std::fprintf(stderr,
-                   "warning: ignoring invalid KF_VM='%s' (expected 'scalar', "
-                   "'span' or 'jit'); using the default\n",
-                   Env);
-  }
-  // Auto prefers the JIT artifact when the caller already holds one (the
-  // artifact is bit-identical to span, only faster); span otherwise.
-  return JitAvailable ? VmMode::Jit : VmMode::Span;
-}
-
 const char *kf::vmModeName(VmMode Mode) {
   switch (Mode) {
-  case VmMode::Auto:
-    return "auto";
   case VmMode::Scalar:
     return "scalar";
   case VmMode::Span:
@@ -54,26 +24,6 @@ const char *kf::vmModeName(VmMode Mode) {
     return "jit";
   }
   KF_UNREACHABLE("unknown VM mode");
-}
-
-TilingStrategy kf::resolveTilingStrategy(TilingStrategy Requested) {
-  if (Requested != TilingStrategy::Auto)
-    return Requested;
-  if (const char *Env = std::getenv("KF_TILING")) {
-    if (std::strcmp(Env, "interior") == 0)
-      return TilingStrategy::InteriorHalo;
-    if (std::strcmp(Env, "overlapped") == 0)
-      return TilingStrategy::Overlapped;
-    // Same warn-once policy as KF_VM: a malformed value silently changing
-    // the execution strategy of every run is a debugging trap.
-    static std::atomic<bool> Warned{false};
-    if (!Warned.exchange(true))
-      std::fprintf(stderr,
-                   "warning: ignoring invalid KF_TILING='%s' (expected "
-                   "'interior' or 'overlapped'); choosing per launch\n",
-                   Env);
-  }
-  return TilingStrategy::Auto;
 }
 
 const char *kf::tilingStrategyName(TilingStrategy Strategy) {
@@ -88,30 +38,8 @@ const char *kf::tilingStrategyName(TilingStrategy Strategy) {
   KF_UNREACHABLE("unknown tiling strategy");
 }
 
-OptMode kf::resolveOptMode(OptMode Requested) {
-  if (Requested != OptMode::Auto)
-    return Requested;
-  if (const char *Env = std::getenv("KF_OPT")) {
-    if (std::strcmp(Env, "on") == 0)
-      return OptMode::On;
-    if (std::strcmp(Env, "off") == 0)
-      return OptMode::Off;
-    // Same warn-once policy as KF_VM: a malformed value silently changing
-    // which bytecode every session executes is a debugging trap.
-    static std::atomic<bool> Warned{false};
-    if (!Warned.exchange(true))
-      std::fprintf(stderr,
-                   "warning: ignoring invalid KF_OPT='%s' (expected 'on' or "
-                   "'off'); using on\n",
-                   Env);
-  }
-  return OptMode::On;
-}
-
 const char *kf::optModeName(OptMode Mode) {
   switch (Mode) {
-  case OptMode::Auto:
-    return "auto";
   case OptMode::On:
     return "on";
   case OptMode::Off:
@@ -877,7 +805,8 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                            float *PlaneScratch, float *Regs, float *OutBase,
                            int OutWidth, OverlapTileStats *Stats) {
   assert(Schedule.Valid && "overlapped execution without a valid schedule");
-  assert(Mode != VmMode::Auto && "tile execution needs a resolved mode");
+  assert(Mode != VmMode::Jit &&
+         "overlapped tiles run the span or scalar engine");
   const int RootW = X1 - X0, RootH = Y1 - Y0;
   if (RootW <= 0 || RootH <= 0)
     return;

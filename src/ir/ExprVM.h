@@ -47,10 +47,6 @@ namespace kf {
 
 /// How the VM engines evaluate interior pixels.
 enum class VmMode : uint8_t {
-  /// Resolve via the KF_VM environment variable ("scalar", "span" or
-  /// "jit"). When unset or malformed, Auto prefers a JIT-compiled
-  /// artifact if the launch carries one and falls back to Span.
-  Auto,
   /// Per-pixel bytecode dispatch over the interior (the pre-span
   /// behaviour): one pass over the instruction stream per pixel.
   Scalar,
@@ -61,28 +57,20 @@ enum class VmMode : uint8_t {
   /// flattened (stage calls inlined with their offsets baked in) into a
   /// direct-threaded chain of specialized op functions compiled per plan
   /// (src/jit), removing per-instruction interpreter dispatch from the
-  /// interior loop. Bit-identical to Span.
+  /// interior loop. Bit-identical to Span. A launch without a JIT
+  /// artifact (the validator-gated compile refused it) runs Span.
   Jit,
 };
 
-/// Resolves \p Requested against the KF_VM environment variable: an
-/// explicit Scalar/Span/Jit request wins; Auto consults KF_VM and, when
-/// it is unset or malformed (warning once per process), resolves to Jit
-/// if \p JitAvailable -- the caller holds a compiled JIT artifact for the
-/// launch -- and to Span otherwise.
-VmMode resolveVmMode(VmMode Requested, bool JitAvailable = false);
-
-/// Stable lower-case name of \p Mode ("auto" / "scalar" / "span" /
-/// "jit").
+/// Stable lower-case name of \p Mode ("scalar" / "span" / "jit").
 const char *vmModeName(VmMode Mode);
 
 /// How a fused launch decomposes the image across tiles.
 enum class TilingStrategy : uint8_t {
-  /// Resolve via the KF_TILING environment variable ("interior" or
-  /// "overlapped"). When it is unset, each fused launch picks
-  /// from its bytecode: Overlapped when its overlap schedule is valid and
-  /// at least two destination channels demand the same producer plane
-  /// (OverlapSchedule::SharedPlanes), InteriorHalo otherwise.
+  /// Each fused launch picks from its bytecode: Overlapped when its
+  /// overlap schedule is valid and at least two destination channels
+  /// demand the same producer plane (OverlapSchedule::SharedPlanes),
+  /// InteriorHalo otherwise.
   Auto,
   /// The global interior/halo split of Section IV-B: one interior region
   /// per image runs the border-check-free fast path, the border ring the
@@ -101,12 +89,6 @@ enum class TilingStrategy : uint8_t {
   Overlapped,
 };
 
-/// Resolves \p Requested against the KF_TILING environment variable: an
-/// explicit strategy wins; Auto consults KF_TILING and stays Auto -- the
-/// executor's per-launch rule -- when it is unset or malformed (warning
-/// once per process about malformed values).
-TilingStrategy resolveTilingStrategy(TilingStrategy Requested);
-
 /// Stable lower-case name of \p Strategy ("auto" / "interior" /
 /// "overlapped").
 const char *tilingStrategyName(TilingStrategy Strategy);
@@ -115,9 +97,6 @@ const char *tilingStrategyName(TilingStrategy Strategy);
 /// optimizer (ir/VmOptimizer.h) over the validated staged programs
 /// before JIT lowering.
 enum class OptMode : uint8_t {
-  /// Resolve via the KF_OPT environment variable ("on" or "off"),
-  /// defaulting to On.
-  Auto,
   /// Run the interval-fact-gated rewrites (the default).
   On,
   /// Escape hatch: compile and execute the un-optimized bytecode
@@ -125,12 +104,7 @@ enum class OptMode : uint8_t {
   Off,
 };
 
-/// Resolves \p Requested against the KF_OPT environment variable: an
-/// explicit On/Off request wins; Auto consults KF_OPT ("on"/"off",
-/// warning once per process about malformed values) and defaults to On.
-OptMode resolveOptMode(OptMode Requested);
-
-/// Stable lower-case name of \p Mode ("auto" / "on" / "off").
+/// Stable lower-case name of \p Mode ("on" / "off").
 const char *optModeName(OptMode Mode);
 
 /// Lane width of the span execution mode: every register of a span chunk
@@ -333,11 +307,11 @@ struct OverlapTileStats {
 /// writing straight into \p OutBase (the destination image base, width
 /// \p OutWidth, \p Channels channels). Allocates nothing. \p Regs is the per-worker
 /// register scratch: SP.NumRegs * VmLaneWidth floats in span mode,
-/// SP.NumRegs floats in scalar mode (\p Mode must be resolved, never
-/// Auto). The tile must lie at least SP.Reach[Root] away from every
-/// border (the interior region); every value is computed by the same
-/// instruction stream as the interior/halo strategy, so results are
-/// bit-identical.
+/// SP.NumRegs floats in scalar mode (\p Mode is Span or Scalar: the JIT
+/// chains read pool images, not planes). The tile must lie at least
+/// SP.Reach[Root] away from every border (the interior region); every
+/// value is computed by the same instruction stream as the interior/halo
+/// strategy, so results are bit-identical.
 void runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                        const OverlapSchedule &Schedule,
                        const std::vector<Image> &Pool, int X0, int X1,

@@ -614,8 +614,8 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
                            Image &Out, const ExecutionOptions &Options,
                            ThreadPool &TP, VmScratch &Scratch,
                            LaunchTiming *Timing, const JitProgram *Jit) {
-  VmMode Mode = resolveVmMode(Options.Mode, /*JitAvailable=*/Jit != nullptr);
-  TilingStrategy Strategy = resolveTilingStrategy(Options.Tiling);
+  VmMode Mode = Options.Mode;
+  TilingStrategy Strategy = Options.Tiling;
   // Auto decides per launch from the bytecode: overlapped exactly when
   // destination channels share a producer plane, which the interior/halo
   // recursion would recompute once per channel. A single-channel output
@@ -631,16 +631,13 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
   // nothing to run on; fall back rather than schedule empty tiles.
   if (!Schedule.Valid)
     Strategy = TilingStrategy::InteriorHalo;
-  // The JIT chains load directly from pool images; the overlapped
-  // strategy's interior tiles read margin-grown scratch planes instead,
-  // so its tiles keep the span engine (bit-identical by construction).
-  if (Mode == VmMode::Jit && Strategy == TilingStrategy::Overlapped)
-    Mode = VmMode::Span;
-
-  // A Jit request without an artifact (the plan's validator-gated JIT
-  // compile refused the launch, or the caller holds none) runs the
-  // bit-identical span interpreter.
-  if (Mode == VmMode::Jit && !Jit)
+  // A Jit request runs the bit-identical span interpreter where there is
+  // no artifact (the plan's validator-gated JIT compile refused the
+  // launch, or the caller holds none) and under overlapped tiling: the
+  // JIT chains load directly from pool images, while overlapped interior
+  // tiles read margin-grown scratch planes.
+  if (Mode == VmMode::Jit &&
+      (!Jit || Strategy == TilingStrategy::Overlapped))
     Mode = VmMode::Span;
 
   const double InteriorBefore = Timing ? Timing->InteriorMs : 0.0;

@@ -61,34 +61,27 @@ struct ExecutionOptions {
   int TileWidth = 0;
   int TileHeight = 0;
 
-  /// Interior execution mode of the VM engines. Auto resolves via the
-  /// KF_VM environment variable ("scalar", "span" or "jit"); when it is
-  /// unset, Auto prefers a per-plan JIT artifact if the launch carries
-  /// one and falls back to the lane-batched span mode (see resolveVmMode
-  /// in ir/ExprVM.h). Scalar is the per-pixel escape hatch and the A/B
-  /// baseline. All modes are bit-identical on every pipeline and border
-  /// mode.
-  VmMode Mode = VmMode::Auto;
+  /// Interior execution mode of the VM engines. Jit runs a launch's
+  /// per-plan JIT artifact and falls back to the lane-batched span mode
+  /// where the launch carries none; Scalar is the per-pixel escape hatch
+  /// and the A/B baseline. All modes are bit-identical on every pipeline
+  /// and border mode.
+  VmMode Mode = VmMode::Jit;
 
-  /// Tiling strategy of the fused VM engine. Auto resolves via the
-  /// KF_TILING environment variable ("interior" or "overlapped"); when
-  /// it is unset, each launch picks overlapped where its
-  /// destination channels share a producer plane and the interior/halo
-  /// split (with the JIT when available) otherwise (see
-  /// resolveTilingStrategy and TilingStrategy::Auto in ir/ExprVM.h).
-  /// Overlapped trades redundant margin recompute for recursion-free,
-  /// cache-resident tiles. All strategies are bit-identical on every
-  /// pipeline and border mode.
+  /// Tiling strategy of the fused VM engine. Auto picks per launch:
+  /// overlapped where its destination channels share a producer plane,
+  /// the interior/halo split otherwise (see TilingStrategy::Auto in
+  /// ir/ExprVM.h). Overlapped trades redundant margin recompute for
+  /// recursion-free, cache-resident tiles. All strategies are
+  /// bit-identical on every pipeline and border mode.
   TilingStrategy Tiling = TilingStrategy::Auto;
 
   /// Whether session plan compilation runs the interval-fact-gated
   /// bytecode optimizer (ir/VmOptimizer.h) over validated launches
-  /// before JIT lowering. Auto resolves via the KF_OPT environment
-  /// variable ("on" or "off"), defaulting to On; Off is the escape
-  /// hatch executing the bytecode exactly as compiled. Optimized plans
-  /// are bit-identical to unoptimized plans on every pipeline, mode,
-  /// and tiling strategy.
-  OptMode Opt = OptMode::Auto;
+  /// before JIT lowering. Off is the escape hatch executing the bytecode
+  /// exactly as compiled. Optimized plans are bit-identical to
+  /// unoptimized plans on every pipeline, mode, and tiling strategy.
+  OptMode Opt = OptMode::On;
 
   /// Work-source tag charged for every tile this execution claims from a
   /// shared ThreadPool (see ThreadPool::registerSource); the pipeline
@@ -212,8 +205,9 @@ struct LaunchTiming {
   double TotalMs = 0.0;
   double InteriorMs = 0.0;
   double HaloMs = 0.0;
-  /// The resolved interior mode the launch actually ran (never Auto), so
-  /// the trace/metrics layers can split interior time scalar vs span.
+  /// The interior mode the launch actually ran (Span where a Jit request
+  /// had no artifact or tiled overlapped), so the trace/metrics layers
+  /// can split interior time by engine.
   VmMode Mode = VmMode::Span;
   /// The resolved tiling strategy the launch actually ran (never Auto: a
   /// schedule-less launch falls back to InteriorHalo).

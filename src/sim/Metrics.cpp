@@ -69,7 +69,7 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
   Record.MeasuredMs += MeasuredMs;
   Record.InteriorMs += InteriorMs;
   Record.HaloMs += HaloMs;
-  switch (resolveVmMode(Mode)) {
+  switch (Mode) {
   case VmMode::Span:
     ++Record.SpanRuns;
     Record.SpanInteriorMs += InteriorMs;

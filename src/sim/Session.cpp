@@ -171,8 +171,8 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
                      "' failed static validation:\n" + DE.renderText());
 
   // With validation green, run the interval abstract interpreter over
-  // every launch and -- unless KF_OPT / ExecutionOptions::Opt turns the
-  // escape hatch -- the fact-gated bytecode optimizer. Launches are in
+  // every launch and -- unless ExecutionOptions::Opt turns the escape
+  // hatch -- the fact-gated bytecode optimizer. Launches are in
   // dependence order, so each launch's result interval seeds the load
   // ranges of every later launch that reads its output; external inputs
   // carry the declared [0, 1] contract. A rewritten stream must pass the
@@ -180,7 +180,7 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   // optimizer preserves KF-B01..B11 by construction; this is the
   // defensive recheck), and its halo is re-derived -- rewrites only ever
   // shrink reach, which widens the interior.
-  const bool RunOpt = resolveOptMode(Options.Opt) == OptMode::On;
+  const bool RunOpt = Options.Opt == OptMode::On;
   {
     std::vector<InputRange> PoolRanges(P.numImages());
     double RemovedInsts = 0;
@@ -217,9 +217,10 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   // With validation green, compile the per-launch JIT artifacts (the
   // validator's invariants are the contract the JIT codegen trusts --
   // compileJitProgram re-runs it and refuses independently). The artifact
-  // is mode-independent derived data riding in the cached plan: Auto
-  // prefers JIT when a launch carries one, so sessions get the native
-  // interior path by default, with nullptr falling back to span.
+  // is mode-independent derived data riding in the cached plan: the
+  // default Jit mode runs it where a launch carries one, so sessions get
+  // the native interior path by default, with nullptr falling back to
+  // span.
   for (CompiledLaunch &Launch : Plan->Launches)
     Launch.Jit = compileJitProgram(Launch.Code, Launch.Root, Plan->Shapes);
   return Plan;

@@ -79,7 +79,7 @@ struct CompiledLaunch {
   /// rewrite was gated on. Indexed like the pre-optimization stages.
   std::vector<StageValueFacts> Facts;
   /// What the fact-gated optimizer did to this launch (all zero under
-  /// KF_OPT=off / OptMode::Off, or when nothing was provable).
+  /// OptMode::Off, or when nothing was provable).
   VmOptStats OptStats;
 };
 

@@ -9,6 +9,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineConfigs.h"
 #include "fusion/MinCutPartitioner.h"
 #include "image/Compare.h"
 #include "image/Generators.h"
@@ -112,8 +113,9 @@ INSTANTIATE_TEST_SUITE_P(AllPipelines, FusedVmEquivalence,
                          [](const auto &Info) { return Info.param; });
 
 /// Border-mode sweep: the staged VM must reproduce the AST walker exactly
-/// in the halo for every border mode, both with the correct index
-/// exchange and in the deliberately-incorrect naive mode of Figure 4b.
+/// in the halo for every border mode and engine configuration, both with
+/// the correct index exchange and in the deliberately-incorrect naive
+/// mode of Figure 4b.
 class FusedVmBorder : public ::testing::TestWithParam<BorderMode> {};
 
 TEST_P(FusedVmBorder, BlurChainMatchesAstWithAndWithoutExchange) {
@@ -125,20 +127,23 @@ TEST_P(FusedVmBorder, BlurChainMatchesAstWithAndWithoutExchange) {
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
 
   for (bool Exchange : {true, false}) {
-    ExecutionOptions Options;
-    Options.UseIndexExchange = Exchange;
+    ExecutionOptions Base;
+    Base.UseIndexExchange = Exchange;
 
     std::vector<Image> Reference = makeImagePool(P);
     Reference[0] = Input;
-    runFused(FP, Reference, Options);
+    runFused(FP, Reference, Base);
 
-    std::vector<Image> VmPool = makeImagePool(P);
-    VmPool[0] = Input;
-    runFusedVm(FP, VmPool, Options);
+    forEachEngineConfig(Base, [&](const ExecutionOptions &Options,
+                                  const std::string &Config) {
+      std::vector<Image> VmPool = makeImagePool(P);
+      VmPool[0] = Input;
+      runFusedVm(FP, VmPool, Options);
 
-    EXPECT_DOUBLE_EQ(maxAbsDifference(VmPool[2], Reference[2]), 0.0)
-        << borderModeName(Mode)
-        << (Exchange ? " (index exchange)" : " (naive)");
+      EXPECT_DOUBLE_EQ(maxAbsDifference(VmPool[2], Reference[2]), 0.0)
+          << borderModeName(Mode)
+          << (Exchange ? " (index exchange) " : " (naive) ") << Config;
+    });
   }
 }
 

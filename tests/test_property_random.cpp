@@ -8,6 +8,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineConfigs.h"
 #include "frontend/Parser.h"
 #include "frontend/Serializer.h"
 #include "fusion/BasicFusion.h"
@@ -137,27 +138,32 @@ TEST_P(RandomPipelineProperty, SerializeParseSessionRoundTripIsExact) {
   runUnfused(P, Reference);
 
   // Fuse the parsed copy and stream it through a session (cold + warm
-  // frame with the same inputs). The warm frame must match exactly.
+  // frame with the same inputs) under every engine configuration. The
+  // warm frame must match exactly.
   MinCutFusionResult Result = runMinCutFusion(Q, paperModel());
   FusedProgram FP = fuseProgram(Q, Result.Blocks, FusionStyle::Optimized);
-  PlanCache Cache;
-  PipelineSession Session(FP, ExecutionOptions(), &Cache);
-  std::vector<Image> Warm;
-  Session.runFrames(
-      2,
-      [&](int, std::vector<Image> &Frame) {
-        for (ImageId In : Q.externalInputs())
-          Frame[In] = Reference[In];
-      },
-      [&](int Frame, const std::vector<Image> &Pool) {
-        if (Frame == 1)
-          Warm = Pool;
-      });
-  EXPECT_EQ(Session.stats().PlanHits, 1u) << "seed " << Seed;
+  forEachEngineConfig([&](const ExecutionOptions &Options,
+                          const std::string &Config) {
+    PlanCache Cache;
+    PipelineSession Session(FP, Options, &Cache);
+    std::vector<Image> Warm;
+    Session.runFrames(
+        2,
+        [&](int, std::vector<Image> &Frame) {
+          for (ImageId In : Q.externalInputs())
+            Frame[In] = Reference[In];
+        },
+        [&](int Frame, const std::vector<Image> &Pool) {
+          if (Frame == 1)
+            Warm = Pool;
+        });
+    EXPECT_EQ(Session.stats().PlanHits, 1u) << "seed " << Seed << " " << Config;
 
-  for (ImageId Out : Q.terminalOutputs())
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Warm[Out], Reference[Out]), 0.0)
-        << "seed " << Seed << ", output " << Q.image(Out).Name;
+    for (ImageId Out : Q.terminalOutputs())
+      EXPECT_DOUBLE_EQ(maxAbsDifference(Warm[Out], Reference[Out]), 0.0)
+          << "seed " << Seed << " " << Config << ", output "
+          << Q.image(Out).Name;
+  });
 }
 
 TEST_P(RandomPipelineProperty, OptionsHashGovernsCrossSessionPlanSharing) {

@@ -352,14 +352,12 @@ TEST(ThreadPoolSources, ConcurrentLaunchesShareWorkersCorrectly) {
 /// shared pool and plan cache) and as serial private sessions with the
 /// same per-frame input seeds, then demands bit-identical outputs.
 void expectServerMatchesSerial(const std::vector<std::string> &Names,
-                               int Threads, VmMode Mode, int FramesEach) {
+                               const ExecutionOptions &Options,
+                               int FramesEach) {
+  const int Threads = Options.Threads;
   std::vector<BuiltPipeline> Pipelines;
   for (const std::string &Name : Names)
     Pipelines.push_back(buildPipeline(Name, 48, 40));
-
-  ExecutionOptions Options;
-  Options.Threads = Threads;
-  Options.Mode = Mode;
 
   // Captured outputs: [tenant][frame][image id]. Slots are pre-sized so
   // consumers (dispatcher threads) write disjoint cells; one tenant's
@@ -427,21 +425,54 @@ void expectServerMatchesSerial(const std::vector<std::string> &Names,
   }
 }
 
-class ServerDifferential : public ::testing::TestWithParam<VmMode> {};
+/// The (VM mode, tiling) pairs the server differential runs: each engine
+/// under the default per-launch tiling, and span with every launch tiled
+/// overlapped.
+enum class ServerEngine : uint8_t { Scalar, Span, Jit, SpanOverlapped };
+
+ExecutionOptions serverEngineOptions(ServerEngine Engine) {
+  ExecutionOptions Options;
+  switch (Engine) {
+  case ServerEngine::Scalar:
+    Options.Mode = VmMode::Scalar;
+    break;
+  case ServerEngine::Span:
+    Options.Mode = VmMode::Span;
+    break;
+  case ServerEngine::Jit:
+    Options.Mode = VmMode::Jit;
+    break;
+  case ServerEngine::SpanOverlapped:
+    Options.Mode = VmMode::Span;
+    Options.Tiling = TilingStrategy::Overlapped;
+    break;
+  }
+  return Options;
+}
+
+class ServerDifferential : public ::testing::TestWithParam<ServerEngine> {};
 
 TEST_P(ServerDifferential, MixedTenantsMatchSerialAcrossThreads) {
   const std::vector<std::string> Names = {"harris", "sobel", "unsharp",
                                           "night"};
-  for (int Threads : threadSweep())
-    expectServerMatchesSerial(Names, Threads, GetParam(), 3);
+  for (int Threads : threadSweep()) {
+    ExecutionOptions Options = serverEngineOptions(GetParam());
+    Options.Threads = Threads;
+    expectServerMatchesSerial(Names, Options, 3);
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(VmModes, ServerDifferential,
-                         ::testing::Values(VmMode::Scalar, VmMode::Span),
-                         [](const auto &Info) {
-                           return Info.param == VmMode::Scalar ? "scalar"
-                                                               : "span";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    VmModes, ServerDifferential,
+    ::testing::Values(ServerEngine::Scalar, ServerEngine::Span,
+                      ServerEngine::Jit, ServerEngine::SpanOverlapped),
+    [](const auto &Info) -> std::string {
+      ExecutionOptions Options = serverEngineOptions(Info.param);
+      std::string Name = vmModeName(Options.Mode);
+      if (Options.Tiling != TilingStrategy::Auto)
+        Name += std::string("_") + tilingStrategyName(Options.Tiling);
+      return Name;
+    });
 
 //===--------------------------------------------------------------------===//
 // Backpressure

@@ -324,9 +324,9 @@ TEST(OptionsHash, StableAcrossFieldReordering) {
       hashNamedField("VmMode", static_cast<uint32_t>(VmMode::Span)) ^
       hashNamedField("Tiling",
                      static_cast<uint32_t>(TilingStrategy::Overlapped)) ^
-      hashNamedField("Opt", static_cast<uint32_t>(OptMode::Auto));
+      hashNamedField("Opt", static_cast<uint32_t>(OptMode::On));
   uint64_t Reordered =
-      hashNamedField("Opt", static_cast<uint32_t>(OptMode::Auto)) ^
+      hashNamedField("Opt", static_cast<uint32_t>(OptMode::On)) ^
       hashNamedField("Tiling",
                      static_cast<uint32_t>(TilingStrategy::Overlapped)) ^
       hashNamedField("VmMode", static_cast<uint32_t>(VmMode::Span)) ^

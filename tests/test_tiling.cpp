@@ -15,9 +15,9 @@
 // unfused AST reference under every strategy, and the Auto rule that
 // runs exactly those launches overlapped is pinned per registry launch.
 //
-// Also covers: KF_TILING environment resolution, the tile-spec parser,
-// tile-size resolution, the merged overlap schedule's margin arithmetic,
-// per-strategy session plans, and the KF-F06 overlap coverage check.
+// Also covers: the tile-spec parser, tile-size resolution, the merged
+// overlap schedule's margin arithmetic, per-strategy session plans, and
+// the KF-F06 overlap coverage check.
 //
 //===----------------------------------------------------------------------===//
 
@@ -91,32 +91,6 @@ std::vector<Image> runWith(const Program &P, const FusedProgram &FP,
   runFusedVm(FP, Pool, Options);
   return Pool;
 }
-
-/// Sets (or, with a null \p Value, unsets) environment variable \p Name
-/// for one scope, restoring the previous state on exit.
-class ScopedEnv {
-public:
-  ScopedEnv(const char *NameIn, const char *Value) : Name(NameIn) {
-    const char *Saved = std::getenv(Name);
-    Had = Saved != nullptr;
-    Previous = Saved ? Saved : "";
-    if (Value)
-      ::setenv(Name, Value, 1);
-    else
-      ::unsetenv(Name);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      ::setenv(Name, Previous.c_str(), 1);
-    else
-      ::unsetenv(Name);
-  }
-
-private:
-  const char *Name;
-  bool Had = false;
-  std::string Previous;
-};
 
 /// A 3-channel chain whose channels read each other at differing
 /// offsets: pre (point) -> mid (local) -> out (local). Every read mixes
@@ -311,48 +285,6 @@ TEST(TilingGeometry, HarrisReachLargerThanTile) {
 // Strategy / tile-size resolution
 //===--------------------------------------------------------------------===//
 
-/// KF_TILING resolution mirrors KF_VM: explicit requests win; unset and
-/// malformed values (the latter with a once-per-process warning) leave
-/// Auto to the executor's per-launch rule. Runs in one process, so
-/// manipulate and restore carefully.
-TEST(TilingResolve, ResolveTilingStrategyHonorsEnvironment) {
-  const char *Saved = std::getenv("KF_TILING");
-  std::string SavedCopy = Saved ? Saved : "";
-
-  ::unsetenv("KF_TILING");
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::Auto);
-
-  ::setenv("KF_TILING", "overlapped", 1);
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::Overlapped);
-
-  ::setenv("KF_TILING", "interior", 1);
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-            TilingStrategy::InteriorHalo);
-
-  // Malformed values fall back to the per-launch rule.
-  for (const char *Malformed : {"diagonal", "tuned"}) {
-    ::setenv("KF_TILING", Malformed, 1);
-    EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Auto),
-              TilingStrategy::Auto)
-        << Malformed;
-  }
-
-  // Explicit requests win regardless of the environment.
-  ::setenv("KF_TILING", "overlapped", 1);
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::InteriorHalo),
-            TilingStrategy::InteriorHalo);
-  ::setenv("KF_TILING", "interior", 1);
-  EXPECT_EQ(resolveTilingStrategy(TilingStrategy::Overlapped),
-            TilingStrategy::Overlapped);
-
-  if (Saved)
-    ::setenv("KF_TILING", SavedCopy.c_str(), 1);
-  else
-    ::unsetenv("KF_TILING");
-}
-
 TEST(TilingResolve, StrategyNames) {
   EXPECT_STREQ(tilingStrategyName(TilingStrategy::Auto), "auto");
   EXPECT_STREQ(tilingStrategyName(TilingStrategy::InteriorHalo),
@@ -416,29 +348,6 @@ TEST(TilingResolve, ResolveTileSizeExplicitAndDefaults) {
   resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
   EXPECT_EQ(W, 48);
   EXPECT_EQ(H, 12);
-}
-
-/// End-to-end: KF_TILING=overlapped must produce bit-identical results
-/// through the default Auto options (the configuration the CI
-/// tiling-differential job runs the whole suite under).
-TEST(TilingResolve, EnvironmentSelectedOverlappedIsBitIdentical) {
-  const char *Saved = std::getenv("KF_TILING");
-  std::string SavedCopy = Saved ? Saved : "";
-
-  Program P = makeSobel(70, 30);
-  FusedProgram FP =
-      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
-
-  ::setenv("KF_TILING", "interior", 1);
-  std::vector<Image> Want = runWith(P, FP, ExecutionOptions(), 5);
-  ::setenv("KF_TILING", "overlapped", 1);
-  std::vector<Image> Got = runWith(P, FP, ExecutionOptions(), 5);
-  expectPoolsIdentical(P, Got, Want, "env overlapped");
-
-  if (Saved)
-    ::setenv("KF_TILING", SavedCopy.c_str(), 1);
-  else
-    ::unsetenv("KF_TILING");
 }
 
 //===--------------------------------------------------------------------===//
@@ -838,8 +747,6 @@ std::vector<LaunchRun> runRegistryLaunches(const ExecutionOptions &Options) {
 }
 
 TEST(TilingAutoSelect, OnlyNightsSharedPlaneLaunchRunsOverlapped) {
-  ScopedEnv NoTiling("KF_TILING", nullptr);
-  ScopedEnv NoVm("KF_VM", nullptr);
   unsigned Overlapped = 0;
   for (const LaunchRun &Run : runRegistryLaunches(ExecutionOptions())) {
     const std::string Tag = Run.Pipeline + "/" + Run.Launch;
@@ -859,24 +766,14 @@ TEST(TilingAutoSelect, OnlyNightsSharedPlaneLaunchRunsOverlapped) {
 }
 
 TEST(TilingAutoSelect, InteriorRequestsForceInteriorEverywhere) {
-  ScopedEnv NoVm("KF_VM", nullptr);
-  {
-    ScopedEnv NoTiling("KF_TILING", nullptr);
-    ExecutionOptions Interior;
-    Interior.Tiling = TilingStrategy::InteriorHalo;
-    for (const LaunchRun &Run : runRegistryLaunches(Interior))
-      EXPECT_EQ(Run.Timing.Tiling, TilingStrategy::InteriorHalo)
-          << Run.Pipeline << "/" << Run.Launch;
-  }
-  ScopedEnv EnvInterior("KF_TILING", "interior");
-  for (const LaunchRun &Run : runRegistryLaunches(ExecutionOptions()))
+  ExecutionOptions Interior;
+  Interior.Tiling = TilingStrategy::InteriorHalo;
+  for (const LaunchRun &Run : runRegistryLaunches(Interior))
     EXPECT_EQ(Run.Timing.Tiling, TilingStrategy::InteriorHalo)
         << Run.Pipeline << "/" << Run.Launch;
 }
 
 TEST(TilingMetrics, LaunchesAreFiledUnderTheEngineTheyRan) {
-  ScopedEnv NoTiling("KF_TILING", nullptr);
-  ScopedEnv NoVm("KF_VM", nullptr);
   MetricsRegistry &Registry = MetricsRegistry::global();
   Registry.clear();
   Registry.setEnabled(true);
@@ -927,7 +824,6 @@ TEST(TilingMetrics, LaunchesAreFiledUnderTheEngineTheyRan) {
 /// single-channel tenant on the interior path; every frame must match
 /// the unfused reference.
 TEST(TilingServer, ConcurrentNightTenantsMatchUnfused) {
-  ScopedEnv NoTiling("KF_TILING", nullptr);
   const std::vector<std::string> Names = {"night", "night", "harris",
                                           "night"};
   constexpr int FramesEach = 2;

@@ -5,11 +5,12 @@
 // differential suite proving optimized session plans bit-identical to
 // unoptimized ones across every registry pipeline x VM mode x tiling
 // strategy, the validator re-pass over optimized streams, the
-// KF_OPT / OptMode::Off escape hatch, the removed-instruction stats, and
+// OptMode::Off escape hatch, the removed-instruction stats, and
 // the KF-B09 mutation test for the JIT refusal gate.
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineConfigs.h"
 #include "analysis/BytecodeValidator.h"
 #include "analysis/IntervalAnalysis.h"
 #include "frontend/Parser.h"
@@ -27,7 +28,6 @@
 
 #include <cmath>
 #include <memory>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 
@@ -196,24 +196,14 @@ TEST(VmOptDifferential, RegistryBitIdenticalAcrossModesAndTilings) {
     Reference.Mode = VmMode::Scalar;
     std::vector<Image> Want = runOneFrame(FP, P, Reference, Cache, Seed);
 
-    for (VmMode Mode : {VmMode::Scalar, VmMode::Span, VmMode::Jit}) {
-      for (TilingStrategy Tiling :
-           {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped}) {
-        for (OptMode Opt : {OptMode::On, OptMode::Off}) {
-          ExecutionOptions Options;
-          Options.Mode = Mode;
-          Options.Tiling = Tiling;
-          Options.Opt = Opt;
-          std::vector<Image> Got = runOneFrame(FP, P, Options, Cache, Seed);
-          ASSERT_EQ(Got.size(), Want.size());
-          for (size_t I = 0; I != Want.size(); ++I)
-            EXPECT_DOUBLE_EQ(maxAbsDifference(Got[I], Want[I]), 0.0)
-                << Spec.Name << " mode=" << vmModeName(Mode)
-                << " tiling=" << tilingStrategyName(Tiling)
-                << " opt=" << optModeName(Opt) << " output " << I;
-        }
-      }
-    }
+    forEachEngineConfig([&](const ExecutionOptions &Options,
+                            const std::string &Config) {
+      std::vector<Image> Got = runOneFrame(FP, P, Options, Cache, Seed);
+      ASSERT_EQ(Got.size(), Want.size());
+      for (size_t I = 0; I != Want.size(); ++I)
+        EXPECT_DOUBLE_EQ(maxAbsDifference(Got[I], Want[I]), 0.0)
+            << Spec.Name << " " << Config << " output " << I;
+    });
   }
 }
 
@@ -237,29 +227,20 @@ TEST(VmOptDifferential, SignedZeroInputsBitIdenticalToUnfused) {
     }
     runUnfused(P, Unfused);
 
-    for (VmMode Mode : {VmMode::Scalar, VmMode::Span, VmMode::Jit})
-      for (TilingStrategy Tiling :
-           {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped})
-        for (OptMode Opt : {OptMode::On, OptMode::Off}) {
-          ExecutionOptions Options;
-          Options.Mode = Mode;
-          Options.Tiling = Tiling;
-          Options.Opt = Opt;
-          // Every launch output, not only the terminal ones: a sign
-          // flipped in Sobel's dx is squared away before Harris's
-          // corner response.
-          PipelineSession Session(B.FP, Options, &Cache);
-          std::vector<Image> Frame = Session.acquireFrame();
-          fillInputs(*Session.plan(), Frame, Seed, /*SignedZeros=*/true);
-          Session.runFrame(Frame);
-          for (const CompiledLaunch &Launch : Session.plan()->Launches)
-            EXPECT_EQ(countBitDifferences(Frame[Launch.Output],
-                                          Unfused[Launch.Output]),
-                      0)
-                << Launch.Name << " mode=" << vmModeName(Mode)
-                << " tiling=" << tilingStrategyName(Tiling)
-                << " opt=" << optModeName(Opt);
-        }
+    forEachEngineConfig([&](const ExecutionOptions &Options,
+                            const std::string &Config) {
+      // Every launch output, not only the terminal ones: a sign flipped
+      // in Sobel's dx is squared away before Harris's corner response.
+      PipelineSession Session(B.FP, Options, &Cache);
+      std::vector<Image> Frame = Session.acquireFrame();
+      fillInputs(*Session.plan(), Frame, Seed, /*SignedZeros=*/true);
+      Session.runFrame(Frame);
+      for (const CompiledLaunch &Launch : Session.plan()->Launches)
+        EXPECT_EQ(countBitDifferences(Frame[Launch.Output],
+                                      Unfused[Launch.Output]),
+                  0)
+            << Launch.Name << " " << Config;
+    });
   }
 }
 
@@ -387,57 +368,10 @@ TEST(VmOptDifferential, OptimizerShrinksOrKeepsEveryRegistryLaunch) {
 // Escape hatch
 //===--------------------------------------------------------------------===//
 
-/// Saves and restores KF_OPT around a test.
-struct ScopedKfOpt {
-  ScopedKfOpt(const char *Value) {
-    const char *Saved = std::getenv("KF_OPT");
-    Had = Saved != nullptr;
-    Old = Saved ? Saved : "";
-    if (Value)
-      ::setenv("KF_OPT", Value, 1);
-    else
-      ::unsetenv("KF_OPT");
-  }
-  ~ScopedKfOpt() {
-    if (Had)
-      ::setenv("KF_OPT", Old.c_str(), 1);
-    else
-      ::unsetenv("KF_OPT");
-  }
-  bool Had = false;
-  std::string Old;
-};
-
-TEST(OptMode, ResolutionAndEnvOverride) {
-  {
-    ScopedKfOpt Env(nullptr);
-    EXPECT_EQ(resolveOptMode(OptMode::Auto), OptMode::On);
-    EXPECT_EQ(resolveOptMode(OptMode::On), OptMode::On);
-    EXPECT_EQ(resolveOptMode(OptMode::Off), OptMode::Off);
-  }
-  {
-    ScopedKfOpt Env("off");
-    EXPECT_EQ(resolveOptMode(OptMode::Auto), OptMode::Off);
-    // An explicit request beats the environment.
-    EXPECT_EQ(resolveOptMode(OptMode::On), OptMode::On);
-  }
-  {
-    ScopedKfOpt Env("on");
-    EXPECT_EQ(resolveOptMode(OptMode::Auto), OptMode::On);
-    EXPECT_EQ(resolveOptMode(OptMode::Off), OptMode::Off);
-  }
-  EXPECT_STREQ(optModeName(OptMode::Auto), "auto");
+TEST(OptMode, NamesAndDefault) {
   EXPECT_STREQ(optModeName(OptMode::On), "on");
   EXPECT_STREQ(optModeName(OptMode::Off), "off");
-}
-
-TEST(OptMode, KfOptOffDisablesTheRewriteUnderAuto) {
-  ScopedKfOpt Env("off");
-  BuiltPipeline B = fuseRegistry(*findPipeline("harris"));
-  ExecutionOptions Options; // Opt = Auto resolves via KF_OPT
-  std::shared_ptr<const CompiledPlan> Plan = compilePlan(B.FP, Options);
-  for (const CompiledLaunch &Launch : Plan->Launches)
-    EXPECT_EQ(Launch.OptStats.removedInsts(), 0u) << Launch.Name;
+  EXPECT_EQ(ExecutionOptions().Opt, OptMode::On);
 }
 
 //===--------------------------------------------------------------------===//

@@ -8,8 +8,6 @@
 // walker in test_fusedvm.cpp, so span == scalar closes the chain back to
 // the semantic reference.
 //
-// Also covers the KF_VM environment resolution (resolveVmMode).
-//
 //===----------------------------------------------------------------------===//
 
 #include "fusion/MinCutPartitioner.h"
@@ -23,7 +21,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -300,39 +297,7 @@ TEST(VmSpan, StridedOutputMatchesDense) {
   }
 }
 
-/// KF_VM environment resolution. Runs in one process, so manipulate and
-/// restore the variable carefully; explicit requests must win over it.
-TEST(VmSpan, ResolveVmModeHonorsEnvironment) {
-  const char *Saved = std::getenv("KF_VM");
-  std::string SavedCopy = Saved ? Saved : "";
-
-  ::unsetenv("KF_VM");
-  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
-
-  ::setenv("KF_VM", "scalar", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Scalar);
-
-  ::setenv("KF_VM", "span", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
-
-  // Malformed values fall back to span (with a once-per-process warning).
-  ::setenv("KF_VM", "vectorized", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
-
-  // Explicit requests win regardless of the environment.
-  ::setenv("KF_VM", "span", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Scalar), VmMode::Scalar);
-  ::setenv("KF_VM", "scalar", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Span), VmMode::Span);
-
-  if (Saved)
-    ::setenv("KF_VM", SavedCopy.c_str(), 1);
-  else
-    ::unsetenv("KF_VM");
-}
-
 TEST(VmSpan, ModeNames) {
-  EXPECT_STREQ(vmModeName(VmMode::Auto), "auto");
   EXPECT_STREQ(vmModeName(VmMode::Scalar), "scalar");
   EXPECT_STREQ(vmModeName(VmMode::Span), "span");
 }

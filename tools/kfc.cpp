@@ -88,25 +88,22 @@ static void printUsage() {
       "                               wall time + max |diff|\n"
       "  --threads <n>                worker threads for --run (0 = auto)\n"
       "  --vm scalar|span|jit         interior VM engine for --run: jit\n"
-      "                               (compiled per-plan cell chains),\n"
-      "                               span (lane-batched), or scalar\n"
-      "                               (per-pixel); by default jit where\n"
-      "                               the plan has an artifact and span\n"
-      "                               otherwise; KF_VM overrides the\n"
-      "                               default\n"
-      "  --tiling interior|overlapped tiling strategy for --run:\n"
-      "                               interior/halo split, or overlapped\n"
-      "                               tiles recomputing their own halos;\n"
-      "                               by default each launch runs\n"
-      "                               overlapped where its channels share\n"
-      "                               a producer plane and interior/halo\n"
-      "                               otherwise; KF_TILING overrides the\n"
-      "                               default\n"
+      "                               (the default; compiled per-plan\n"
+      "                               cell chains, span where a launch\n"
+      "                               has none), span (lane-batched), or\n"
+      "                               scalar (per-pixel)\n"
+      "  --tiling auto|interior|overlapped\n"
+      "                               tiling strategy for --run: the\n"
+      "                               interior/halo split, overlapped\n"
+      "                               tiles recomputing their own halos,\n"
+      "                               or auto (the default): overlapped\n"
+      "                               where a launch's channels share a\n"
+      "                               producer plane, interior otherwise\n"
       "  --opt on|off                 interval-fact-gated bytecode\n"
       "                               optimizer at session compile time\n"
-      "                               (default on; KF_OPT overrides the\n"
-      "                               default; off executes bytecode as\n"
-      "                               compiled -- results are identical)\n"
+      "                               (default on; off executes bytecode\n"
+      "                               as compiled -- results are\n"
+      "                               identical)\n"
       "  --tile <WxH>                 tile extents for --run, e.g. 128x32\n"
       "                               (default per strategy)\n"
       "  --frames <n>                 with --run: stream n frames through a\n"
@@ -139,14 +136,14 @@ static void printUsage() {
 static bool parseExecutionOptions(const CommandLine &Cl,
                                   ExecutionOptions &Exec) {
   Exec.Threads = static_cast<int>(Cl.getIntOption("threads", 0));
-  std::string VmName = Cl.getOption("vm", "auto");
+  std::string VmName = Cl.getOption("vm", "jit");
   if (VmName == "scalar")
     Exec.Mode = VmMode::Scalar;
   else if (VmName == "span")
     Exec.Mode = VmMode::Span;
   else if (VmName == "jit")
     Exec.Mode = VmMode::Jit;
-  else if (VmName != "auto") {
+  else {
     std::fprintf(stderr,
                  "error: invalid --vm '%s' (expected 'scalar', 'span' "
                  "or 'jit')\n",
@@ -160,17 +157,17 @@ static bool parseExecutionOptions(const CommandLine &Cl,
     Exec.Tiling = TilingStrategy::Overlapped;
   else if (TilingName != "auto") {
     std::fprintf(stderr,
-                 "error: invalid --tiling '%s' (expected 'interior' "
-                 "or 'overlapped')\n",
+                 "error: invalid --tiling '%s' (expected 'auto', "
+                 "'interior' or 'overlapped')\n",
                  TilingName.c_str());
     return false;
   }
-  std::string OptName = Cl.getOption("opt", "auto");
+  std::string OptName = Cl.getOption("opt", "on");
   if (OptName == "on")
     Exec.Opt = OptMode::On;
   else if (OptName == "off")
     Exec.Opt = OptMode::Off;
-  else if (OptName != "auto") {
+  else {
     std::fprintf(stderr, "error: invalid --opt '%s' (expected 'on' or "
                          "'off')\n",
                  OptName.c_str());
@@ -781,7 +778,7 @@ int main(int Argc, char **Argv) {
                   "%d frames x %d repeats\n",
                   P.name().c_str(), resolveThreadCount(Exec.Threads),
                   Style.c_str(),
-                  tilingStrategyName(resolveTilingStrategy(Exec.Tiling)),
+                  tilingStrategyName(Exec.Tiling),
                   Frames, Repeat);
       std::fputs(Stream.render().c_str(), stdout);
       std::printf("plan cache: %llu hits, %llu misses (compile %.3f ms); "
@@ -835,7 +832,7 @@ int main(int Argc, char **Argv) {
     std::printf("executed '%s' with %u threads (%s fusion, %s tiling)\n",
                 P.name().c_str(), resolveThreadCount(Exec.Threads),
                 Style.c_str(),
-                tilingStrategyName(resolveTilingStrategy(Exec.Tiling)));
+                tilingStrategyName(Exec.Tiling));
     TablePrinter Run({"engine", "wall ms", "speedup"});
     Run.addRow({"unfused ast", formatDouble(AstMs, 3), "1.000"});
     Run.addRow(
