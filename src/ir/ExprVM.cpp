@@ -338,17 +338,17 @@ inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
 
 namespace {
 
-/// Executes \p Code instruction-major over the W lanes of row \p Y that
-/// start at column \p X0, and returns the result register's lanes. \p N is
-/// the compile-time lane count (VmLaneWidth) or 0 for a runtime-width tail
-/// chunk; registers are laneCount<N>(W) floats apart in \p RowRegs.
-/// \p Inputs resolves Load pool images; \p CallRow handles StageCall ops
-/// (writes the callee's lanes into the destination register).
-template <int N, class CallRowFn>
-const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
-                         const std::vector<ImageId> &Inputs, int Y, int X0,
-                         int W, int Channel, float *RowRegs,
-                         CallRowFn &&CallRow) {
+/// Executes \p Code instruction-major over W lanes and returns the result
+/// register's lanes. \p N is the compile-time lane count (VmLaneWidth) or 0
+/// for a runtime-width tail chunk; registers are laneCount<N>(W) floats
+/// apart in \p RowRegs. Const and the register-to-register ops run the
+/// laneAlu loops here; the ops whose lanes depend on where the lanes sit
+/// (CoordX, CoordY, Load, StageCall) go to \p Place(Inst, D), which writes
+/// the destination register's lanes. Every lane engine of the interpreter
+/// -- span rows, overlap planes, the border ring -- shares this dispatch.
+template <int N, class PlaceFn>
+const float *evalLanes(const VmProgram &Code, int W, float *RowRegs,
+                       PlaceFn &&Place) {
   W = laneCount<N>(W);
   auto Row = [&](uint16_t Reg) {
     return RowRegs + static_cast<size_t>(Reg) * W;
@@ -361,28 +361,11 @@ const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
       laneFill<N>(W, D, Inst.Imm);
       break;
     case VmOp::CoordX:
-      laneIota<N>(W, D, X0);
-      break;
     case VmOp::CoordY:
-      laneFill<N>(W, D, static_cast<float>(Y));
+    case VmOp::Load:
+    case VmOp::StageCall:
+      Place(Inst, D);
       break;
-    case VmOp::Load: {
-      const Image &Img = Pool[Inputs[Inst.InputIdx]];
-      int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      assert(Y + Inst.Oy >= 0 && Y + Inst.Oy < Img.height() &&
-             X0 + Inst.Ox >= 0 && X0 + W - 1 + Inst.Ox < Img.width() &&
-             "row evaluation outside the interior region");
-      const float *Base =
-          Img.data().data() +
-          (static_cast<size_t>(Y + Inst.Oy) * Img.width() + (X0 + Inst.Ox)) *
-              Img.channels() +
-          Ch;
-      if (Img.channels() == 1)
-        laneCopy<N>(W, D, Base);
-      else
-        laneGather<N>(W, D, Base, Img.channels());
-      break;
-    }
     case VmOp::Add:
       laneAlu<N, VmOp::Add>(W, D, A, B, nullptr);
       break;
@@ -431,12 +414,53 @@ const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
     case VmOp::Select:
       laneAlu<N, VmOp::Select>(W, D, A, B, Row(Inst.Sel));
       break;
-    case VmOp::StageCall:
-      CallRow(Inst, D);
-      break;
     }
   }
   return Row(Code.ResultReg);
+}
+
+/// evalLanes over the W lanes of row \p Y that start at column \p X0:
+/// coordinates are a row's, and loads read the interior directly.
+/// \p Inputs resolves Load pool images; \p CallRow handles StageCall ops
+/// (writes the callee's lanes into the destination register).
+template <int N, class CallRowFn>
+const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
+                         const std::vector<ImageId> &Inputs, int Y, int X0,
+                         int W, int Channel, float *RowRegs,
+                         CallRowFn &&CallRow) {
+  W = laneCount<N>(W);
+  return evalLanes<N>(Code, W, RowRegs, [&](const VmInst &Inst, float *D) {
+    switch (Inst.Op) {
+    case VmOp::CoordX:
+      laneIota<N>(W, D, X0);
+      break;
+    case VmOp::CoordY:
+      laneFill<N>(W, D, static_cast<float>(Y));
+      break;
+    case VmOp::Load: {
+      const Image &Img = Pool[Inputs[Inst.InputIdx]];
+      int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
+      assert(Y + Inst.Oy >= 0 && Y + Inst.Oy < Img.height() &&
+             X0 + Inst.Ox >= 0 && X0 + W - 1 + Inst.Ox < Img.width() &&
+             "row evaluation outside the interior region");
+      const float *Base =
+          Img.data().data() +
+          (static_cast<size_t>(Y + Inst.Oy) * Img.width() + (X0 + Inst.Ox)) *
+              Img.channels() +
+          Ch;
+      if (Img.channels() == 1)
+        laneCopy<N>(W, D, Base);
+      else
+        laneGather<N>(W, D, Base, Img.channels());
+      break;
+    }
+    case VmOp::StageCall:
+      CallRow(Inst, D);
+      break;
+    default:
+      KF_UNREACHABLE("not a placement op");
+    }
+  });
 }
 
 } // namespace
@@ -632,6 +656,152 @@ void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
     laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
                  OutStride, Result);
   });
+}
+
+//===----------------------------------------------------------------------===//
+// Border ring
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Where the VmLaneWidth lanes of a ring chunk sit at one stage: lane i
+/// evaluates pixel (X[i], Y[i]).
+struct RingLanes {
+  int X[VmLaneWidth];
+  int Y[VmLaneWidth];
+};
+
+/// True when no instruction of \p Code but Insts[\p Index] writes that
+/// instruction's destination register, so its lanes survive a later pass
+/// over the stream that skips it. The compiler and the optimizer emit
+/// single-assignment streams, but the validator does not require it.
+bool writtenOnlyBy(const VmProgram &Code, size_t Index) {
+  const uint16_t Dst = Code.Insts[Index].Dst;
+  for (size_t I = 0; I != Code.Insts.size(); ++I)
+    if (I != Index && Code.Insts[I].Dst == Dst)
+      return false;
+  return true;
+}
+
+/// Evaluates stage \p StageIdx of \p SP at channel \p Channel over the
+/// lanes of \p At with full border handling, and returns the stage
+/// result's lanes: the lane-batched twin of evalStagedVm<true>. Loads are
+/// bordered per lane; a StageCall index-exchanges each lane's position
+/// against the callee's extent (raw positions without \p UseIndexExchange)
+/// and recurses lane-wise into the callee's frame, the KF-B11 layout of
+/// span mode. A lane whose exchanged position is a Constant border reads
+/// the consumer's BorderConstant: the callee runs it at the clamped
+/// in-image position (every lane of a chunk runs the same instruction
+/// stream) and the constant is patched in afterwards. With
+/// \p ShareExplicitCalls, StageCalls with an explicit channel are skipped
+/// (their destination lanes still hold the previous pass's values); only
+/// the root's per-channel passes after the first set it.
+const float *evalStagedRing(const StagedVmProgram &SP, uint16_t StageIdx,
+                            const std::vector<Image> &Pool,
+                            const RingLanes &At, int Channel, float *LaneRegs,
+                            bool UseIndexExchange, bool ShareExplicitCalls) {
+  constexpr int N = VmLaneWidth;
+  const VmStage &Stage = SP.Stages[StageIdx];
+  float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * N;
+  const VmInst *First = Stage.Code.Insts.data();
+  return evalLanes<N>(Stage.Code, N, Frame, [&](const VmInst &Inst,
+                                                float *D) {
+    switch (Inst.Op) {
+    case VmOp::CoordX:
+      for (int I = 0; I != N; ++I)
+        D[I] = static_cast<float>(At.X[I]);
+      break;
+    case VmOp::CoordY:
+      for (int I = 0; I != N; ++I)
+        D[I] = static_cast<float>(At.Y[I]);
+      break;
+    case VmOp::Load: {
+      const Image &Img = Pool[Stage.Inputs[Inst.InputIdx]];
+      assert(!Img.empty() && "reading an unmaterialized image");
+      const int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
+      const unsigned IW = static_cast<unsigned>(Img.width());
+      const unsigned IH = static_cast<unsigned>(Img.height());
+      const int C = Img.channels();
+      const float *Data = Img.data().data();
+      for (int I = 0; I != N; ++I) {
+        const int LX = At.X[I] + Inst.Ox, LY = At.Y[I] + Inst.Oy;
+        D[I] = static_cast<unsigned>(LX) < IW && static_cast<unsigned>(LY) < IH
+                   ? Data[(static_cast<size_t>(LY) * IW + LX) * C + Ch]
+                   : sampleWithBorder(Img, LX, LY, Ch, Stage.Border,
+                                      Stage.BorderConstant);
+      }
+      break;
+    }
+    case VmOp::StageCall: {
+      if (ShareExplicitCalls && Inst.Channel >= 0 &&
+          writtenOnlyBy(Stage.Code, static_cast<size_t>(&Inst - First)))
+        break;
+      const VmStage &Callee = SP.Stages[Inst.Sel];
+      RingLanes CalleeAt;
+      bool IsConstant[N];
+      bool AnyConstant = false;
+      for (int I = 0; I != N; ++I) {
+        int TX = At.X[I] + Inst.Ox, TY = At.Y[I] + Inst.Oy;
+        IsConstant[I] = false;
+        const bool Exterior =
+            TX < 0 || TX >= Callee.OutW || TY < 0 || TY >= Callee.OutH;
+        if (Exterior && UseIndexExchange) {
+          // Index exchange (Section IV-B) per the consuming stage's
+          // border handling, as in evalStagedVm.
+          const int EX = exchangeIndex(TX, Callee.OutW, Stage.Border);
+          const int EY = exchangeIndex(TY, Callee.OutH, Stage.Border);
+          if (EX < 0 || EY < 0) {
+            IsConstant[I] = AnyConstant = true;
+            TX = std::clamp(TX, 0, Callee.OutW - 1);
+            TY = std::clamp(TY, 0, Callee.OutH - 1);
+          } else {
+            TX = EX;
+            TY = EY;
+          }
+        }
+        CalleeAt.X[I] = TX;
+        CalleeAt.Y[I] = TY;
+      }
+      laneCopy<N>(N, D,
+                  evalStagedRing(SP, Inst.Sel, Pool, CalleeAt,
+                                 Inst.Channel < 0 ? Channel : Inst.Channel,
+                                 LaneRegs, UseIndexExchange, false));
+      if (AnyConstant)
+        for (int I = 0; I != N; ++I)
+          if (IsConstant[I])
+            D[I] = Stage.BorderConstant;
+      break;
+    }
+    default:
+      KF_UNREACHABLE("not a placement op");
+    }
+  });
+}
+
+} // namespace
+
+void kf::runStagedVmRing(const StagedVmProgram &SP, uint16_t RootStage,
+                         const std::vector<Image> &Pool, const int *Xs,
+                         const int *Ys, int Count, int Channels,
+                         float *LaneRegs, float *OutBase, int OutWidth,
+                         bool UseIndexExchange) {
+  assert(Count > 0 && Count <= VmLaneWidth && "ring chunk of 1..64 pixels");
+  // Pad the chunk to full width with its last pixel: the padding lanes
+  // repeat real work and are never stored.
+  RingLanes At;
+  for (int I = 0; I != VmLaneWidth; ++I) {
+    At.X[I] = Xs[std::min(I, Count - 1)];
+    At.Y[I] = Ys[std::min(I, Count - 1)];
+  }
+  for (int C = 0; C != Channels; ++C) {
+    // Root-level calls with an explicit channel do not depend on the
+    // destination channel: computed on the first pass, reused after.
+    const float *Result = evalStagedRing(SP, RootStage, Pool, At, C, LaneRegs,
+                                         UseIndexExchange, C > 0);
+    for (int I = 0; I != Count; ++I)
+      OutBase[(static_cast<size_t>(Ys[I]) * OutWidth + Xs[I]) * Channels +
+              C] = Result[I];
+  }
 }
 
 //===----------------------------------------------------------------------===//

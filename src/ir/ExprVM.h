@@ -14,19 +14,26 @@
 /// fusion of Section IV, including the index-exchange border handling of
 /// Section IV-B. An unfused kernel is the trivial case: a one-stage
 /// program, as the singleton partition (transform/Fuser's unfusedProgram)
-/// yields. Interior evaluation (runStagedVmInterior / runStagedVmSpan)
-/// skips every border check, implementing the interior/halo
-/// specialization the generated GPU code performs.
+/// yields. A launch splits its image into an interior, which skips every
+/// border check, and a border ring of Reach[root] pixels, which runs the
+/// bordered index-exchange path -- the interior/halo specialization the
+/// generated GPU code performs.
 ///
-/// Interior evaluation comes in two selectable modes (VmMode):
-///   - span (the default): each instruction streams across a whole row
-///     span through fixed-width lane buffers (VmLaneWidth floats per
-///     register, structure-of-arrays), written as plain contiguous loops
+/// Interior evaluation comes in three modes (VmMode):
+///   - jit (the default): the launch's per-plan JIT artifact (src/jit), a
+///     chain of native lane-loop cells; a launch without one runs span;
+///   - span: each instruction streams across a whole row span through
+///     fixed-width lane buffers (VmLaneWidth floats per register,
+///     structure-of-arrays), written as plain contiguous loops
 ///     (ir/LaneOps.h) that compile to packed SIMD at the full lane width;
-///     spans narrower than a lane run the same loops with a runtime
-///     bound.
+///     spans narrower than a lane run the same loops with a runtime bound;
 ///   - scalar: per-pixel bytecode dispatch -- the escape hatch and the
 ///     honest baseline the span-vs-scalar benchmarks compare against.
+///
+/// The border ring runs one path under every mode: runStagedVmRing
+/// evaluates up to VmLaneWidth arbitrary ring pixels at once for every
+/// destination channel, through the same lane loops, with bordered loads
+/// and index exchange per lane. runStagedVm is its per-pixel reference.
 ///
 /// This is the evaluation path the benchmarks use for large images; the
 /// tree walker stays the semantic reference (the test suite asserts
@@ -84,8 +91,8 @@ enum class TilingStrategy : uint8_t {
   /// of recomputing. Adjacent grown tiles
   /// overlap, so the margin cells are computed redundantly -- the classic
   /// redundant-compute-for-zero-synchronization trade (Jangda & Guha).
-  /// Bit-identical to InteriorHalo; the border ring keeps the bordered
-  /// slow path either way.
+  /// Bit-identical to InteriorHalo; the border ring runs the bordered
+  /// lane path (runStagedVmRing) either way.
   Overlapped,
 };
 
@@ -212,7 +219,8 @@ StagedVmProgram compileStagedProgram(const Program &P,
 /// apply the index exchange of Section IV-B (or, with
 /// \p UseIndexExchange false, reproduce the incorrect naive border fusion
 /// of Figure 4b by evaluating producers at raw exterior positions).
-/// \p Regs must hold SP.NumRegs floats.
+/// \p Regs must hold SP.NumRegs floats. The per-pixel reference of the
+/// border ring (runStagedVmRing), which the executors run instead.
 float runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
                   const std::vector<Image> &Pool, int X, int Y, int Channel,
                   float *Regs, bool UseIndexExchange = true);
@@ -241,6 +249,25 @@ void runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                      const std::vector<Image> &Pool, int Y, int X0, int X1,
                      int Channel, float *LaneRegs, float *Out,
                      int OutStride = 1);
+
+/// Border-ring evaluation of a staged program: computes stage
+/// \p RootStage at the \p Count (1..VmLaneWidth) pixels (Xs[i], Ys[i]),
+/// which may lie anywhere in the destination, for every destination
+/// channel [0, \p Channels), and stores pixel i's channel c to
+/// OutBase[(Ys[i] * OutWidth + Xs[i]) * Channels + c]. The chunk runs at
+/// full lane width (lanes past \p Count repeat the last pixel and are not
+/// stored) with the semantics of runStagedVm per lane: bordered loads,
+/// and stage calls index-exchanged per lane (raw positions without
+/// \p UseIndexExchange) that recurse lane-wise into the callee's frame.
+/// A root-level stage call with an explicit channel is evaluated once
+/// per chunk and reused by every destination channel. \p LaneRegs must
+/// hold SP.NumRegs * VmLaneWidth floats (the span-mode layout).
+/// Bit-identical to runStagedVm.
+void runStagedVmRing(const StagedVmProgram &SP, uint16_t RootStage,
+                     const std::vector<Image> &Pool, const int *Xs,
+                     const int *Ys, int Count, int Channels, float *LaneRegs,
+                     float *OutBase, int OutWidth,
+                     bool UseIndexExchange = true);
 
 //===----------------------------------------------------------------------===//
 // Overlapped tiling (TilingStrategy::Overlapped)

@@ -341,33 +341,64 @@ void addTileTimes(LaunchTiming &Timing, Clock::time_point Start,
   }
 }
 
-/// Writes pixels [XA, XB) of row \p Y of \p Out by per-pixel bordered
-/// evaluation (\p Pixel). The output pointer is loop-invariant state:
-/// hoisted to the span start and walked pixel by pixel instead of
-/// re-deriving (Y*W + X)*C + Ch per sample.
-template <class PixelFn>
-void haloSpan(Image &Out, int Y, int XA, int XB, unsigned Worker,
-              PixelFn &Pixel) {
-  const int C = Out.channels();
-  float *Px =
-      Out.data().data() + (static_cast<size_t>(Y) * Out.width() + XA) * C;
-  for (int X = XA; X < XB; ++X, Px += C)
-    for (int Ch = 0; Ch != C; ++Ch)
-      Px[Ch] = Pixel(X, Y, Ch, Worker);
-}
+/// The bordered slow path of one compiled launch: its border ring, run
+/// through runStagedVmRing in per-worker chunks of up to VmLaneWidth
+/// pixels collected in the VmScratch ring buffers.
+struct BorderRing {
+  const StagedVmProgram &SP;
+  uint16_t Root;
+  const std::vector<Image> &Pool;
+  VmScratch &Scratch;
+  bool UseIndexExchange;
+
+  /// Evaluates the pixels of tile \p T outside its interior rectangle
+  /// [IA, IB) x [JA, JB) (already clamped to the tile): the bands above
+  /// and below it, and the side strips of the rows between. A tile's ring
+  /// pixels go out in full chunks, the last one partial.
+  void runTile(Image &Out, const TileRange &T, int IA, int IB, int JA,
+               int JB, unsigned Worker) const {
+    VmScratch::RingChunk &Chunk = Scratch.Ring[Worker];
+    float *LaneRegs = Scratch.LaneRegs[Worker].data();
+    int Count = 0;
+    auto Flush = [&] {
+      runStagedVmRing(SP, Root, Pool, Chunk.X, Chunk.Y, Count,
+                      Out.channels(), LaneRegs, Out.data().data(),
+                      Out.width(), UseIndexExchange);
+      Count = 0;
+    };
+    auto Span = [&](int Y, int XA, int XB) {
+      for (int X = XA; X < XB; ++X) {
+        Chunk.X[Count] = X;
+        Chunk.Y[Count] = Y;
+        if (++Count == VmLaneWidth)
+          Flush();
+      }
+    };
+    for (int Y = T.Y0; Y < JA; ++Y)
+      Span(Y, T.X0, T.X1);
+    for (int Y = JA; Y < JB; ++Y) {
+      Span(Y, T.X0, IA);
+      Span(Y, IB, T.X1);
+    }
+    for (int Y = JB; Y < T.Y1; ++Y)
+      Span(Y, T.X0, T.X1);
+    if (Count)
+      Flush();
+  }
+};
 
 /// Runs the interior/halo-decomposed tile loop over one output image.
-/// Rows inside [Y0int, Y1int) split into a halo-left span, an interior
-/// span evaluated by \p Row (row-wise fast path, one call per channel
-/// from a hoisted row base), and a halo-right span; rows outside are
-/// entirely halo, evaluated per pixel by \p Pixel (the bordered slow
-/// path). \p Halo is the fused access footprint. The \p Timed
-/// instantiation brackets each row's halo and interior spans with clock
-/// reads and adds them to \p Timing.
-template <bool Timed, class RowFn, class PixelFn>
+/// Each tile's part of the interior rectangle (the pixels at least
+/// \p Halo from every border) goes row by row through \p Row, the
+/// row-wise fast path, one call per channel from a hoisted row base; the
+/// rest of the tile goes through \p Ring. \p Ring may be null only when
+/// \p Halo is 0 (no ring). The \p Timed instantiation brackets each
+/// tile's interior and ring with clock reads and adds them to \p Timing.
+template <bool Timed, class RowFn>
 void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
-                   Image &Out, int Halo, RowFn &&Row, PixelFn &&Pixel,
+                   Image &Out, int Halo, RowFn &&Row, const BorderRing *Ring,
                    LaunchTiming *Timing = nullptr) {
+  assert((Ring || Halo == 0) && "a border ring needs a ring evaluator");
   const int W = Out.width(), H = Out.height(), C = Out.channels();
   const int X0 = std::min(Halo, W), Y0 = std::min(Halo, H);
   const int X1 = std::max(X0, W - Halo), Y1 = std::max(Y0, H - Halo);
@@ -385,72 +416,54 @@ void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
   const Clock::time_point Start = tick<Timed>();
   TP.parallelFor2D(W, H, TileW, TileH, [&](const TileRange &T,
                                            unsigned Worker) {
-    double TileInterior = 0.0, TileHalo = 0.0;
-    for (int Y = T.Y0; Y != T.Y1; ++Y) {
-      const bool RowHasInterior = Y >= Y0 && Y < Y1;
-      const int IA = RowHasInterior ? std::clamp(X0, T.X0, T.X1) : T.X1;
-      const int IB = RowHasInterior ? std::clamp(X1, T.X0, T.X1) : T.X1;
-      const Clock::time_point T0 = tick<Timed>();
-      haloSpan(Out, Y, T.X0, IA, Worker, Pixel);
-      const Clock::time_point T1 = tick<Timed>();
-      if (IA < IB) {
-        float *RowPx = OutBase + (static_cast<size_t>(Y) * W + IA) * C;
-        for (int Ch = 0; Ch != C; ++Ch)
-          Row(Y, IA, IB, Ch, RowPx + Ch, C, Worker);
-      }
-      const Clock::time_point T2 = tick<Timed>();
-      haloSpan(Out, Y, IB, T.X1, Worker, Pixel);
-      TileHalo += elapsedUs(T0, T1) + elapsedUs(T2, tick<Timed>());
-      TileInterior += elapsedUs(T1, T2);
+    const int IA = std::clamp(X0, T.X0, T.X1);
+    const int IB = std::clamp(X1, T.X0, T.X1);
+    const int JA = std::clamp(Y0, T.Y0, T.Y1);
+    const int JB = std::clamp(Y1, T.Y0, T.Y1);
+    const Clock::time_point T0 = tick<Timed>();
+    for (int Y = JA; Y < JB && IA < IB; ++Y) {
+      float *RowPx = OutBase + (static_cast<size_t>(Y) * W + IA) * C;
+      for (int Ch = 0; Ch != C; ++Ch)
+        Row(Y, IA, IB, Ch, RowPx + Ch, C, Worker);
     }
+    const Clock::time_point T1 = tick<Timed>();
+    if (Ring)
+      Ring->runTile(Out, T, IA, IB, JA, JB, Worker);
     if constexpr (Timed) {
-      InteriorUs[Worker] += TileInterior;
-      HaloUs[Worker] += TileHalo;
+      InteriorUs[Worker] += elapsedUs(T0, T1);
+      HaloUs[Worker] += elapsedUs(T1, tick<Timed>());
     }
   }, Options.Source);
   if constexpr (Timed)
     addTileTimes(*Timing, Start, InteriorUs, HaloUs);
 }
 
-/// Lane-scratch floats one worker needs for interior execution of a
-/// program with \p NumRegs registers. Span and Jit both run out of the
-/// SoA lane buffer (the JIT chains address it by absolute float offset);
-/// scalar mode dispatches per pixel out of the pixel scratch and needs
-/// none.
-size_t laneScratchFloats(VmMode Mode, unsigned NumRegs) {
-  return Mode != VmMode::Scalar
-             ? static_cast<size_t>(NumRegs) * VmLaneWidth
-             : 0;
-}
-
 /// Runs one fused launch under the overlapped tiling strategy. The tile
-/// loop covers the whole image; within each tile the border ring (rows
-/// and columns outside the interior rectangle) takes the per-pixel
-/// bordered \p Pixel path exactly as the interior/halo strategy would,
-/// while the tile's interior sub-rectangle goes through
-/// runOverlappedTile: demanded producer stages materialize into the
-/// worker's margin-grown scratch planes and the root reads the planes
-/// instead of recursing. Tiles never exchange data -- the margins are
-/// recomputed redundantly by every adjacent tile. The \p Timed
-/// instantiation brackets each tile's ring and interior with clock reads
-/// and adds them, with the overlap statistics, to \p Timing.
-template <bool Timed, class PixelFn>
+/// loop covers the whole image; each tile's part of the border ring goes
+/// through \p Ring exactly as under the interior/halo strategy, while the
+/// tile's interior sub-rectangle goes through runOverlappedTile: demanded
+/// producer stages materialize into the worker's margin-grown scratch
+/// planes and the root reads the planes instead of recursing. Tiles never
+/// exchange data -- the margins are recomputed redundantly by every
+/// adjacent tile. The \p Timed instantiation brackets each tile's ring
+/// and interior with clock reads and adds them, with the overlap
+/// statistics, to \p Timing.
+template <bool Timed>
 void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
-                        Image &Out, int Halo, const StagedVmProgram &SP,
-                        uint16_t Root, const OverlapSchedule &Schedule,
-                        const std::vector<Image> &Pool, VmMode Mode,
-                        VmScratch &Scratch, PixelFn &&Pixel,
+                        Image &Out, int Halo, const OverlapSchedule &Schedule,
+                        VmMode Mode, const BorderRing &Ring,
                         LaunchTiming *Timing) {
   const int W = Out.width(), H = Out.height(), C = Out.channels();
   const int X0 = std::min(Halo, W), Y0 = std::min(Halo, H);
   const int X1 = std::max(X0, W - Halo), Y1 = std::max(Y0, H - Halo);
   float *OutBase = Out.data().data();
+  VmScratch &Scratch = Ring.Scratch;
 
   int TileW, TileH;
   resolveTileSize(Options, TilingStrategy::Overlapped, W, H,
                   TP.numThreads(), TileW, TileH);
-  Scratch.ensure(TP.numThreads(), SP.NumRegs,
-                 laneScratchFloats(Mode, SP.NumRegs),
+  Scratch.ensure(TP.numThreads(), Ring.SP.NumRegs,
+                 static_cast<size_t>(Ring.SP.NumRegs) * VmLaneWidth,
                  overlapPlaneFloats(Schedule, TileW, TileH));
 
   std::vector<double> InteriorUs, HaloUs;
@@ -467,24 +480,15 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
     const int IB = std::clamp(X1, T.X0, T.X1);
     const int JA = std::clamp(Y0, T.Y0, T.Y1);
     const int JB = std::clamp(Y1, T.Y0, T.Y1);
-    // The tile's border-ring part: rows above/below the interior band
-    // plus the left/right column strips inside it.
     const Clock::time_point T0 = tick<Timed>();
-    for (int Y = T.Y0; Y < JA; ++Y)
-      haloSpan(Out, Y, T.X0, T.X1, Worker, Pixel);
-    for (int Y = JA; Y < JB; ++Y) {
-      haloSpan(Out, Y, T.X0, IA, Worker, Pixel);
-      haloSpan(Out, Y, IB, T.X1, Worker, Pixel);
-    }
-    for (int Y = JB; Y < T.Y1; ++Y)
-      haloSpan(Out, Y, T.X0, T.X1, Worker, Pixel);
+    Ring.runTile(Out, T, IA, IB, JA, JB, Worker);
     const Clock::time_point T1 = tick<Timed>();
     if (IA < IB && JA < JB) {
       float *Regs = Mode == VmMode::Span ? Scratch.LaneRegs[Worker].data()
                                          : Scratch.PixelRegs[Worker].data();
-      runOverlappedTile(SP, Root, Schedule, Pool, IA, IB, JA, JB, C, Mode,
-                        Scratch.PlaneRegs[Worker].data(), Regs, OutBase, W,
-                        Timed ? &WorkerStats[Worker] : nullptr);
+      runOverlappedTile(Ring.SP, Ring.Root, Schedule, Ring.Pool, IA, IB, JA,
+                        JB, C, Mode, Scratch.PlaneRegs[Worker].data(), Regs,
+                        OutBase, W, Timed ? &WorkerStats[Worker] : nullptr);
     }
     if constexpr (Timed) {
       const Clock::time_point T2 = tick<Timed>();
@@ -499,6 +503,17 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
       Timing->ComputedPixels += Stats.ComputedPixels;
     }
   }
+}
+
+/// A row callback of runTiledImage that evaluates \p Pixel(X, Y, Ch) per
+/// pixel: how the AST engines, whose every read is bordered, run the tile
+/// loop with no border ring.
+template <class EvalFn> auto perPixelRow(EvalFn Pixel) {
+  return [Pixel](int Y, int XA, int XB, int Ch, float *Px, int Stride,
+                 unsigned) {
+    for (int X = XA; X < XB; ++X, Px += Stride)
+      *Px = Pixel(X, Y, Ch);
+  };
 }
 
 void checkExternalInputs(const Program &P, const std::vector<Image> &Pool) {
@@ -536,13 +551,12 @@ void kf::runUnfused(const Program &P, std::vector<Image> &Pool,
     PoolSource Source(K, Pool);
     ExprEvaluator Eval(P, Source);
     // The AST engine has no interior specialization (border handling is
-    // resolved per read): every pixel takes the Pixel path.
-    runTiledImage<false>(
-        TP, Options, Out, std::max(Info.Width, Info.Height),
-        [](int, int, int, int, float *, int, unsigned) {},
-        [&](int X, int Y, int Ch, unsigned) {
-          return Eval.eval(K.Body, X, Y, Ch, nullptr);
-        });
+    // resolved per read): every pixel is "interior", evaluated per pixel.
+    runTiledImage<false>(TP, Options, Out, /*Halo=*/0,
+                         perPixelRow([&](int X, int Y, int Ch) {
+                           return Eval.eval(K.Body, X, Y, Ch, nullptr);
+                         }),
+                         /*Ring=*/nullptr);
     Pool[K.Output] = std::move(Out);
   }
 }
@@ -562,12 +576,11 @@ void kf::runFused(const FusedProgram &FP, std::vector<Image> &Pool,
       const Kernel &Dest = P.kernel(DestId);
       const ImageInfo &Info = P.image(Dest.Output);
       Image Out(Info.Width, Info.Height, Info.Channels);
-      runTiledImage<false>(
-          TP, Options, Out, std::max(Info.Width, Info.Height),
-          [](int, int, int, int, float *, int, unsigned) {},
-          [&](int X, int Y, int Ch, unsigned) {
-            return Evaluator.evalStage(DestId, X, Y, Ch);
-          });
+      runTiledImage<false>(TP, Options, Out, /*Halo=*/0,
+                           perPixelRow([&](int X, int Y, int Ch) {
+                             return Evaluator.evalStage(DestId, X, Y, Ch);
+                           }),
+                           /*Ring=*/nullptr);
       Pool[Dest.Output] = std::move(Out);
     }
   }
@@ -594,6 +607,8 @@ void VmScratch::ensure(unsigned Threads, size_t PixelFloats,
     LaneRegs.resize(Threads);
   if (PlaneRegs.size() < Threads)
     PlaneRegs.resize(Threads);
+  if (Ring.size() < Threads)
+    Ring.resize(Threads);
   for (unsigned I = 0; I != Threads; ++I) {
     PixelRegs[I].resize(std::max(PixelRegs[I].size(), PixelFloats));
     LaneRegs[I].resize(std::max(LaneRegs[I].size(), LaneFloats));
@@ -645,22 +660,18 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
   const long long OverlapBefore = Timing ? Timing->OverlapPixels : 0;
   const long long ComputedBefore = Timing ? Timing->ComputedPixels : 0;
 
-  auto HaloPixel = [&](int X, int Y, int Ch, unsigned Worker) {
-    return runStagedVm(SP, Root, Pool, X, Y, Ch,
-                       Scratch.PixelRegs[Worker].data(),
-                       Options.UseIndexExchange);
-  };
-
+  const BorderRing Ring{SP, Root, Pool, Scratch, Options.UseIndexExchange};
   if (Strategy == TilingStrategy::Overlapped) {
     if (Timing)
-      runOverlappedImage<true>(TP, Options, Out, Halo, SP, Root, Schedule,
-                               Pool, Mode, Scratch, HaloPixel, Timing);
+      runOverlappedImage<true>(TP, Options, Out, Halo, Schedule, Mode, Ring,
+                               Timing);
     else
-      runOverlappedImage<false>(TP, Options, Out, Halo, SP, Root, Schedule,
-                                Pool, Mode, Scratch, HaloPixel, Timing);
+      runOverlappedImage<false>(TP, Options, Out, Halo, Schedule, Mode, Ring,
+                                Timing);
   } else {
+    // Every mode's border ring runs out of the lane buffer.
     Scratch.ensure(TP.numThreads(), SP.NumRegs,
-                   laneScratchFloats(Mode, SP.NumRegs));
+                   static_cast<size_t>(SP.NumRegs) * VmLaneWidth);
     auto InteriorRow = [&](int Y, int XA, int XB, int Ch, float *OutPtr,
                            int Stride, unsigned Worker) {
       if (Mode == VmMode::Jit) {
@@ -681,10 +692,9 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
         *Px = runStagedVmInterior(SP, Root, Pool, X, Y, Ch, Regs);
     };
     if (Timing)
-      runTiledImage<true>(TP, Options, Out, Halo, InteriorRow, HaloPixel,
-                          Timing);
+      runTiledImage<true>(TP, Options, Out, Halo, InteriorRow, &Ring, Timing);
     else
-      runTiledImage<false>(TP, Options, Out, Halo, InteriorRow, HaloPixel);
+      runTiledImage<false>(TP, Options, Out, Halo, InteriorRow, &Ring);
   }
 
   if (Timing) {

@@ -16,9 +16,9 @@
 ///     plan (compilePlan, sim/Session.h) -- validated, optimized and
 ///     JIT-lowered staged programs of flat instruction streams with
 ///     stage-call ops (see ir/ExprVM.h) -- evaluated row-wise over the
-///     interior and per-pixel over the halo. An unfused run is
-///     runFusedVm over the singleton partition, unfusedProgram(P)
-///     (transform/Fuser.h).
+///     interior and in 64-pixel lane chunks over the border ring. An
+///     unfused run is runFusedVm over the singleton partition,
+///     unfusedProgram(P) (transform/Fuser.h).
 /// Both engines execute over a tile decomposition driven by a thread pool
 /// (support/ThreadPool.h). Every pixel is a pure function of the inputs,
 /// so results are bit-identical at any thread count; the test suite
@@ -176,13 +176,22 @@ using WorkerRegs = std::vector<float, CacheLineAllocator<float>>;
 /// scratch allocation.
 struct VmScratch {
   std::vector<WorkerRegs> PixelRegs; ///< NumRegs floats per worker.
-  /// Span-mode lane buffers: NumRegs * VmLaneWidth floats per worker
-  /// (structure-of-arrays register frames, see runStagedVmSpan).
+  /// Lane buffers: NumRegs * VmLaneWidth floats per worker
+  /// (structure-of-arrays register frames, see runStagedVmSpan), used by
+  /// span and JIT interiors and by every mode's border ring.
   std::vector<WorkerRegs> LaneRegs;
   /// Overlapped-strategy plane buffers: every margin-grown plane of a
   /// tile's schedule back to back, overlapPlaneFloats floats per worker
   /// (see runOverlappedTile); empty under the interior/halo strategy.
   std::vector<WorkerRegs> PlaneRegs;
+  /// One border-ring chunk: the pixel coordinates a worker collects from
+  /// its tile's ring before runStagedVmRing evaluates them together.
+  struct RingChunk {
+    int X[VmLaneWidth];
+    int Y[VmLaneWidth];
+  };
+  /// One ring chunk per worker (whole cache lines each).
+  std::vector<RingChunk, CacheLineAllocator<RingChunk>> Ring;
 
   /// Grows the per-worker vectors to at least the given float counts.
   void ensure(unsigned Threads, size_t PixelFloats, size_t LaneFloats,
@@ -196,8 +205,8 @@ int fusedLaunchHalo(const StagedVmProgram &SP, uint16_t Root,
                     const ImageInfo &Info);
 
 /// Fine-grained timing of one launch, split between the border-check-free
-/// interior row path and the index-exchange halo pixel path. Collected
-/// only on request (clock reads per row are not free); the tracing /
+/// interior row path and the index-exchange border ring. Collected
+/// only on request (clock reads per tile are not free); the tracing /
 /// metrics layer asks for it when enabled. Interior + halo is CPU time
 /// summed across workers, so it can exceed TotalMs (wall time) on
 /// multi-threaded launches.

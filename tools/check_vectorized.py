@@ -30,6 +30,13 @@ scatters). Runtime-width tail instantiations (template argument 0) are not
 checked: the default cost model never vectorizes a loop that would need a
 scalar epilogue.
 
+Some evaluators must also *have* a full-width instantiation that packs
+every required laneAlu loop: the border-ring evaluator (evalStagedRing in
+src/ir/ExprVM.cpp) runs the ring 64 pixels at a time only to reach the
+packed ALU loops, so it fails the check when no full-width function of it
+vectorizes them -- for example when it is instantiated at runtime width, a
+change the per-loop checks above cannot see.
+
 Usage, from anywhere:
 
     python3 tools/check_vectorized.py
@@ -51,6 +58,10 @@ LANE_OPS = ROOT / "src" / "ir" / "LaneOps.h"
 EXPR_VM_H = ROOT / "src" / "ir" / "ExprVM.h"
 UNITS = [ROOT / "src" / "ir" / "ExprVM.cpp",
          ROOT / "src" / "jit" / "JitProgram.cpp"]
+
+# unit name -> evaluators whose full-width instantiation must pack every
+# required laneAlu loop (matched as a substring of the mangled name).
+PACKED_ALU = {"ExprVM.cpp": ("evalStagedRing",)}
 
 SCALAR_CALLS = ("std::exp", "std::log", "std::pow", "std::sqrt", "std::floor")
 RUNTIME_STRIDE = re.compile(r"\*\s*(Out)?Stride\]")
@@ -83,6 +94,17 @@ def lane_loops():
                 break
         loops[start + 1] = "\n".join(body)
     return loops
+
+
+def alu_lines(loops):
+    """For-line numbers of the KF_LANE_LOOP loops inside laneAlu."""
+    lines = LANE_OPS.read_text().splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith("inline void laneAlu(")), None)
+    if start is None:
+        sys.exit("error: laneAlu not found in %s" % LANE_OPS)
+    end = next(i for i in range(start, len(lines)) if lines[i] == "}")
+    return {line for line in loops if start < line <= end + 1}
 
 
 def required(loop_text):
@@ -169,6 +191,18 @@ def main():
                     failures.append("%s: LaneOps.h:%d stays scalar in %s"
                                     % (unit.name, line, function))
             full = {f for f, _, _ in reports if full_width in f}
+            for marker in PACKED_ALU.get(unit.name, ()):
+                owners = {f for f in full if marker in f}
+                if not owners:
+                    failures.append("%s: no full-width instantiation of %s"
+                                    % (unit.name, marker))
+                    continue
+                packed = {line for f, line, ok in reports
+                          if ok and f in owners}
+                for line in sorted(set(needed) & alu_lines(loops)):
+                    if line not in packed:
+                        failures.append("%s: LaneOps.h:%d is not packed in "
+                                        "%s" % (unit.name, line, marker))
             print("%s: checked %d full-width functions"
                   % (unit.name, len(full)))
 
