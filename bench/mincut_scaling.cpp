@@ -2,8 +2,9 @@
 //
 // google-benchmark microbenchmarks of the compile-time components
 // (Section III-C complexity discussion): the Stoer-Wagner minimum cut on
-// random connected graphs, full Algorithm 1 runs on random pipelines, the
-// benefit model's weight assignment, and the exhaustive search blow-up.
+// dense random connected graphs and on the weighted kernel DAGs fusion
+// actually cuts, full Algorithm 1 runs on random pipelines, the benefit
+// model's weight assignment, and the exhaustive search blow-up.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,28 @@ static void BM_StoerWagner(benchmark::State &State) {
   State.SetComplexityN(N);
 }
 BENCHMARK(BM_StoerWagner)->RangeMultiplier(2)->Range(8, 128)->Complexity();
+
+// The first cut Algorithm 1 makes on a random pipeline: the whole weighted
+// kernel DAG (sparse, mean degree about 2.3) as one block.
+static void BM_StoerWagnerKernelDag(benchmark::State &State) {
+  unsigned NumKernels = static_cast<unsigned>(State.range(0));
+  Rng Gen(7 + NumKernels);
+  Program P = makeRandomPipeline(NumKernels, 0.4, 48, 48, Gen);
+  LegalityChecker Checker(P, HardwareModel());
+  Digraph Dag = BenefitModel(Checker).buildWeightedDag();
+  std::vector<Digraph::NodeId> All(Dag.numNodes());
+  for (Digraph::NodeId N = 0; N != Dag.numNodes(); ++N)
+    All[N] = N;
+  for (auto _ : State) {
+    CutResult Cut = stoerWagnerMinCut(Dag, All);
+    benchmark::DoNotOptimize(Cut.Weight);
+  }
+  State.SetComplexityN(NumKernels);
+}
+BENCHMARK(BM_StoerWagnerKernelDag)
+    ->RangeMultiplier(2)
+    ->Range(8, 64)
+    ->Complexity();
 
 static void BM_MinCutFusionRandomPipeline(benchmark::State &State) {
   unsigned NumKernels = static_cast<unsigned>(State.range(0));

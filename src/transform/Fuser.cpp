@@ -50,10 +50,14 @@ namespace {
 /// Builds one FusedKernel from a partition block.
 class BlockFuser {
 public:
+  /// \p KernelOrder is a topological order of the program's kernel DAG,
+  /// shared by every block of the program.
   BlockFuser(const Program &P, const LegalityChecker &Checker,
+             const std::vector<KernelId> &KernelOrder,
              const std::vector<KernelId> &Block, FusionStyle Style,
              const TileShape &Tile)
-      : P(P), Checker(Checker), Block(Block), Style(Style), Tile(Tile) {}
+      : P(P), Checker(Checker), KernelOrder(KernelOrder), Block(Block),
+        Style(Style), Tile(Tile) {}
 
   FusedKernel fuse() {
     FusedKernel FK;
@@ -95,10 +99,7 @@ private:
 
   /// Orders the block's kernels topologically; the unique sink comes last.
   void orderStages(FusedKernel &FK) {
-    std::optional<std::vector<Digraph::NodeId>> Order =
-        P.buildKernelDag().topologicalOrder();
-    assert(Order && "kernel DAG has a cycle");
-    for (Digraph::NodeId N : *Order)
+    for (KernelId N : KernelOrder)
       if (inBlock(N)) {
         FusedStage Stage;
         Stage.Kernel = N;
@@ -218,6 +219,7 @@ private:
 
   const Program &P;
   const LegalityChecker &Checker;
+  const std::vector<KernelId> &KernelOrder;
   const std::vector<KernelId> &Block;
   FusionStyle Style;
   TileShape Tile;
@@ -242,8 +244,13 @@ FusedProgram kf::fuseProgram(const Program &P, const Partition &S,
   FP.SourcePartition = S;
   FP.SourcePartition.normalize();
 
-  // Launch order: topological order of the block contraction of the DAG.
+  // Stage order within every block: one topological order of the DAG.
   Digraph Dag = P.buildKernelDag();
+  std::optional<std::vector<Digraph::NodeId>> KernelOrder =
+      Dag.topologicalOrder();
+  assert(KernelOrder && "kernel DAG has a cycle");
+
+  // Launch order: topological order of the block contraction of the DAG.
   Digraph BlockGraph;
   for (size_t B = 0; B != FP.SourcePartition.Blocks.size(); ++B)
     BlockGraph.addNode("block" + std::to_string(B));
@@ -262,8 +269,8 @@ FusedProgram kf::fuseProgram(const Program &P, const Partition &S,
                      "' form a dependence cycle");
 
   for (Digraph::NodeId B : *BlockOrder) {
-    BlockFuser Fuser(P, Checker, FP.SourcePartition.Blocks[B].Kernels, Style,
-                     Tile);
+    BlockFuser Fuser(P, Checker, *KernelOrder,
+                     FP.SourcePartition.Blocks[B].Kernels, Style, Tile);
     FP.Kernels.push_back(Fuser.fuse());
   }
   return FP;

@@ -13,32 +13,18 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 
 using namespace kf;
 
 namespace {
 
-/// Locates tests/fixtures/analysis relative to the test binary's working
-/// directory (ctest runs in build/tests).
-std::string fixtureDir() {
-  for (const char *Candidate :
-       {"fixtures/analysis/", "tests/fixtures/analysis/",
-        "../tests/fixtures/analysis/", "../../tests/fixtures/analysis/",
-        "../../../tests/fixtures/analysis/"}) {
-    std::ifstream Probe(std::string(Candidate) + "cyclic.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The source tree's analysis fixtures.
+const std::string FixtureDir = KF_SOURCE_DIR "/tests/fixtures/analysis/";
 
 /// Leniently parses a fixture and lints it; the program must be
 /// structurally parseable.
 DiagnosticEngine lintFixture(const std::string &File) {
-  std::string Dir = fixtureDir();
-  EXPECT_FALSE(Dir.empty()) << "tests/fixtures/analysis not found";
-  ParseResult Parsed = parsePipelineFile(Dir + File, /*Verify=*/false);
+  ParseResult Parsed = parsePipelineFile(FixtureDir + File, /*Verify=*/false);
   EXPECT_TRUE(Parsed.Prog != nullptr)
       << File << ": " << (Parsed.Errors.empty() ? "" : Parsed.Errors.front());
   DiagnosticEngine DE;
@@ -56,10 +42,8 @@ TEST(AnalysisFixtures, CyclicDagIsKFP01) {
 TEST(AnalysisFixtures, UndefinedImageFailsTheParse) {
   // Unknown image names are a parse-level failure even in lenient mode;
   // kfc --analyze maps them to KF-P00.
-  std::string Dir = fixtureDir();
-  ASSERT_FALSE(Dir.empty());
   ParseResult Parsed =
-      parsePipelineFile(Dir + "undefined_image.kfp", /*Verify=*/false);
+      parsePipelineFile(FixtureDir + "undefined_image.kfp", /*Verify=*/false);
   EXPECT_EQ(Parsed.Prog, nullptr);
   ASSERT_FALSE(Parsed.Errors.empty());
   EXPECT_NE(Parsed.Errors.front().find("unknown image"), std::string::npos)

@@ -23,7 +23,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <iterator>
 #include <set>
 #include <string>
@@ -61,17 +60,8 @@ const std::set<std::string> &severityEnum() {
   return Severities;
 }
 
-std::string fixtureDir() {
-  for (const char *Candidate :
-       {"fixtures/analysis/", "tests/fixtures/analysis/",
-        "../tests/fixtures/analysis/", "../../tests/fixtures/analysis/",
-        "../../../tests/fixtures/analysis/"}) {
-    std::ifstream Probe(std::string(Candidate) + "cyclic.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The source tree's analysis fixtures.
+const std::string FixtureDir = KF_SOURCE_DIR "/tests/fixtures/analysis/";
 
 /// Extracts every value of a `"key": "value"` string field from
 /// rendered JSON.
@@ -97,9 +87,7 @@ std::vector<std::string> stringField(const std::string &Json,
 /// and interval interpretation.
 DiagnosticEngine analyzeFixture(const std::string &File) {
   DiagnosticEngine DE;
-  std::string Dir = fixtureDir();
-  EXPECT_FALSE(Dir.empty()) << "tests/fixtures/analysis not found";
-  ParseResult Parsed = parsePipelineFile(Dir + File, /*Verify=*/false);
+  ParseResult Parsed = parsePipelineFile(FixtureDir + File, /*Verify=*/false);
   if (!Parsed.Prog) {
     for (const std::string &Error : Parsed.Errors)
       DE.error("KF-P00", Error);

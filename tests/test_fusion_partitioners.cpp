@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 using namespace kf;
@@ -243,6 +245,57 @@ TEST(PartitionInvariants, MinCutAlwaysYieldsValidPartitions) {
       EXPECT_TRUE(Checker.checkBlock(B.Kernels).Legal)
           << "pipeline: " << Spec.Name;
   }
+}
+
+/// FNV-1a over 64-bit words: a digest of everything Algorithm 1 decided.
+struct TraceDigest {
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  uint64_t Cuts = 0;
+
+  void add(uint64_t Word) {
+    for (int Byte = 0; Byte != 8; ++Byte) {
+      Hash ^= (Word >> (8 * Byte)) & 0xff;
+      Hash *= 0x100000001b3ull;
+    }
+  }
+  void add(const std::vector<KernelId> &Ids) {
+    add(Ids.size());
+    for (KernelId Id : Ids)
+      add(Id);
+  }
+  /// Every step's block, verdict, cut weight (bit pattern) and sides.
+  void add(const MinCutFusionResult &Result) {
+    add(Result.Trace.size());
+    for (const FusionTraceStep &Step : Result.Trace) {
+      add(Step.Block);
+      add(Step.Accepted);
+      add(std::bit_cast<uint64_t>(Step.CutWeight));
+      add(Step.SideA);
+      add(Step.SideB);
+      Cuts += !Step.Accepted;
+    }
+  }
+};
+
+TEST(MinCutTrace, DigestOverRegistryAndRandomPipelinesIsPinned) {
+  // Pins every cut Algorithm 1 makes -- which block, which sides, the
+  // exact weight bits -- on the registry pipelines (under the default and
+  // the paper's hardware model) and on random pipelines of 8-64 kernels
+  // shaped like the compile workload's requests. A change to the minimum
+  // cut or the partitioner that moves any tie-break changes the digest.
+  TraceDigest Digest;
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    Program P = Spec.build();
+    Digest.add(runMinCutFusion(P, HardwareModel()));
+    Digest.add(runMinCutFusion(P, paperModel()));
+  }
+  for (unsigned NumKernels = 8; NumKernels <= 64; ++NumKernels) {
+    Rng Gen(1000 + NumKernels);
+    Program P = makeRandomPipeline(NumKernels, 0.4, 48, 48, Gen);
+    Digest.add(runMinCutFusion(P, HardwareModel()));
+  }
+  EXPECT_EQ(Digest.Cuts, 1732u);
+  EXPECT_EQ(Digest.Hash, 0x230998d02d482d57ull);
 }
 
 } // namespace

@@ -27,18 +27,8 @@ using namespace kf;
 
 namespace {
 
-/// Locates the repository's tests/golden directory relative to the test
-/// binary's working directory (ctest runs in build/tests).
-std::string goldenDir() {
-  for (const char *Candidate :
-       {"golden/", "tests/golden/", "../tests/golden/",
-        "../../tests/golden/", "../../../tests/golden/"}) {
-    std::ifstream Probe(std::string(Candidate) + "blur_chain_clamp.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The source tree's golden directory.
+const std::string GoldenDir = KF_SOURCE_DIR "/tests/golden/";
 
 std::string readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -65,11 +55,9 @@ const GoldenCase &goldenCase(int Index) {
 }
 
 TEST_P(GoldenKfp, SerializerMatchesFixtureByteForByte) {
-  std::string Dir = goldenDir();
-  ASSERT_FALSE(Dir.empty()) << "tests/golden not found from the test cwd";
   const GoldenCase &Case = goldenCase(GetParam());
 
-  std::string Golden = readFile(Dir + Case.File);
+  std::string Golden = readFile(GoldenDir + Case.File);
   ASSERT_FALSE(Golden.empty()) << Case.File;
 
   Program Built = Case.Builder();

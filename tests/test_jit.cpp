@@ -384,6 +384,37 @@ TEST(JitVm, PristineRegistryProgramsCompile) {
   }
 }
 
+/// The full chain's op cells are the hot lane loops; their build aligns
+/// every function of JitProgram.cpp to a cache line so that a change
+/// elsewhere in the library cannot shift their code layout (and their
+/// speed). Checks that the alignment reached every cell of every
+/// registry launch.
+TEST(JitLayout, FullChainCellsAreCacheLineAligned) {
+  size_t Cells = 0;
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    Program P = Spec.Builder(64, 48);
+    FusedProgram FP = fuseProgram(
+        P, runMinCutFusion(P, HardwareModel()).Blocks,
+        FusionStyle::Optimized);
+    for (const FusedKernel &FK : FP.Kernels) {
+      StagedVmProgram SP = compileFusedKernel(FP, FK);
+      uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
+      std::shared_ptr<const JitProgram> JP =
+          compileJitProgram(SP, Root, poolShapes(P));
+      ASSERT_NE(JP, nullptr) << Spec.Name << " " << FK.Name;
+      for (const JitCell &Cell : JP->Full) {
+        if (!Cell.Fn)
+          continue;
+        ++Cells;
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(Cell.Fn) % 64, 0u)
+            << Spec.Name << " " << FK.Name << ": cell "
+            << (&Cell - JP->Full.data());
+      }
+    }
+  }
+  EXPECT_GT(Cells, 0u);
+}
+
 TEST(JitVm, ModeName) { EXPECT_STREQ(vmModeName(VmMode::Jit), "jit"); }
 
 /// The launch-level contract: a default (Jit) launch carrying an
@@ -541,18 +572,8 @@ TEST(JitSession, PlansCarryJitArtifactsAndFramesMatchSpan) {
   }
 }
 
-/// Locates the repository's examples/pipelines directory relative to the
-/// test binary's working directory (ctest runs in build/tests).
-std::string pipelinesDir() {
-  for (const char *Candidate :
-       {"examples/pipelines/", "../examples/pipelines/",
-        "../../examples/pipelines/", "../../../examples/pipelines/"}) {
-    std::ifstream Probe(std::string(Candidate) + "harris.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The source tree's shipped pipelines.
+const std::string PipelinesDir = KF_SOURCE_DIR "/examples/pipelines/";
 
 /// Rewrites every `image <name> W H [C]` declaration of a .kfp source to
 /// the given extents, preserving the channel count. The shipped files
@@ -587,11 +608,7 @@ std::string rescaleKfpImages(const std::string &Source, int W, int H) {
 class JitGoldenKfp : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(JitGoldenKfp, ShippedPipelineJitMatchesSpan) {
-  std::string Dir = pipelinesDir();
-  if (Dir.empty())
-    GTEST_SKIP() << "examples/pipelines not found from the test cwd";
-
-  std::ifstream File(Dir + GetParam() + ".kfp");
+  std::ifstream File(PipelinesDir + GetParam() + ".kfp");
   ASSERT_TRUE(File.good()) << GetParam();
   std::stringstream Buffer;
   Buffer << File.rdbuf();

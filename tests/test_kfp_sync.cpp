@@ -17,36 +17,21 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 
 using namespace kf;
 
 namespace {
 
-/// Locates the repository's examples/pipelines directory relative to the
-/// test binary's working directory (ctest runs in build/tests).
-std::string pipelinesDir() {
-  for (const char *Candidate :
-       {"examples/pipelines/", "../examples/pipelines/",
-        "../../examples/pipelines/", "../../../examples/pipelines/"}) {
-    std::ifstream Probe(std::string(Candidate) + "harris.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The source tree's shipped pipelines.
+const std::string PipelinesDir = KF_SOURCE_DIR "/examples/pipelines/";
 
 class KfpSync : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(KfpSync, ShippedFileMatchesBuilder) {
-  std::string Dir = pipelinesDir();
-  if (Dir.empty())
-    GTEST_SKIP() << "examples/pipelines not found from the test cwd";
-
   const PipelineSpec *Spec = findPipeline(GetParam());
   ASSERT_NE(Spec, nullptr);
 
-  ParseResult Parsed = parsePipelineFile(Dir + GetParam() + ".kfp");
+  ParseResult Parsed = parsePipelineFile(PipelinesDir + GetParam() + ".kfp");
   ASSERT_TRUE(Parsed.success())
       << GetParam() << ": "
       << (Parsed.Errors.empty() ? "?" : Parsed.Errors.front());

@@ -26,7 +26,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -109,18 +108,8 @@ std::string renderIssues(const std::vector<LazyIssue> &Issues) {
   return Out.str();
 }
 
-/// Locates the shipped lazy-script example from the test working
-/// directory (build tree or repo root); "" when absent.
-std::string harrisScriptPath() {
-  for (const char *Candidate :
-       {"examples/lazy/harris.lz", "../examples/lazy/harris.lz",
-        "../../examples/lazy/harris.lz", "../../../examples/lazy/harris.lz"}) {
-    std::ifstream Probe(Candidate);
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The shipped lazy-script example in the source tree.
+const std::string HarrisScriptPath = KF_SOURCE_DIR "/examples/lazy/harris.lz";
 
 //===--------------------------------------------------------------------===//
 // Differential: lazy vs registry, across engines
@@ -424,11 +413,7 @@ TEST(LazyScript, AllLiteralOperandsAreRejectedAtParse) {
 }
 
 TEST(LazyScript, ShippedHarrisScriptMatchesTheHandleApi) {
-  std::string Path = harrisScriptPath();
-  if (Path.empty())
-    GTEST_SKIP() << "examples/lazy/harris.lz not reachable from cwd";
-
-  LazyScriptResult R = parseLazyScriptFile(Path);
+  LazyScriptResult R = parseLazyScriptFile(HarrisScriptPath);
   ASSERT_TRUE(R.ok()) << renderIssues(R.Errors);
   EXPECT_EQ(R.Pipeline->numOps(), 16u);
   ASSERT_EQ(R.OutputNodes.size(), 1u);

@@ -28,7 +28,6 @@
 
 #include <cmath>
 #include <memory>
-#include <fstream>
 #include <functional>
 
 using namespace kf;
@@ -378,27 +377,14 @@ TEST(OptMode, NamesAndDefault) {
 // Stats on known-reducible programs
 //===--------------------------------------------------------------------===//
 
-/// Locates tests/fixtures/analysis relative to the test binary's working
-/// directory (ctest runs in build/tests).
-std::string fixtureDir() {
-  for (const char *Candidate :
-       {"fixtures/analysis/", "tests/fixtures/analysis/",
-        "../tests/fixtures/analysis/", "../../tests/fixtures/analysis/",
-        "../../../tests/fixtures/analysis/"}) {
-    std::ifstream Probe(std::string(Candidate) + "noop_clamp.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
+/// The source tree's analysis fixtures.
+const std::string FixtureDir = KF_SOURCE_DIR "/tests/fixtures/analysis/";
 
 /// Compiles a fixture pipeline into an Opt=On plan.
 std::shared_ptr<const CompiledPlan> planForFixture(const std::string &File,
                                                    FusedProgram &FP,
                                                    ParseResult &Parsed) {
-  std::string Dir = fixtureDir();
-  EXPECT_FALSE(Dir.empty()) << "tests/fixtures/analysis not found";
-  Parsed = parsePipelineFile(Dir + File);
+  Parsed = parsePipelineFile(FixtureDir + File);
   EXPECT_TRUE(Parsed.Prog != nullptr)
       << (Parsed.Errors.empty() ? "" : Parsed.Errors.front());
   if (!Parsed.Prog)
