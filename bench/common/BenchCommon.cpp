@@ -7,11 +7,8 @@
 #include "image/Generators.h"
 #include "support/Error.h"
 
-#include <cctype>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
 using namespace kf;
 
@@ -66,18 +63,13 @@ AppVariants kf::buildAppVariants(const PipelineSpec &Spec, double Scale) {
   return App;
 }
 
-const char *kf::execEngineName(ExecEngine E) {
-  switch (E) {
-  case ExecEngine::Ast:
-    return "ast";
-  case ExecEngine::Vm:
-    return "vm";
-  }
-  KF_UNREACHABLE("unknown engine");
-}
+namespace {
 
-void kf::fillExternalInputs(const Program &P, std::vector<Image> &Pool,
-                            uint64_t Seed) {
+/// Fills every external input of \p P (images no kernel produces) in
+/// \p Pool with deterministic random data, so measured runs are
+/// reproducible across invocations.
+void fillExternalInputs(const Program &P, std::vector<Image> &Pool,
+                        uint64_t Seed) {
   std::vector<bool> Produced(P.numImages());
   for (KernelId Id = 0; Id != P.numKernels(); ++Id)
     Produced[P.kernel(Id).Output] = true;
@@ -90,9 +82,11 @@ void kf::fillExternalInputs(const Program &P, std::vector<Image> &Pool,
     }
 }
 
+} // namespace
+
 double kf::measureVariantWallMs(const AppVariants &App, Variant V,
                                 const ExecutionOptions &Options,
-                                ExecEngine Engine, int Repeats) {
+                                int Repeats) {
   const Program &P = *App.Source;
   const FusedProgram &FP = App.variant(V);
   std::vector<Image> Pool = makeImagePool(P);
@@ -101,12 +95,7 @@ double kf::measureVariantWallMs(const AppVariants &App, Variant V,
   double Best = 0.0;
   for (int R = 0; R < std::max(Repeats, 1); ++R) {
     auto Start = std::chrono::steady_clock::now();
-    if (Engine == ExecEngine::Vm)
-      runFusedVm(FP, Pool, Options);
-    else if (V == Variant::Baseline)
-      runUnfused(P, Pool, Options);
-    else
-      runFused(FP, Pool, Options);
+    runFusedVm(FP, Pool, Options);
     double Ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - Start)
                     .count();
@@ -177,108 +166,4 @@ const PaperTable2 &kf::paperTable2() {
     return T;
   }();
   return Table;
-}
-
-namespace {
-
-/// Finds the end (one past the matching close) of the JSON value that
-/// starts at \p From in \p Text, honoring strings and escapes. Returns
-/// std::string::npos when the value never closes.
-size_t jsonValueEnd(const std::string &Text, size_t From) {
-  int Depth = 0;
-  bool InString = false;
-  for (size_t I = From; I < Text.size(); ++I) {
-    char C = Text[I];
-    if (InString) {
-      if (C == '\\')
-        ++I;
-      else if (C == '"')
-        InString = false;
-      continue;
-    }
-    switch (C) {
-    case '"':
-      InString = true;
-      break;
-    case '{':
-    case '[':
-      ++Depth;
-      break;
-    case '}':
-    case ']':
-      if (--Depth == 0)
-        return I + 1;
-      break;
-    default:
-      // Scalar member values end at the enclosing ',' or '}'.
-      if (Depth == 0 && (C == ',' || C == '}'))
-        return I;
-      break;
-    }
-  }
-  return std::string::npos;
-}
-
-} // namespace
-
-bool kf::spliceJsonSection(const std::string &Path, const std::string &Key,
-                           const std::string &Section) {
-  std::string Content;
-  {
-    std::ifstream In(Path, std::ios::binary);
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Content = Buf.str();
-  }
-
-  // Remove only the previous run's section, if any: from the comma (or
-  // key quote) that introduces it through the end of its value.
-  std::string Quoted = "\"" + Key + "\"";
-  size_t KeyPos = Content.find(Quoted);
-  if (KeyPos != std::string::npos) {
-    size_t Colon = Content.find(':', KeyPos + Quoted.size());
-    size_t ValueStart =
-        Colon == std::string::npos
-            ? std::string::npos
-            : Content.find_first_not_of(" \t\r\n", Colon + 1);
-    size_t End = ValueStart == std::string::npos
-                     ? std::string::npos
-                     : jsonValueEnd(Content, ValueStart);
-    if (End != std::string::npos) {
-      size_t Start = Content.rfind(',', KeyPos);
-      if (Start == std::string::npos)
-        Start = KeyPos;
-      // If the section was not last, swallow the comma that followed it
-      // instead so the remaining members stay well-formed.
-      if (Content.compare(Start, 1, ",") != 0) {
-        size_t Next = Content.find_first_not_of(" \t\r\n", End);
-        if (Next != std::string::npos && Content[Next] == ',')
-          End = Next + 1;
-      }
-      Content.erase(Start, End - Start);
-    } else {
-      Content.clear(); // Unrecognizable; start a fresh object.
-    }
-  }
-
-  // Reopen the top-level object: drop the final close brace only (a
-  // nested member may legitimately end in '}' right before it).
-  size_t Close = Content.find_last_of('}');
-  if (Close == std::string::npos)
-    Content.clear();
-  else
-    Content.erase(Close);
-  while (!Content.empty() &&
-         std::isspace(static_cast<unsigned char>(Content.back())))
-    Content.pop_back();
-
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  if (!Out.good())
-    return false;
-  if (Content.empty() || Content == "{")
-    Out << "{";
-  else
-    Out << Content << ",";
-  Out << "\n  " << Quoted << ": " << Section << "\n}\n";
-  return Out.good();
 }

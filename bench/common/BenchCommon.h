@@ -52,29 +52,12 @@ struct AppVariants {
 /// scales to keep host-execution runs tractable).
 AppVariants buildAppVariants(const PipelineSpec &Spec, double Scale = 1.0);
 
-/// Which host evaluation engine executes a variant's pixels.
-enum class ExecEngine {
-  Ast, ///< Tree-walking interpreter (semantic reference).
-  Vm,  ///< Bytecode VM with interior/halo split + row-wise evaluation.
-};
-
-const char *execEngineName(ExecEngine E);
-
-/// Fills every external input of \p P (images no kernel produces) in
-/// \p Pool with deterministic random data, so measured runs are
-/// reproducible across invocations and engines.
-void fillExternalInputs(const Program &P, std::vector<Image> &Pool,
-                        uint64_t Seed);
-
 /// Wall-clock milliseconds to actually execute one variant's pixels on
-/// the host with the given engine and execution options (best of
-/// \p Repeats runs on a shared pre-filled pool). The VM engine runs every
-/// variant through runFusedVm (the Baseline variant is the singleton
-/// partition); the AST engine runs runUnfused for the Baseline and
-/// runFused otherwise.
+/// the host through runFusedVm under \p Options (best of \p Repeats runs
+/// on a shared pool pre-filled with deterministic random inputs). The
+/// Baseline variant is the singleton partition.
 double measureVariantWallMs(const AppVariants &App, Variant V,
-                            const ExecutionOptions &Options,
-                            ExecEngine Engine, int Repeats = 3);
+                            const ExecutionOptions &Options, int Repeats = 3);
 
 /// Analytic execution time of one variant on one device (milliseconds).
 double variantTimeMs(const AppVariants &App, Variant V,
@@ -94,15 +77,6 @@ struct PaperTable1 {
   std::map<std::string, std::map<std::string, double>> OptOverBasic;
 };
 const PaperTable1 &paperTable1();
-
-/// Splices \p Section (a JSON value) into the top-level JSON object of
-/// \p Path as member \p Key, replacing only a previous run's \p Key
-/// section (brace-matched, string-aware) and leaving every other
-/// member intact -- so the benches that share BENCH_throughput.json
-/// can run in any order without destroying each other's sections.
-/// Writes a fresh object when the file is missing or unrecognizable.
-bool spliceJsonSection(const std::string &Path, const std::string &Key,
-                       const std::string &Section);
 
 /// Published geometric means from Table II, indexed by app name.
 struct PaperTable2 {

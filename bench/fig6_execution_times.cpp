@@ -49,8 +49,7 @@ int main(int Argc, char **Argv) {
           std::to_string(In.Width) + "x" + std::to_string(In.Height);
       for (Variant V : {Variant::Baseline, Variant::BasicFusion,
                         Variant::OptimizedFusion}) {
-        double Ms =
-            measureVariantWallMs(App, V, Options, ExecEngine::Vm, Repeats);
+        double Ms = measureVariantWallMs(App, V, Options, Repeats);
         Table.addRow({App.Name, Size, variantName(V),
                       formatDouble(Ms, 3)});
       }

@@ -51,7 +51,7 @@ int main(int Argc, char **Argv) {
       for (Variant V : {Variant::Baseline, Variant::BasicFusion,
                         Variant::OptimizedFusion})
         HostMs[App.Name][variantName(V)] = measureVariantWallMs(
-            App, V, ExecOptions, ExecEngine::Vm, Repeats);
+            App, V, ExecOptions, Repeats);
   }
 
   if (!Measure)

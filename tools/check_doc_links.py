@@ -8,12 +8,6 @@ links (http/https/mailto) and pure in-page anchors are skipped; anchor
 suffixes on relative links are stripped before the existence check, and
 fenced code blocks are ignored (C++ lambdas parse as links otherwise).
 
-Also cross-checks the benchmark JSON sections: every section name a
-bench/*.cpp source passes to spliceJsonSection must exist as a top-level
-key of the committed BENCH_throughput.json -- a renamed (or silently
-dropped) section key fails here instead of vanishing unnoticed from the
-results file.
-
 Also cross-checks the diagnostic-code registry: every KF-* code the
 docs mention must be an entry of DiagCodeRegistry in
 src/analysis/Diagnostics.h, and every warning- or error-severity
@@ -29,7 +23,6 @@ script's parent directory). CI runs it as the docs link-check step.
 Standard library only.
 """
 
-import json
 import re
 import sys
 from pathlib import Path
@@ -70,39 +63,6 @@ def check_file(path: Path, root: Path):
             if not resolved.exists():
                 dead.append((lineno, target))
     return dead
-
-
-# spliceJsonSection(<file-or-var>, "section_name", ...) in bench sources.
-SPLICE_RE = re.compile(r'spliceJsonSection\([^,]+,\s*"([^"]+)"')
-
-
-def check_bench_sections(root: Path):
-    """Every spliceJsonSection key in bench/*.cpp must be a top-level key
-    of the committed BENCH_throughput.json."""
-    problems = []
-    wanted = {}  # section name -> first declaring source file
-    for src in sorted((root / "bench").glob("*.cpp")):
-        for match in SPLICE_RE.finditer(src.read_text(encoding="utf-8",
-                                                      errors="replace")):
-            wanted.setdefault(match.group(1), src.relative_to(root))
-    if not wanted:
-        return problems
-    results = root / "BENCH_throughput.json"
-    if not results.exists():
-        problems.append(f"{results.name}: missing, but bench sources "
-                        f"declare sections {sorted(wanted)}")
-        return problems
-    try:
-        present = set(json.loads(results.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as err:
-        problems.append(f"{results.name}: unparsable JSON: {err}")
-        return problems
-    for section, src in sorted(wanted.items()):
-        if section not in present:
-            problems.append(
-                f"{results.name}: missing section '{section}' "
-                f"(declared by {src}; re-run the bench to splice it in)")
-    return problems
 
 
 # One registry entry per line in Diagnostics.h (the header keeps this
@@ -170,7 +130,7 @@ def main():
         for lineno, target in check_file(doc, root):
             failures += 1
             print(f"{doc.relative_to(root)}:{lineno}: dead link: {target}")
-    for problem in check_bench_sections(root) + check_diag_codes(root):
+    for problem in check_diag_codes(root):
         failures += 1
         print(problem)
     if failures:
@@ -178,8 +138,7 @@ def main():
               file=sys.stderr)
         return 1
     print(f"checked {checked} markdown file(s): all relative links resolve; "
-          f"all bench JSON sections present; KF-* codes consistent with "
-          f"DiagCodeRegistry")
+          f"KF-* codes consistent with DiagCodeRegistry")
     return 0
 
 

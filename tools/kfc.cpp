@@ -85,7 +85,8 @@ static void printUsage() {
       "  --time                       print simulated GPU times\n"
       "  --run                        execute on random input: fused VM\n"
       "                               (plan compile + run) vs unfused AST\n"
-      "                               wall time + max |diff|\n"
+      "                               wall time + max |diff|; exit 1\n"
+      "                               when the diff is not 0\n"
       "  --threads <n>                worker threads for --run (0 = auto)\n"
       "  --vm scalar|span|jit         interior VM engine for --run: jit\n"
       "                               (the default; compiled per-plan\n"
@@ -206,6 +207,17 @@ static std::string beforeAfter(const StagedVmProgram &Before,
     return N;
   };
   return std::to_string(Count(Before)) + " -> " + std::to_string(Count(After));
+}
+
+/// The exit status of a `--run`: 0 when the \p What result matched the
+/// unfused AST reference bit for bit, else 1 with an error on stderr.
+static int checkRunMatches(double MaxDiff, const char *What) {
+  if (MaxDiff == 0.0)
+    return 0;
+  std::fprintf(stderr, "error: %s result differs from the unfused ast "
+                       "reference (max |diff| %g)\n",
+               What, MaxDiff);
+  return 1;
 }
 
 /// The `kfc --lazy <script>` driver: records the builder script through
@@ -745,6 +757,7 @@ int main(int Argc, char **Argv) {
       FillFrame(Frames - 1, Reference);
       runUnfused(P, Reference, Exec);
 
+      double MaxDiff = 0.0;
       {
       PipelineSession Session(FP, Exec);
       std::vector<Image> LastFrame;
@@ -765,7 +778,6 @@ int main(int Argc, char **Argv) {
                        formatDouble(Frames * 1000.0 / Ms, 3)});
       }
 
-      double MaxDiff = 0.0;
       for (const FusedKernel &FK : FP.Kernels)
         for (KernelId Dest : FK.Destinations) {
           ImageId Out = P.kernel(Dest).Output;
@@ -793,7 +805,7 @@ int main(int Argc, char **Argv) {
                   MaxDiff);
       } // Session scope: its thread pool exports counters on destruction.
       reportObservability();
-      return 0;
+      return checkRunMatches(MaxDiff, "session frame");
     }
 
     // Deterministic random fill of every external input (images no
@@ -841,7 +853,7 @@ int main(int Argc, char **Argv) {
     std::printf("max |fused vm - unfused ast| over destinations: %g\n",
                 MaxDiff);
     reportObservability();
-    return 0;
+    return checkRunMatches(MaxDiff, "fused vm");
   }
 
   std::string Emit = Cl.getOption("emit", "");
