@@ -24,10 +24,10 @@
 #define KF_ANALYSIS_ANALYZER_H
 
 #include "analysis/BytecodeValidator.h"
-#include "analysis/Diagnostics.h"
 #include "analysis/FootprintCheck.h"
 #include "analysis/ProgramLint.h"
 #include "fusion/Legality.h"
+#include "support/Diagnostics.h"
 #include "transform/FusedKernel.h"
 
 namespace kf {

@@ -34,8 +34,8 @@
 #ifndef KF_ANALYSIS_BYTECODEVALIDATOR_H
 #define KF_ANALYSIS_BYTECODEVALIDATOR_H
 
-#include "analysis/Diagnostics.h"
 #include "ir/ExprVM.h"
+#include "support/Diagnostics.h"
 
 namespace kf {
 

@@ -30,8 +30,8 @@
 #ifndef KF_ANALYSIS_FOOTPRINTCHECK_H
 #define KF_ANALYSIS_FOOTPRINTCHECK_H
 
-#include "analysis/Diagnostics.h"
 #include "ir/ExprVM.h"
+#include "support/Diagnostics.h"
 #include "transform/FusedKernel.h"
 
 namespace kf {

@@ -55,8 +55,8 @@
 #ifndef KF_ANALYSIS_INTERVALANALYSIS_H
 #define KF_ANALYSIS_INTERVALANALYSIS_H
 
-#include "analysis/Diagnostics.h"
 #include "ir/VmOptimizer.h"
+#include "support/Diagnostics.h"
 
 #include <vector>
 

@@ -535,8 +535,11 @@ ParseResult kf::parsePipelineText(const std::string &Source, bool Verify) {
   if (!Result.Prog || !Verify)
     return Result;
 
-  for (std::string &Diag : verifyProgram(*Result.Prog))
-    Result.Errors.push_back("verifier: " + std::move(Diag));
+  DiagnosticEngine DE;
+  verifyProgram(*Result.Prog, DE);
+  for (const Diagnostic &Diag : DE.diagnostics())
+    Result.Errors.push_back("verifier: " + Diag.Code + ": " +
+                            Diag.Loc.str() + ": " + Diag.Message);
   if (!Result.Errors.empty())
     Result.Prog.reset();
   return Result;

@@ -56,11 +56,12 @@ struct ParseResult {
   bool success() const { return Prog != nullptr && Errors.empty(); }
 };
 
-/// Parses pipeline text into a verified Program. Verification diagnostics
-/// are folded into Errors. With \p Verify false the abort-style verifier
-/// is skipped and any structurally parseable program is returned -- the
-/// static analyzer (analysis/ProgramLint.h) uses this to produce coded
-/// diagnostics for programs the strict path would reject wholesale.
+/// Parses pipeline text into a verified Program. The verifier's errors
+/// (ir/Verifier.h) are folded into Errors as "verifier: KF-P##: <where>:
+/// <message>". With \p Verify false the verifier is skipped and any
+/// structurally parseable program is returned -- the static analyzer
+/// (analysis/ProgramLint.h) uses this to report every finding, warnings
+/// included, for programs the strict path would reject wholesale.
 ParseResult parsePipelineText(const std::string &Source, bool Verify = true);
 
 /// Reads and parses a .kfp file; I/O failures surface as Errors.

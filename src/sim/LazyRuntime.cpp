@@ -3,7 +3,6 @@
 #include "sim/LazyRuntime.h"
 
 #include "analysis/Analyzer.h"
-#include "analysis/IntervalAnalysis.h"
 #include "fusion/MinCutPartitioner.h"
 #include "transform/Fuser.h"
 
@@ -70,41 +69,11 @@ MaterializedPipeline compileLazy(const LazyPipeline &LP,
                          : makeSingletonPartition(P);
   MP.Fused = fuseProgram(P, Blocks, FusionStyle::Optimized);
 
-  // -- The fused-program gate, mirroring `kfc --analyze`: legality
-  // re-check, then per-launch footprint + bytecode validation and the
-  // interval interpretation (each destination's proven result interval
-  // seeds the load ranges of later launches; external inputs carry the
-  // [0, 1] contract).
+  // -- The fused-program gate, the same checks `kfc --analyze` and
+  // compilePlan run: legality re-check, then per-launch footprint +
+  // bytecode validation and the interval interpretation (checkLaunches).
   checkFusedLegality(MP.Fused, Gate.HW, Gate.Legality, MP.Diags);
-  std::vector<ImageInfo> Shapes;
-  Shapes.reserve(P.numImages());
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    Shapes.push_back(P.image(Id));
-  std::vector<InputRange> PoolRanges(P.numImages());
-  for (const FusedKernel &FK : MP.Fused.Kernels) {
-    StagedVmProgram SP = compileFusedKernel(MP.Fused, FK);
-    uint16_t FirstRoot = 0;
-    std::vector<std::pair<KernelId, uint16_t>> Dests;
-    for (KernelId DestId : FK.Destinations) {
-      uint16_t Root = 0;
-      for (size_t I = 0; I != FK.Stages.size(); ++I)
-        if (FK.Stages[I].Kernel == DestId)
-          Root = static_cast<uint16_t>(I);
-      if (Dests.empty())
-        FirstRoot = Root;
-      Dests.emplace_back(DestId, Root);
-      int Halo = fusedLaunchHalo(SP, Root, P.image(P.kernel(DestId).Output));
-      analyzeLaunch(P, FK, FK.Name, SP, Root, Halo, Shapes, MP.Diags);
-    }
-    DiagLocation Loc;
-    Loc.Unit = LP.name();
-    Loc.Kernel = FK.Name;
-    IntervalAnalysisResult Intervals =
-        analyzeStagedIntervals(SP, FirstRoot, PoolRanges, &MP.Diags, Loc);
-    for (const auto &Dest : Dests)
-      PoolRanges[P.kernel(Dest.first).Output] =
-          InputRange::of(Intervals.Stages[Dest.second].Result);
-  }
+  checkLaunches(MP.Fused, MP.Diags, LP.name());
 
   MP.Ok = !MP.Diags.failed(Gate.Werror);
   return MP;

@@ -30,11 +30,11 @@
 #ifndef KF_SIM_LAZYRUNTIME_H
 #define KF_SIM_LAZYRUNTIME_H
 
-#include "analysis/Diagnostics.h"
 #include "frontend/Lazy.h"
 #include "fusion/HardwareModel.h"
 #include "fusion/Legality.h"
 #include "sim/Session.h"
+#include "support/Diagnostics.h"
 
 namespace kf {
 

@@ -1,5 +1,6 @@
 //===- tests/test_ir.cpp - IR, cost analysis, verifier, printer ---------------===//
 
+#include "frontend/Parser.h"
 #include "ir/CostInfo.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
@@ -19,6 +20,18 @@ KernelId kernelByName(const Program &P, const std::string &Name) {
   ADD_FAILURE() << "kernel not found: " << Name;
   return 0;
 }
+
+/// The codes verifyProgram reports for \p P, in report order.
+std::vector<std::string> verifierCodes(const Program &P) {
+  DiagnosticEngine DE;
+  verifyProgram(P, DE);
+  std::vector<std::string> Codes;
+  for (const Diagnostic &Diag : DE.diagnostics())
+    Codes.push_back(Diag.Code);
+  return Codes;
+}
+
+using Codes = std::vector<std::string>;
 
 TEST(Mask, AccessorsAndHalo) {
   Mask M = binomial3Unnormalized();
@@ -109,7 +122,7 @@ TEST(CostInfo, NightAtrousIsExpensive) {
 TEST(Verifier, AcceptsAllPaperPipelines) {
   for (const PipelineSpec &Spec : paperPipelines()) {
     Program P = Spec.Builder(32, 32);
-    EXPECT_TRUE(verifyProgram(P).empty()) << Spec.Name;
+    EXPECT_EQ(verifierCodes(P), Codes{}) << Spec.Name;
   }
 }
 
@@ -126,9 +139,7 @@ TEST(Verifier, RejectsPointKernelWithWindowAccess) {
   K.Output = Out;
   K.Body = C.stencil(M, ReduceOp::Sum, C.stencilInput(0));
   P.addKernel(std::move(K));
-  std::vector<std::string> Diags = verifyProgram(P);
-  ASSERT_FALSE(Diags.empty());
-  EXPECT_NE(Diags.front().find("point kernels"), std::string::npos);
+  EXPECT_EQ(verifierCodes(P), Codes{"KF-P08"});
 }
 
 TEST(Verifier, RejectsLocalKernelWithoutWindow) {
@@ -143,9 +154,7 @@ TEST(Verifier, RejectsLocalKernelWithoutWindow) {
   K.Output = Out;
   K.Body = C.inputAt(0);
   P.addKernel(std::move(K));
-  std::vector<std::string> Diags = verifyProgram(P);
-  ASSERT_FALSE(Diags.empty());
-  EXPECT_NE(Diags.front().find("window access"), std::string::npos);
+  EXPECT_EQ(verifierCodes(P), Codes{"KF-P08"});
 }
 
 TEST(Verifier, RejectsDoubleProducer) {
@@ -162,10 +171,7 @@ TEST(Verifier, RejectsDoubleProducer) {
     K.Body = C.inputAt(0);
     P.addKernel(std::move(K));
   }
-  std::vector<std::string> Diags = verifyProgram(P);
-  ASSERT_FALSE(Diags.empty());
-  EXPECT_NE(Diags.front().find("more than one producer"),
-            std::string::npos);
+  EXPECT_EQ(verifierCodes(P), Codes{"KF-P03"});
 }
 
 TEST(Verifier, RejectsShapeMismatch) {
@@ -180,9 +186,7 @@ TEST(Verifier, RejectsShapeMismatch) {
   K.Output = Out;
   K.Body = C.inputAt(0);
   P.addKernel(std::move(K));
-  std::vector<std::string> Diags = verifyProgram(P);
-  ASSERT_FALSE(Diags.empty());
-  EXPECT_NE(Diags.front().find("shape differs"), std::string::npos);
+  EXPECT_EQ(verifierCodes(P), Codes{"KF-P06"});
 }
 
 TEST(Verifier, RejectsStencilScopedNodesOutsideStencil) {
@@ -197,9 +201,7 @@ TEST(Verifier, RejectsStencilScopedNodesOutsideStencil) {
   K.Output = Out;
   K.Body = C.maskValue();
   P.addKernel(std::move(K));
-  std::vector<std::string> Diags = verifyProgram(P);
-  ASSERT_FALSE(Diags.empty());
-  EXPECT_NE(Diags.front().find("outside a stencil"), std::string::npos);
+  EXPECT_EQ(verifierCodes(P), Codes{"KF-P05"});
 }
 
 TEST(Verifier, RejectsChannelMismatchWithImplicitAccess) {
@@ -214,9 +216,25 @@ TEST(Verifier, RejectsChannelMismatchWithImplicitAccess) {
   K.Output = Out;
   K.Body = C.inputAt(0); // Implicit channel over mismatched counts.
   P.addKernel(std::move(K));
-  std::vector<std::string> Diags = verifyProgram(P);
-  ASSERT_FALSE(Diags.empty());
-  EXPECT_NE(Diags.front().find("channel"), std::string::npos);
+  EXPECT_EQ(verifierCodes(P), Codes{"KF-P07"});
+}
+
+TEST(Verifier, ParsedDoubleProducerFailsWithKFP03) {
+  ParseResult Result = parsePipelineText(R"(program bad
+image in 8 8
+image out 8 8
+point kernel k0(in) -> out {
+  out = in
+}
+point kernel k1(in) -> out {
+  out = (in * 2)
+}
+)");
+  EXPECT_EQ(Result.Prog, nullptr);
+  ASSERT_EQ(Result.Errors.size(), 1u);
+  EXPECT_EQ(Result.Errors.front(),
+            "verifier: KF-P03: bad:kernel 'k1': image 'out' has more than "
+            "one producer");
 }
 
 TEST(Printer, ExprRendering) {

@@ -251,7 +251,9 @@ TEST(Verifier, GlobalKernelsPassStructuralChecks) {
   K.Output = Out;
   K.Body = C.inputAt(0);
   P.addKernel(std::move(K));
-  EXPECT_TRUE(verifyProgram(P).empty());
+  DiagnosticEngine DE;
+  verifyProgram(P, DE);
+  EXPECT_TRUE(DE.empty()) << DE.renderText();
 }
 
 } // namespace

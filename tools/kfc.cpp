@@ -20,7 +20,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
-#include "analysis/IntervalAnalysis.h"
 #include "backend/cpu/CppEmitter.h"
 #include "backend/cuda/CudaEmitter.h"
 #include "backend/opencl/ClEmitter.h"
@@ -489,60 +488,38 @@ int main(int Argc, char **Argv) {
   FusedProgram FP = fuseProgram(P, Blocks, TransformStyle);
 
   if (Analyze) {
-    // Re-check the chosen partition against the legality rules, then
-    // compile each fused launch exactly as the session would and prove
-    // its bytecode and interior/halo split sound.
+    // Re-check the chosen partition against the legality rules, then run
+    // the launch checker the session compile runs (checkLaunches) and
+    // print what it proved: each fused kernel's stage intervals, and the
+    // optimizer's effect on each launch as the session compile applies
+    // it (instructions and transcendental ops before -> after).
     checkFusedLegality(FP, HW, Options, DE);
-    std::vector<ImageInfo> Shapes;
-    Shapes.reserve(P.numImages());
-    for (ImageId Id = 0; Id != P.numImages(); ++Id)
-      Shapes.push_back(P.image(Id));
-    // Interval interpretation runs per fused kernel (the facts are
-    // root-independent); each destination's result interval seeds the
-    // load ranges of every later kernel that reads it, mirroring the
-    // session compile. External inputs carry the [0, 1] contract.
-    std::vector<InputRange> PoolRanges(P.numImages());
+    std::vector<CompiledLaunch> Launches = checkLaunches(FP, DE);
+    auto Launch = Launches.begin();
     for (const FusedKernel &FK : FP.Kernels) {
-      StagedVmProgram SP = compileFusedKernel(FP, FK);
-      uint16_t FirstRoot = 0;
-      std::vector<std::pair<KernelId, uint16_t>> Dests;
-      for (KernelId DestId : FK.Destinations) {
-        uint16_t Root = 0;
-        for (size_t I = 0; I != FK.Stages.size(); ++I)
-          if (FK.Stages[I].Kernel == DestId)
-            Root = static_cast<uint16_t>(I);
-        if (Dests.empty())
-          FirstRoot = Root;
-        Dests.emplace_back(DestId, Root);
-        int Halo = fusedLaunchHalo(SP, Root, P.image(P.kernel(DestId).Output));
-        analyzeLaunch(P, FK, FK.Name, SP, Root, Halo, Shapes, DE);
-      }
-      DiagLocation Loc;
-      Loc.Kernel = FK.Name;
-      IntervalAnalysisResult Intervals =
-          analyzeStagedIntervals(SP, FirstRoot, PoolRanges, &DE, Loc);
-      std::printf("intervals for %s:\n", FK.Name.c_str());
-      for (size_t I = 0; I != SP.Stages.size(); ++I)
+      const std::vector<StageValueFacts> &Facts = Launch->Facts;
+      if (!Facts.empty())
+        std::printf("intervals for %s:\n", FK.Name.c_str());
+      for (size_t I = 0; I != Facts.size(); ++I)
         std::printf("  stage %zu (%s): %s\n", I,
                     P.kernel(FK.Stages[I].Kernel).Name.c_str(),
-                    formatInterval(Intervals.Stages[I].Result).c_str());
-      // The optimizer's effect on each launch, as the session compile
-      // applies it: instructions and transcendental ops before -> after.
-      for (const auto &Dest : Dests) {
-        StagedVmProgram Optimized = SP;
-        uint16_t Root = Dest.second;
-        optimizeStagedProgram(Optimized, Root, Intervals.Stages);
+                    formatInterval(Facts[I].Result).c_str());
+      for (size_t D = 0; D != FK.Destinations.size(); ++D, ++Launch) {
+        if (Launch->Facts.empty())
+          continue; // Failed validation; the diagnostics say why.
+        StagedVmProgram Optimized = Launch->Code;
+        uint16_t Root = Launch->Root;
+        optimizeStagedProgram(Optimized, Root, Launch->Facts);
         std::printf("optimizer for %s -> %s: insts %s", FK.Name.c_str(),
-                    P.image(P.kernel(Dest.first).Output).Name.c_str(),
-                    beforeAfter(SP, Optimized, nullptr).c_str());
+                    P.image(Launch->Output).Name.c_str(),
+                    beforeAfter(Launch->Code, Optimized, nullptr).c_str());
         for (auto [Op, Name] : {std::pair{VmOp::Exp, "exp"},
                                 {VmOp::Log, "log"},
                                 {VmOp::Pow, "pow"},
                                 {VmOp::Sqrt, "sqrt"}})
-          std::printf(", %s %s", Name, beforeAfter(SP, Optimized, &Op).c_str());
+          std::printf(", %s %s", Name,
+                      beforeAfter(Launch->Code, Optimized, &Op).c_str());
         std::printf("\n");
-        PoolRanges[P.kernel(Dest.first).Output] =
-            InputRange::of(Intervals.Stages[Dest.second].Result);
       }
     }
     return finishAnalysis();
