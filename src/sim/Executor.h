@@ -87,8 +87,8 @@ struct ExecutionOptions {
   /// shared ThreadPool (see ThreadPool::registerSource); the pipeline
   /// server registers one source per tenant so concurrent frames
   /// interleave stride-fairly. 0 is the pool's default source. A pure
-  /// scheduling hint: it never changes which pixels are computed, so it
-  /// is deliberately excluded from hashExecutionOptions — sessions that
+  /// scheduling hint: it never changes which pixels are computed. Like
+  /// every option but Opt it is not part of planKey, so sessions that
   /// differ only in Source share compiled plans.
   unsigned Source = 0;
 };

@@ -8,8 +8,9 @@
 /// concurrently in-flight frames of different tenants interleave under
 /// stride-fair arbitration (support/Stride.h) instead of running serially
 /// -- and shares compiled plans: the cache key is the program's structural
-/// hash plus the options hash, so two tenants running the same pipeline
-/// under the same options compile once (single-flight) and share the plan.
+/// hash plus the optimizer setting (planKey), so two tenants running the
+/// same pipeline with the same Opt compile once (single-flight) and share
+/// the plan.
 ///
 /// Admission is per tenant: a bounded frame queue with a backpressure
 /// policy (Block or Reject; sim/Scheduler.h) and a scheduling weight that
