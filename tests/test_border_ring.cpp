@@ -132,18 +132,6 @@ void expectRingMatchesPerPixel(const FusedProgram &FP,
   });
 }
 
-/// Every image both pools hold matches bit for bit.
-void expectPoolsBitIdentical(const Program &P, const std::vector<Image> &Got,
-                             const std::vector<Image> &Want,
-                             const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_EQ(countBitDifferences(Got[Id], Want[Id]), 0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
 /// Samples of \p A and \p B whose bit patterns differ, except where both
 /// are NaN.
 long long countDifferencesButNaNs(const Image &A, const Image &B) {
@@ -172,7 +160,13 @@ void expectEveryConfigMatches(const FusedProgram &FP, const Image &Input,
                                 const std::string &Config) {
     std::vector<Image> Pool = poolWith(*FP.Source, Input);
     runFusedVm(FP, Pool, Options);
-    expectPoolsBitIdentical(*FP.Source, Pool, Want, Tag + " " + Config);
+    // A fused run leaves its eliminated intermediates empty, where an
+    // unfused reference holds them; compare the images the run wrote.
+    std::vector<Image> Expected = Want;
+    for (ImageId Id = 0; Id != Pool.size(); ++Id)
+      if (Pool[Id].empty())
+        Expected[Id] = Image();
+    expectPoolsIdentical(*FP.Source, Pool, Expected, Tag + " " + Config);
   });
 }
 

@@ -55,21 +55,6 @@ TestApp makeTestApp(const std::string &Name) {
   return App;
 }
 
-/// Every image the fused run writes must match the reference pool
-/// bit-for-bit.
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
 /// Staged-VM equivalence across the bundled applications, fused with the
 /// paper's min-cut partition under the default (paper) hardware model.
 class FusedVmEquivalence : public ::testing::TestWithParam<std::string> {};

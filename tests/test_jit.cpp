@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineConfigs.h"
 #include "frontend/Parser.h"
 #include "fusion/MinCutPartitioner.h"
 #include "image/Compare.h"
@@ -35,7 +36,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace kf;
@@ -82,24 +82,6 @@ TestApp makeTestApp(const std::string &Name) {
   App.Input =
       makeRandomImage(InInfo.Width, InInfo.Height, InInfo.Channels, Gen);
   return App;
-}
-
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
-std::vector<int> threadSweep() {
-  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
-  return {1, 3, static_cast<int>(Hardware)};
 }
 
 std::vector<ImageInfo> poolShapes(const Program &P) {

@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineConfigs.h"
 #include "frontend/Lazy.h"
 #include "frontend/LazyScript.h"
 #include "fusion/MinCutPartitioner.h"
@@ -27,22 +28,10 @@
 
 #include <algorithm>
 #include <sstream>
-#include <thread>
 
 using namespace kf;
 
 namespace {
-
-/// Worker-thread counts the differential sweeps: serial, an uneven
-/// count, and whatever the hardware reports.
-std::vector<int> threadSweep() {
-  int Hardware =
-      static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  std::vector<int> Counts{1, 3};
-  if (Hardware != 1 && Hardware != 3)
-    Counts.push_back(Hardware);
-  return Counts;
-}
 
 /// Records the registry Harris pipeline (pipelines/Harris.cpp) through
 /// the lazy handle API, op for op, and returns the corner-response

@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineConfigs.h"
 #include "fusion/MinCutPartitioner.h"
 #include "image/Compare.h"
 #include "image/Generators.h"
@@ -21,7 +22,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 using namespace kf;
@@ -68,24 +68,6 @@ TestApp makeTestApp(const std::string &Name) {
   App.Input =
       makeRandomImage(InInfo.Width, InInfo.Height, InInfo.Channels, Gen);
   return App;
-}
-
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_EQ(countBitDifferences(Got[Id], Want[Id]), 0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
-std::vector<int> threadSweep() {
-  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
-  return {1, 3, static_cast<int>(Hardware)};
 }
 
 /// Span vs scalar differential across the bundled applications, fused
