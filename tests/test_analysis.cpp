@@ -13,6 +13,7 @@
 #include "pipelines/Masks.h"
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
+#include "sim/Session.h"
 #include "support/Trace.h"
 #include "transform/Fuser.h"
 
@@ -361,15 +362,8 @@ TEST(FootprintCheck, CompiledRegistryLaunchesVerifyClean) {
     FusedProgram FP =
         fuseProgram(P, runMinCutFusion(P, HardwareModel()).Blocks,
                     FusionStyle::Optimized);
-    std::vector<ImageInfo> Shapes = poolShapes(P);
     DiagnosticEngine DE;
-    for (const FusedKernel &FK : FP.Kernels) {
-      StagedVmProgram SP = compileFusedKernel(FP, FK);
-      uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-      int Halo =
-          fusedLaunchHalo(SP, Root, P.image(P.kernel(FK.Destination).Output));
-      analyzeLaunch(P, FK, FK.Name, SP, Root, Halo, Shapes, DE);
-    }
+    checkLaunches(FP, DE);
     EXPECT_FALSE(DE.failed()) << Spec.Name << ":\n" << DE.renderText();
   }
 }

@@ -11,14 +11,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/BytecodeValidator.h"
-#include "analysis/FootprintCheck.h"
-#include "analysis/IntervalAnalysis.h"
 #include "analysis/ProgramLint.h"
 #include "frontend/Parser.h"
 #include "fusion/MinCutPartitioner.h"
 #include "pipelines/Pipelines.h"
-#include "sim/Executor.h"
+#include "sim/Session.h"
 #include "transform/Fuser.h"
 
 #include <gtest/gtest.h>
@@ -83,8 +80,8 @@ std::vector<std::string> stringField(const std::string &Json,
 
 /// Runs the full analysis stack of `kfc --analyze` over one leniently
 /// parsed fixture: lint, and -- when the program is structurally sound
-/// enough to fuse -- per-launch bytecode validation, footprint checks,
-/// and interval interpretation.
+/// enough to fuse -- the launch checker (checkLaunches: per-launch
+/// bytecode validation, footprint checks, and interval interpretation).
 DiagnosticEngine analyzeFixture(const std::string &File) {
   DiagnosticEngine DE;
   ParseResult Parsed = parsePipelineFile(FixtureDir + File, /*Verify=*/false);
@@ -101,17 +98,7 @@ DiagnosticEngine analyzeFixture(const std::string &File) {
   MinCutFusionResult Result = runMinCutFusion(*Parsed.Prog, HW);
   FusedProgram FP =
       fuseProgram(*Parsed.Prog, Result.Blocks, FusionStyle::Optimized);
-  std::vector<ImageInfo> Shapes;
-  for (ImageId Id = 0; Id != Parsed.Prog->numImages(); ++Id)
-    Shapes.push_back(Parsed.Prog->image(Id));
-  for (const FusedKernel &FK : FP.Kernels) {
-    StagedVmProgram SP = compileFusedKernel(FP, FK);
-    uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-    validateStagedProgram(SP, Root, Shapes, DE);
-    DiagLocation Loc;
-    Loc.Kernel = FK.Name;
-    analyzeStagedIntervals(SP, Root, {}, &DE, Loc);
-  }
+  checkLaunches(FP, DE);
   return DE;
 }
 
@@ -232,23 +219,7 @@ TEST(AnalysisJson, ShippedExamplesAreIntervalClean) {
     MinCutFusionResult Result = runMinCutFusion(P, HW);
     FusedProgram FP = fuseProgram(P, Result.Blocks, FusionStyle::Optimized);
     DiagnosticEngine DE;
-    std::vector<InputRange> PoolRanges(P.numImages());
-    for (const FusedKernel &FK : FP.Kernels) {
-      StagedVmProgram SP = compileFusedKernel(FP, FK);
-      uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-      DiagLocation Loc;
-      Loc.Kernel = FK.Name;
-      IntervalAnalysisResult Intervals =
-          analyzeStagedIntervals(SP, Root, PoolRanges, &DE, Loc);
-      for (KernelId DestId : FK.Destinations) {
-        uint16_t DestRoot = 0;
-        for (size_t I = 0; I != FK.Stages.size(); ++I)
-          if (FK.Stages[I].Kernel == DestId)
-            DestRoot = static_cast<uint16_t>(I);
-        PoolRanges[P.kernel(DestId).Output] =
-            InputRange::of(Intervals.Stages[DestRoot].Result);
-      }
-    }
+    checkLaunches(FP, DE);
     EXPECT_EQ(DE.errorCount(), 0u) << Spec.Name << ":\n" << DE.renderText();
     EXPECT_EQ(DE.warningCount(), 0u) << Spec.Name << ":\n" << DE.renderText();
   }
