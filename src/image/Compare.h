@@ -15,6 +15,10 @@
 namespace kf {
 
 /// Largest absolute per-sample difference; images must have equal shape.
+/// A NaN sample against a number differs by +inf; two NaNs do not differ
+/// (their sign and payload are countBitDifferences' concern), nor do two
+/// equal infinities. The other tolerance comparisons below count the same
+/// way.
 double maxAbsDifference(const Image &A, const Image &B);
 
 /// Number of samples differing by more than \p Tolerance.

@@ -6,7 +6,9 @@
 /// (jit/JitProgram.cpp). Each helper streams one VM operation across one
 /// chunk of lanes. Both engines call the same helpers, so every lane runs
 /// the identical float operation sequence in either engine, and span/JIT
-/// bit-identity holds by construction.
+/// bit-identity holds by construction. The JIT's fused cells call laneAlu
+/// with an immediate (LaneImm) or an image row in place of a register
+/// operand, and laneMulAdd for a Mul feeding an Add.
 ///
 /// Width: a helper instantiated with N > 0 has the compile-time trip count
 /// N (the full chunk, N == VmLaneWidth) and ignores its runtime width
@@ -39,8 +41,10 @@
 #include "ir/ExprVM.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 
 /// Placed on its own line right before a lane loop: the loop carries no
@@ -108,13 +112,52 @@ inline void laneStore(int From, int W, float *Out, int OutStride,
     Out[static_cast<size_t>(I) * OutStride] = Src[I];
 }
 
-/// D = Op(A, B) lane-wise, with S the Select condition. Every operand is a
-/// lane register; the unused ones are never read. Select reads both
-/// candidates before choosing so the loop body has no conditional load
-/// (which would keep the loop scalar); the value is the same.
-template <int N, VmOp Op>
-inline void laneAlu(int W, float *D, const float *A, const float *B,
-                    const float *S) {
+/// An immediate lane operand: every lane reads the same value. The JIT's
+/// fused cells pass one where the unfused program read a Const register;
+/// it is finite (the JIT refuses non-finite constants, KF-B09).
+struct LaneImm {
+  float V;
+  float operator[](int) const { return V; }
+};
+
+/// Whether a lane operand of type \p T can hold a NaN: a LaneImm cannot.
+template <class T> constexpr bool LaneMayBeNaN = !std::is_same_v<T, LaneImm>;
+
+/// B, or A where A is NaN: the second operand of an Add or Mul whose NaN
+/// result must be A's. When both operands are NaN, x86 returns the NaN of
+/// the operand in the instruction's destination register. The
+/// interpreters' loops compile with A there, but a fused loop reading its
+/// operands from elsewhere may get them swapped: an Add and a Mul are
+/// commutative to the compiler. Fed at most one NaN, the op returns A's
+/// NaN in either order; every other value is unchanged. The choice is a
+/// bitwise blend, not a conditional: the compiler may sink B's
+/// computation into a conditional's arm, and under -ftrapping-math it
+/// then cannot vectorize the loop.
+template <bool MayBothBeNaN> inline float afterNaN(float A, float B) {
+  if constexpr (MayBothBeNaN) {
+    const uint32_t Mask = 0u - static_cast<uint32_t>(A != A);
+    return std::bit_cast<float>((std::bit_cast<uint32_t>(A) & Mask) |
+                                (std::bit_cast<uint32_t>(B) & ~Mask));
+  } else {
+    return B;
+  }
+}
+
+/// Operand B of a fused Add or Mul of two lane pointers, through afterNaN.
+template <class TA, class TB> struct LaneAfterNaN {
+  TA A;
+  TB B;
+  float operator[](int I) const { return afterNaN<true>(A[I], B[I]); }
+};
+
+/// D = Op(A, B) lane-wise, with S the Select condition. A and B are lane
+/// pointers (a register, or an interior image row the JIT reads in place
+/// of a Load register) or, for the binary ops, a LaneImm; the unused
+/// operands are never read. Select reads both candidates before choosing
+/// so the loop body has no conditional load (which would keep the loop
+/// scalar); the value is the same.
+template <int N, VmOp Op, class TA, class TB>
+inline void laneAlu(int W, float *D, TA A, TB B, const float *S) {
   W = laneCount<N>(W);
   if constexpr (Op == VmOp::Add) {
     KF_LANE_LOOP
@@ -182,6 +225,32 @@ inline void laneAlu(int W, float *D, const float *A, const float *B,
     for (int I = 0; I != W; ++I) {
       const float IfTrue = A[I], IfFalse = B[I];
       D[I] = S[I] != 0.0f ? IfTrue : IfFalse;
+    }
+  }
+}
+
+/// D = R + X * Y (AccFirst) or X * Y + R: a Mul whose product an Add
+/// reads, fused into one loop by the JIT. Each operand is a lane pointer
+/// or a LaneImm. The product is rounded to float before the add (the
+/// build never contracts to FMA), and each op keeps its operand order,
+/// NaNs included (afterNaN), so a lane gets the bits the two unfused
+/// laneAlu loops give it.
+template <int N, bool AccFirst, class TR, class TX, class TY>
+inline void laneMulAdd(int W, float *D, TR R, TX X, TY Y) {
+  constexpr bool XY = LaneMayBeNaN<TX> && LaneMayBeNaN<TY>;
+  constexpr bool RP = LaneMayBeNaN<TR>; // A product can always be NaN.
+  W = laneCount<N>(W);
+  if constexpr (AccFirst) {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I) {
+      const float P = X[I] * afterNaN<XY>(X[I], Y[I]);
+      D[I] = R[I] + afterNaN<RP>(R[I], P);
+    }
+  } else {
+    KF_LANE_LOOP
+    for (int I = 0; I != W; ++I) {
+      const float P = X[I] * afterNaN<XY>(X[I], Y[I]);
+      D[I] = P + afterNaN<RP>(P, R[I]);
     }
   }
 }

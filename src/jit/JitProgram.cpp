@@ -5,7 +5,10 @@
 #include "analysis/BytecodeValidator.h"
 #include "ir/LaneOps.h"
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+#include <type_traits>
 
 using namespace kf;
 
@@ -22,56 +25,109 @@ namespace {
 // interpreter's (ir/LaneOps.h), so every lane computes the identical float
 // operation sequence -- bit-identity with span mode is by construction.
 
+static_assert(sizeof(JitCell) == 64, "a cell is one cache line");
+
+/// Where a cell reads an operand from (the JitOperand fields it uses).
+enum class Arg : uint8_t {
+  Reg, ///< A lane register.
+  Img, ///< An interior mono image row, read in place of a Load register.
+  Imm, ///< An immediate, read in place of a Const register.
+};
+
+template <Arg K> using ArgTag = std::integral_constant<Arg, K>;
+
+/// The first sample an interior load of \p O reads for the chunk: the
+/// image row at (X0 + Ox, Y + Oy) in channel \p Ch, \p Mono specializing
+/// the single-channel (stride-1) layout every grayscale stage hits.
+/// Inlined into every cell (the assert paths would keep the compiler from
+/// it): a call per operand per chunk would cost the fusion its gain.
+template <bool Mono>
+[[gnu::always_inline]] inline const float *
+imageRow(const JitOperand &O, const JitExec &E, int W, int Ch) {
+  const Image &Img = (*E.Pool)[O.Image];
+  assert(!Img.empty() && "reading an unmaterialized image");
+  assert(!Mono || Img.channels() == 1);
+  const int Stride = Mono ? 1 : Img.channels();
+  assert(E.Y + O.Oy >= 0 && E.Y + O.Oy < Img.height() &&
+         E.X0 + O.Ox >= 0 && E.X0 + W - 1 + O.Ox < Img.width() &&
+         "JIT evaluation outside the interior region");
+  return Img.data().data() +
+         (static_cast<size_t>(E.Y + O.Oy) * Img.width() + (E.X0 + O.Ox)) *
+             Stride +
+         Ch;
+}
+
+/// Operand \p O read as kind \p K: a lane pointer for a register or an
+/// image row, a LaneImm for an immediate.
+template <int N, Arg K>
+[[gnu::always_inline]] inline auto operand(const JitOperand &O,
+                                           const JitExec &E) {
+  if constexpr (K == Arg::Reg)
+    return static_cast<const float *>(E.Lanes + O.Reg);
+  else if constexpr (K == Arg::Img)
+    return imageRow<true>(O, E, laneCount<N>(E.N),
+                          O.Channel < 0 ? E.Channel : O.Channel);
+  else
+    return LaneImm{O.Imm};
+}
+
 template <int N> void opConst(const JitCell &C, JitExec &E) {
-  laneFill<N>(E.N, E.Lanes + C.Dst, C.Imm);
+  laneFill<N>(E.N, E.Lanes + C.Dst, C.A.Imm);
 }
 
 template <int N> void opCoordX(const JitCell &C, JitExec &E) {
   // Ox is the accumulated stage-call displacement.
-  laneIota<N>(E.N, E.Lanes + C.Dst, E.X0 + C.Ox);
+  laneIota<N>(E.N, E.Lanes + C.Dst, E.X0 + C.A.Ox);
 }
 
 template <int N> void opCoordY(const JitCell &C, JitExec &E) {
-  laneFill<N>(E.N, E.Lanes + C.Dst, static_cast<float>(E.Y + C.Oy));
+  laneFill<N>(E.N, E.Lanes + C.Dst, static_cast<float>(E.Y + C.A.Oy));
 }
 
-/// Interior load. \p Mono specializes the single-channel (stride-1)
-/// layout every grayscale stage hits; \p DynChannel distinguishes cells
-/// whose channel was pinned at compile time from cells that read the
-/// launch channel.
+/// Interior load. \p DynChannel distinguishes cells whose channel was
+/// pinned at compile time from cells that read the launch channel.
 template <int N, bool Mono, bool DynChannel>
 void opLoad(const JitCell &C, JitExec &E) {
   const int W = laneCount<N>(E.N);
-  const Image &Img = (*E.Pool)[C.Image];
-  assert(!Img.empty() && "reading an unmaterialized image");
-  assert(!Mono || Img.channels() == 1);
-  const int Ch = DynChannel ? E.Channel : C.Channel;
-  const int Stride = Mono ? 1 : Img.channels();
-  assert(E.Y + C.Oy >= 0 && E.Y + C.Oy < Img.height() &&
-         E.X0 + C.Ox >= 0 && E.X0 + W - 1 + C.Ox < Img.width() &&
-         "JIT evaluation outside the interior region");
-  const float *Base =
-      Img.data().data() +
-      (static_cast<size_t>(E.Y + C.Oy) * Img.width() + (E.X0 + C.Ox)) *
-          Stride +
-      Ch;
+  const float *Base = imageRow<Mono>(C.A, E, W,
+                                     DynChannel ? E.Channel : C.A.Channel);
   if constexpr (Mono)
     laneCopy<N>(W, E.Lanes + C.Dst, Base);
   else
-    laneGather<N>(W, E.Lanes + C.Dst, Base, Stride);
+    laneGather<N>(W, E.Lanes + C.Dst, Base, (*E.Pool)[C.A.Image].channels());
 }
 
-template <int N, VmOp Op> void opAlu(const JitCell &C, JitExec &E) {
-  laneAlu<N, Op>(E.N, E.Lanes + C.Dst, E.Lanes + C.A, E.Lanes + C.B,
-                 E.Lanes + C.Sel);
+/// An ALU op. Unfused cells read registers only; the binary ops also come
+/// with an immediate or an image row on either side (never both
+/// immediates). A fused Add or Mul of two lane pointers reads its second
+/// operand through LaneAfterNaN, so the first operand's NaN wins as it
+/// does in the interpreter's register-to-register loop.
+template <int N, VmOp Op, Arg KA = Arg::Reg, Arg KB = Arg::Reg>
+void opAlu(const JitCell &C, JitExec &E) {
+  auto A = operand<N, KA>(C.A, E);
+  auto B = operand<N, KB>(C.B, E);
+  constexpr bool Commutative = Op == VmOp::Add || Op == VmOp::Mul;
+  constexpr bool Fused = KA != Arg::Reg || KB != Arg::Reg;
+  if constexpr (Commutative && Fused && KA != Arg::Imm && KB != Arg::Imm)
+    laneAlu<N, Op>(E.N, E.Lanes + C.Dst, A,
+                   LaneAfterNaN<decltype(A), decltype(B)>{A, B}, nullptr);
+  else
+    laneAlu<N, Op>(E.N, E.Lanes + C.Dst, A, B, E.Lanes + C.C.Reg);
+}
+
+/// A fused multiply-add: A + B * C, or B * C + A unless \p AccFirst.
+template <int N, bool AccFirst, Arg KR, Arg KX, Arg KY>
+void opMulAdd(const JitCell &C, JitExec &E) {
+  laneMulAdd<N, AccFirst>(E.N, E.Lanes + C.Dst, operand<N, KR>(C.A, E),
+                          operand<N, KX>(C.B, E), operand<N, KY>(C.C, E));
 }
 
 /// The register-copy cell a flattened StageCall leaves behind: moves the
 /// inlined callee's result lanes into the caller's destination register
 /// (the assignment the interpreter performs when the recursive call
-/// returns).
+/// returns). Cell fusion forwards most of them to their readers.
 template <int N> void opCopy(const JitCell &C, JitExec &E) {
-  laneCopy<N>(E.N, E.Lanes + C.Dst, E.Lanes + C.A);
+  laneCopy<N>(E.N, E.Lanes + C.Dst, E.Lanes + C.A.Reg);
 }
 
 //===--------------------------------------------------------------------===//
@@ -85,6 +141,10 @@ struct CellSpec {
   VmOp Op = VmOp::Const;
   bool MonoLoad = false; ///< Load from a single-channel image.
   bool CopyCell = false; ///< StageCall's trailing register copy.
+  bool MulAdd = false;   ///< Fused Add of a Mul: A + B * C or B * C + A.
+  bool AccFirst = true;  ///< MulAdd: the accumulator A is the left addend.
+  bool Dead = false;     ///< Dropped by cell fusion: nothing reads it.
+  Arg Kind[3] = {Arg::Reg, Arg::Reg, Arg::Reg}; ///< How A, B, C are read.
   JitCell Cell;          ///< Fn left null; patched per chain.
 };
 
@@ -103,11 +163,24 @@ public:
       : SP(SP), Shapes(Shapes) {}
 
   bool run(uint16_t Root) {
+    // Size every stage's flattened stream first -- a callee precedes its
+    // callers (KF-B05) -- so the cap is checked before anything is
+    // emitted, and the cells are allocated once.
+    std::vector<size_t> Size(Root + 1, 0);
+    for (size_t S = 0; S <= Root; ++S)
+      for (const VmInst &Inst : SP.Stages[S].Code.Insts)
+        Size[S] = std::min(MaxCells + 1,
+                           Size[S] + 1 +
+                               (Inst.Op == VmOp::StageCall ? Size[Inst.Sel]
+                                                           : 0));
+    if (Size[Root] == 0 || Size[Root] > MaxCells)
+      return false;
+    Cells.reserve(Size[Root]);
     emitStage(Root, /*Ox=*/0, /*Oy=*/0, /*Channel=*/-1);
-    return !Overflow && !Cells.empty();
+    return true;
   }
 
-  const std::vector<CellSpec> &cells() const { return Cells; }
+  std::vector<CellSpec> &cells() { return Cells; }
 
   uint32_t resultOffset(uint16_t Root) const {
     return frameOffset(SP.Stages[Root], SP.Stages[Root].Code.ResultReg);
@@ -124,23 +197,17 @@ private:
   void emitStage(uint16_t StageIdx, int Ox, int Oy, int Channel) {
     const VmStage &Stage = SP.Stages[StageIdx];
     for (const VmInst &Inst : Stage.Code.Insts) {
-      if (Cells.size() >= MaxCells) {
-        Overflow = true;
-        return;
-      }
       if (Inst.Op == VmOp::StageCall) {
         // Inline the callee at the accumulated displacement (KF-B05
         // guarantees Sel < StageIdx, so this recursion is finite), then
         // copy its result register into the caller's destination.
         int CalleeCh = Inst.Channel < 0 ? Channel : Inst.Channel;
         emitStage(Inst.Sel, Ox + Inst.Ox, Oy + Inst.Oy, CalleeCh);
-        if (Overflow)
-          return;
         CellSpec Copy;
         Copy.Op = VmOp::StageCall;
         Copy.CopyCell = true;
         Copy.Cell.Dst = frameOffset(Stage, Inst.Dst);
-        Copy.Cell.A = resultOffset(Inst.Sel);
+        Copy.Cell.A.Reg = resultOffset(Inst.Sel);
         Cells.push_back(Copy);
         continue;
       }
@@ -150,25 +217,24 @@ private:
       C.Dst = frameOffset(Stage, Inst.Dst);
       switch (Inst.Op) {
       case VmOp::Const:
-        C.Imm = Inst.Imm;
+        C.A.Imm = Inst.Imm;
         break;
       case VmOp::CoordX:
       case VmOp::CoordY:
-        C.Ox = Ox;
-        C.Oy = Oy;
+        C.A.Ox = Ox;
+        C.A.Oy = Oy;
         break;
       case VmOp::Load:
-        C.Image = Stage.Inputs[Inst.InputIdx];
-        C.Ox = Ox + Inst.Ox;
-        C.Oy = Oy + Inst.Oy;
-        C.Channel = static_cast<int16_t>(
-            Inst.Channel < 0 ? Channel : Inst.Channel);
-        CS.MonoLoad = Shapes[C.Image].Channels == 1;
+        C.A.Image = Stage.Inputs[Inst.InputIdx];
+        C.A.Ox = Ox + Inst.Ox;
+        C.A.Oy = Oy + Inst.Oy;
+        C.A.Channel = Inst.Channel < 0 ? Channel : Inst.Channel;
+        CS.MonoLoad = Shapes[C.A.Image].Channels == 1;
         break;
       default: // ALU ops and Select.
-        C.A = frameOffset(Stage, Inst.A);
-        C.B = frameOffset(Stage, Inst.B);
-        C.Sel = frameOffset(Stage, Inst.Sel);
+        C.A.Reg = frameOffset(Stage, Inst.A);
+        C.B.Reg = frameOffset(Stage, Inst.B);
+        C.C.Reg = frameOffset(Stage, Inst.Sel);
         break;
       }
       Cells.push_back(CS);
@@ -178,14 +244,231 @@ private:
   const StagedVmProgram &SP;
   const std::vector<ImageInfo> &Shapes;
   std::vector<CellSpec> Cells;
-  bool Overflow = false;
 };
+
+//===--------------------------------------------------------------------===//
+// Cell fusion
+//===--------------------------------------------------------------------===//
+
+/// The operand slots of a cell, in the order A, B, C.
+constexpr JitOperand JitCell::*Slots[] = {&JitCell::A, &JitCell::B,
+                                          &JitCell::C};
+
+/// How many of a cell's slots it reads (A, then B, then C).
+int operandCount(const CellSpec &CS) {
+  if (CS.MulAdd)
+    return 3;
+  if (CS.CopyCell)
+    return 1;
+  switch (CS.Op) {
+  case VmOp::Const:
+  case VmOp::CoordX:
+  case VmOp::CoordY:
+  case VmOp::Load:
+    return 0;
+  case VmOp::Neg:
+  case VmOp::Abs:
+  case VmOp::Sqrt:
+  case VmOp::Exp:
+  case VmOp::Log:
+  case VmOp::Floor:
+    return 1;
+  case VmOp::Select:
+    return 3;
+  default:
+    return 2;
+  }
+}
+
+/// The binary ops with a template for every operand kind on either side.
+bool isFusableBinary(VmOp Op) {
+  switch (Op) {
+  case VmOp::Add:
+  case VmOp::Sub:
+  case VmOp::Mul:
+  case VmOp::Div:
+  case VmOp::Min:
+  case VmOp::Max:
+  case VmOp::CmpLT:
+  case VmOp::CmpGT:
+    return true;
+  default:
+    return false;
+  }
+}
+
+/// The peephole pass over a flattened chain, in place; dropped cells are
+/// marked Dead. One forward scan keeps, per register, the cell that last
+/// wrote it (Def) and how many times it was written (Version); every cell
+/// records the version of each register it reads. A cell may take an operand from an earlier cell
+/// only while every register that value came from still holds the version
+/// that cell read -- repeated calls to one callee reuse its frame, so a
+/// stage call's result register is rewritten by the next call. Const and
+/// Load values depend on no register (pool images are immutable during a
+/// launch, which never reads its own output), so they fold anywhere. One
+/// backward liveness scan then drops every cell whose result nothing
+/// reads; the root result register is live at the end of the chain, so
+/// its last writer always stays. Every array is dense, sized by the
+/// register count or the cell count.
+void fuseCells(std::vector<CellSpec> &Cells, unsigned NumRegs,
+               uint32_t ResultOffset) {
+  auto regOf = [](uint32_t Offset) { return Offset / VmLaneWidth; };
+  std::vector<int> Def(NumRegs, -1);
+  std::vector<uint32_t> Version(NumRegs, 0);
+  std::vector<std::array<uint32_t, 3>> ReadVersion(Cells.size());
+  std::vector<char> Live(NumRegs, 0);
+
+  auto slot = [](CellSpec &CS, int S) -> JitOperand & {
+    return CS.Cell.*Slots[S];
+  };
+  // Whether slot S of cell D still reads what it read when D ran.
+  auto unchanged = [&](int D, int S) {
+    return Cells[D].Kind[S] != Arg::Reg ||
+           Version[regOf(slot(Cells[D], S).Reg)] == ReadVersion[D][S];
+  };
+  // Folds a Const or mono Load definition into register slot S of CS.
+  // The two factors of a product, or the two operands of a binary op,
+  // are never both immediates (no template takes that form).
+  auto fold = [&](CellSpec &CS, int S, int Other) {
+    if (CS.Kind[S] != Arg::Reg)
+      return;
+    JitOperand &O = slot(CS, S);
+    const int D = Def[regOf(O.Reg)];
+    if (D < 0)
+      return;
+    const CellSpec &Src = Cells[D];
+    if (Src.Op == VmOp::Const && (Other < 0 || CS.Kind[Other] != Arg::Imm)) {
+      O = JitOperand();
+      O.Imm = Src.Cell.A.Imm;
+      CS.Kind[S] = Arg::Imm;
+    } else if (Src.Op == VmOp::Load && Src.MonoLoad) {
+      O = Src.Cell.A;
+      CS.Kind[S] = Arg::Img;
+    }
+  };
+
+  for (size_t J = 0; J != Cells.size(); ++J) {
+    CellSpec &CS = Cells[J];
+    const int Operands = operandCount(CS);
+    // Read the callee's result register in place of the stage call's
+    // copy of it, while that register still holds what was copied.
+    for (int S = 0; S != Operands; ++S) {
+      JitOperand &O = slot(CS, S);
+      for (int D = Def[regOf(O.Reg)];
+           D >= 0 && Cells[D].CopyCell && unchanged(D, 0);
+           D = Def[regOf(O.Reg)])
+        O.Reg = Cells[D].Cell.A.Reg;
+      // Read before any write of the chain (the validator's KF-B03 rules
+      // this out): the value crosses chunks, so its writer stays.
+      if (Def[regOf(O.Reg)] < 0)
+        Live[regOf(O.Reg)] = 1;
+    }
+    // An Add of a Mul whose factors still hold: one multiply-add cell,
+    // the product being either addend. Matched on the Add's registers,
+    // before any of them is folded.
+    if (CS.Op == VmOp::Add) {
+      for (int M : {1, 0}) {
+        const int D = Def[regOf(slot(CS, M).Reg)];
+        if (D < 0 || Cells[D].Op != VmOp::Mul || !unchanged(D, 0) ||
+            !unchanged(D, 1))
+          continue;
+        const CellSpec &Mul = Cells[D];
+        CS.Cell.A = slot(CS, 1 - M);
+        CS.Cell.B = Mul.Cell.A;
+        CS.Cell.C = Mul.Cell.B;
+        CS.Kind[1] = Mul.Kind[0];
+        CS.Kind[2] = Mul.Kind[1];
+        CS.MulAdd = true;
+        CS.AccFirst = M == 1;
+        break;
+      }
+    }
+    if (CS.MulAdd) {
+      fold(CS, 0, -1);
+      fold(CS, 1, 2);
+      fold(CS, 2, 1);
+    } else if (isFusableBinary(CS.Op)) {
+      fold(CS, 0, 1);
+      fold(CS, 1, 0);
+    }
+    for (int S = 0; S != operandCount(CS); ++S)
+      if (CS.Kind[S] == Arg::Reg)
+        ReadVersion[J][S] = Version[regOf(slot(CS, S).Reg)];
+    const uint32_t Dst = regOf(CS.Cell.Dst);
+    ++Version[Dst];
+    Def[Dst] = static_cast<int>(J);
+  }
+
+  Live[regOf(ResultOffset)] = 1;
+  for (size_t J = Cells.size(); J-- != 0;) {
+    CellSpec &CS = Cells[J];
+    const uint32_t Dst = regOf(CS.Cell.Dst);
+    if (!Live[Dst]) {
+      CS.Dead = true;
+      continue;
+    }
+    Live[Dst] = 0;
+    for (int S = 0; S != operandCount(CS); ++S)
+      if (CS.Kind[S] == Arg::Reg)
+        Live[regOf(slot(CS, S).Reg)] = 1;
+  }
+}
+
+//===--------------------------------------------------------------------===//
+// Template selection
+//===--------------------------------------------------------------------===//
+
+/// Returns Fn(ArgTag<K>{}): turns a runtime operand kind into a template
+/// argument.
+template <class F> JitOpFn withArg(Arg K, F &&Fn) {
+  switch (K) {
+  case Arg::Reg:
+    return Fn(ArgTag<Arg::Reg>{});
+  case Arg::Img:
+    return Fn(ArgTag<Arg::Img>{});
+  case Arg::Imm:
+    return Fn(ArgTag<Arg::Imm>{});
+  }
+  return nullptr;
+}
+
+/// The binary op template for \p CS's operand kinds.
+template <int N, VmOp Op> JitOpFn binaryFn(const CellSpec &CS) {
+  return withArg(CS.Kind[0], [&](auto A) {
+    return withArg(CS.Kind[1], [&](auto B) -> JitOpFn {
+      constexpr Arg KA = decltype(A)::value, KB = decltype(B)::value;
+      if constexpr (KA == Arg::Imm && KB == Arg::Imm)
+        return nullptr;
+      else
+        return opAlu<N, Op, KA, KB>;
+    });
+  });
+}
+
+/// The multiply-add template for \p CS's operand kinds and order.
+template <int N> JitOpFn mulAddFn(const CellSpec &CS) {
+  return withArg(CS.Kind[0], [&](auto R) {
+    return withArg(CS.Kind[1], [&](auto X) {
+      return withArg(CS.Kind[2], [&](auto Y) -> JitOpFn {
+        constexpr Arg KR = decltype(R)::value, KX = decltype(X)::value,
+                      KY = decltype(Y)::value;
+        if constexpr (KX == Arg::Imm && KY == Arg::Imm)
+          return nullptr;
+        else
+          return CS.AccFirst ? opMulAdd<N, true, KR, KX, KY>
+                             : opMulAdd<N, false, KR, KX, KY>;
+      });
+    });
+  });
+}
 
 /// Picks the op template for \p CS at chain width \p N (VmLaneWidth for
 /// the full chain, 0 = runtime bound for the tail chain).
 template <int N> JitOpFn selectFn(const CellSpec &CS) {
   if (CS.CopyCell)
     return opCopy<N>;
+  if (CS.MulAdd)
+    return mulAddFn<N>(CS);
   switch (CS.Op) {
   case VmOp::Const:
     return opConst<N>;
@@ -195,28 +478,28 @@ template <int N> JitOpFn selectFn(const CellSpec &CS) {
     return opCoordY<N>;
   case VmOp::Load:
     if (CS.MonoLoad)
-      return CS.Cell.Channel < 0 ? opLoad<N, true, true>
-                                 : opLoad<N, true, false>;
-    return CS.Cell.Channel < 0 ? opLoad<N, false, true>
-                               : opLoad<N, false, false>;
+      return CS.Cell.A.Channel < 0 ? opLoad<N, true, true>
+                                   : opLoad<N, true, false>;
+    return CS.Cell.A.Channel < 0 ? opLoad<N, false, true>
+                                 : opLoad<N, false, false>;
   case VmOp::Add:
-    return opAlu<N, VmOp::Add>;
+    return binaryFn<N, VmOp::Add>(CS);
   case VmOp::Sub:
-    return opAlu<N, VmOp::Sub>;
+    return binaryFn<N, VmOp::Sub>(CS);
   case VmOp::Mul:
-    return opAlu<N, VmOp::Mul>;
+    return binaryFn<N, VmOp::Mul>(CS);
   case VmOp::Div:
-    return opAlu<N, VmOp::Div>;
+    return binaryFn<N, VmOp::Div>(CS);
   case VmOp::Min:
-    return opAlu<N, VmOp::Min>;
+    return binaryFn<N, VmOp::Min>(CS);
   case VmOp::Max:
-    return opAlu<N, VmOp::Max>;
+    return binaryFn<N, VmOp::Max>(CS);
   case VmOp::Pow:
     return opAlu<N, VmOp::Pow>;
   case VmOp::CmpLT:
-    return opAlu<N, VmOp::CmpLT>;
+    return binaryFn<N, VmOp::CmpLT>(CS);
   case VmOp::CmpGT:
-    return opAlu<N, VmOp::CmpGT>;
+    return binaryFn<N, VmOp::CmpGT>(CS);
   case VmOp::Neg:
     return opAlu<N, VmOp::Neg>;
   case VmOp::Abs:
@@ -265,10 +548,16 @@ kf::compileJitProgram(const StagedVmProgram &SP, uint16_t Root,
   auto JP = std::make_shared<JitProgram>();
   JP->NumRegs = SP.NumRegs;
   JP->ResultOffset = Flat.resultOffset(Root);
-  JP->FlatInsts = Flat.cells().size();
-  JP->Full.reserve(JP->FlatInsts + 1);
-  JP->Tail.reserve(JP->FlatInsts + 1);
-  for (const CellSpec &CS : Flat.cells()) {
+  std::vector<CellSpec> &Cells = Flat.cells();
+  JP->FlatInsts = Cells.size();
+  fuseCells(Cells, SP.NumRegs, JP->ResultOffset);
+  const size_t Live = std::count_if(
+      Cells.begin(), Cells.end(), [](const CellSpec &CS) { return !CS.Dead; });
+  JP->Full.reserve(Live + 1);
+  JP->Tail.reserve(Live + 1);
+  for (const CellSpec &CS : Cells) {
+    if (CS.Dead)
+      continue;
     JitCell Full = CS.Cell;
     Full.Fn = selectFn<VmLaneWidth>(CS);
     JitCell Tail = CS.Cell;

@@ -19,9 +19,17 @@
 /// displacement and pinned channel baked into its coordinate and load
 /// cells, followed by a register-copy cell into the caller's destination.
 /// That reproduces, cell for cell, the operation sequence the span
-/// interpreter executes recursively -- same float operations on the same
-/// values in the same order -- so JIT results are bit-identical to span
-/// mode (the differential suites in tests/test_jit.cpp pin this down).
+/// interpreter executes recursively.
+///
+/// One linear peephole pass then fuses the flattened cells: Const and
+/// interior mono Load operands are folded into the cell that reads them
+/// (as an immediate or an in-place image read), an Add of a Mul becomes
+/// one multiply-add cell, a stage call's result copy is forwarded to its
+/// readers, and the cells left dead are dropped. A fused cell performs
+/// the same float operations on the same values in the same operand
+/// order; only where an operand is read from changes. So JIT results stay
+/// bit-identical to span mode (the differential suites in
+/// tests/test_jit.cpp pin this down). docs/VM.md lists the patterns.
 ///
 /// The bytecode validator's invariants (KF-B01..B11, see
 /// analysis/BytecodeValidator.h) are the contract this codegen trusts:
@@ -61,26 +69,37 @@ struct JitExec {
   int N = 0;
 };
 
-/// A patched op function: performs one flattened instruction over the
-/// chunk described by \p E, reading its operands from \p Cell.
+/// A patched op function: performs one cell over the chunk described by
+/// \p E, reading its operands from \p Cell.
 using JitOpFn = void (*)(const JitCell &Cell, JitExec &E);
 
-/// One patched cell: a precompiled op template plus its operands. Dst/A/
-/// B/Sel are absolute float offsets into the lane buffer (frame base and
-/// register index collapsed at compile time); Ox/Oy carry the accumulated
-/// stage-call displacement for coordinate and load cells; Channel is the
-/// pinned channel (-1 = the launch channel at run time).
+/// One operand of a cell. The cell's op template decides what it reads: a
+/// lane register (Reg, an absolute float offset into the lane buffer:
+/// frame base and register index collapsed at compile time), an immediate
+/// (Imm), or an interior image read (Image at the chunk's position
+/// displaced by (Ox, Oy), channel Channel; -1 = the launch channel at run
+/// time). Coordinate cells read only Ox/Oy, the accumulated stage-call
+/// displacement.
+struct JitOperand {
+  union {
+    uint32_t Reg = 0;
+    float Imm;
+    ImageId Image;
+  };
+  int Ox = 0;
+  int Oy = 0;
+  int Channel = -1;
+};
+
+/// One patched cell: a precompiled op template plus its operands. A and B
+/// are the operands of an ALU op, C the Select condition; a fused
+/// multiply-add computes A + B * C (or B * C + A). One cache line.
 struct JitCell {
   JitOpFn Fn = nullptr;
   uint32_t Dst = 0;
-  uint32_t A = 0;
-  uint32_t B = 0;
-  uint32_t Sel = 0;
-  float Imm = 0.0f;
-  ImageId Image = 0;
-  int Ox = 0;
-  int Oy = 0;
-  int16_t Channel = -1;
+  JitOperand A;
+  JitOperand B;
+  JitOperand C;
 };
 
 /// A compiled launch artifact: the two cell chains (null-Fn terminated)
@@ -92,7 +111,11 @@ struct JitProgram {
   std::vector<JitCell> Tail; ///< Chain with the runtime chunk bound.
   uint32_t ResultOffset = 0; ///< Lane offset of the root result register.
   unsigned NumRegs = 0;      ///< Lane buffer = NumRegs * VmLaneWidth floats.
-  size_t FlatInsts = 0;      ///< Flattened instruction (cell) count.
+  size_t FlatInsts = 0;      ///< Flattened instruction count, before fusion.
+
+  /// Cells each chunk executes: the flattened instructions left after
+  /// cell fusion.
+  size_t cells() const { return Full.size() - 1; }
 };
 
 /// Compiles \p SP rooted at \p Root into a JIT program. Runs the bytecode

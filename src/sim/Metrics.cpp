@@ -60,7 +60,8 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
                                    const std::string &Launch,
                                    double MeasuredMs, double InteriorMs,
                                    double HaloMs, VmMode Mode,
-                                   TilingStrategy Tiling) {
+                                   TilingStrategy Tiling, size_t FlatCells,
+                                   size_t JitCells) {
   if (!enabled())
     return;
   std::lock_guard<std::mutex> Lock(Mutex);
@@ -77,6 +78,8 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
   case VmMode::Jit:
     ++Record.JitRuns;
     Record.JitInteriorMs += InteriorMs;
+    Record.FlatCells = FlatCells;
+    Record.JitCells = JitCells;
     break;
   default:
     ++Record.ScalarRuns;
@@ -152,7 +155,7 @@ std::string MetricsRegistry::renderTable() const {
   std::string Result;
   TablePrinter Table({"program", "launch", "stages", "pixels", "pred Mcyc",
                       "pred ms", "runs", "meas ms", "interior ms", "halo ms",
-                      "vm", "tiling", "pred/meas"});
+                      "vm", "cells", "tiling", "pred/meas"});
   for (const LaunchModelRecord &Record : Snapshot) {
     double Runs = Record.Runs ? static_cast<double>(Record.Runs) : 1.0;
     // The vm column names the interior engine; a launch measured in both
@@ -176,6 +179,11 @@ std::string MetricsRegistry::renderTable() const {
       Tiling = "overlap";
     else if (Record.InteriorTilingRuns)
       Tiling = "interior";
+    // The JIT chain: flattened instructions -> cells executed per chunk.
+    std::string Cells = "-";
+    if (Record.JitCells)
+      Cells = std::to_string(Record.FlatCells) + "->" +
+              std::to_string(Record.JitCells);
     Table.addRow({Record.Program, Record.Launch,
                   std::to_string(Record.Stages),
                   std::to_string(Record.Pixels),
@@ -184,7 +192,7 @@ std::string MetricsRegistry::renderTable() const {
                   std::to_string(Record.Runs),
                   formatDouble(Record.measuredMeanMs(), 4),
                   formatDouble(Record.InteriorMs / Runs, 4),
-                  formatDouble(Record.HaloMs / Runs, 4), Vm, Tiling,
+                  formatDouble(Record.HaloMs / Runs, 4), Vm, Cells, Tiling,
                   Record.ratio() > 0.0 ? formatDouble(Record.ratio(), 3)
                                        : std::string("-")});
   }

@@ -75,6 +75,12 @@ struct LaunchModelRecord {
   double OverlappedMs = 0.0;
   double InteriorTilingMs = 0.0;
 
+  /// The JIT chain the launch last ran: flattened instructions and the
+  /// cells left after cell fusion, which each chunk executes. Zero when
+  /// no run used the JIT.
+  size_t FlatCells = 0;
+  size_t JitCells = 0;
+
   double measuredMeanMs() const { return Runs ? MeasuredMs / Runs : 0.0; }
   /// Predicted / measured-mean ratio; 0 when either side is missing.
   double ratio() const {
@@ -142,11 +148,14 @@ public:
   /// collect the split. \p Mode is the resolved interior engine the run
   /// used (LaunchTiming::Mode), feeding the per-mode interior split;
   /// \p Tiling the resolved strategy (LaunchTiming::Tiling), feeding the
-  /// per-strategy split. No-op while disabled.
+  /// per-strategy split. \p FlatCells / \p JitCells describe the JIT
+  /// chain a Jit run executed (JitProgram::FlatInsts and cells()). No-op
+  /// while disabled.
   void recordLaunch(const std::string &Program, const std::string &Launch,
                     double MeasuredMs, double InteriorMs = 0.0,
                     double HaloMs = 0.0, VmMode Mode = VmMode::Span,
-                    TilingStrategy Tiling = TilingStrategy::InteriorHalo);
+                    TilingStrategy Tiling = TilingStrategy::InteriorHalo,
+                    size_t FlatCells = 0, size_t JitCells = 0);
 
   /// Merges one served frame of tenant \p Session: \p QueueMs spent
   /// queued, \p ExecMs executing. No-op while disabled.

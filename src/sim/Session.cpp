@@ -86,9 +86,12 @@ void runPlan(const CompiledPlan &Plan, std::vector<Image> &Frame,
                Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
       Span.arg("overlap_pixels",
                static_cast<double>(Timing.OverlapPixels));
+      const JitProgram *Jit =
+          Timing.Mode == VmMode::Jit ? Launch.Jit.get() : nullptr;
       MetricsRegistry::global().recordLaunch(
           Plan.ProgramName, Launch.Name, Timing.TotalMs,
-          Timing.InteriorMs, Timing.HaloMs, Timing.Mode, Timing.Tiling);
+          Timing.InteriorMs, Timing.HaloMs, Timing.Mode, Timing.Tiling,
+          Jit ? Jit->FlatInsts : 0, Jit ? Jit->cells() : 0);
     }
   }
 }

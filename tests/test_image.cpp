@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 
 using namespace kf;
 
@@ -124,6 +125,37 @@ TEST(Compare, CountAndMax) {
   EXPECT_EQ(countDifferingSamples(A, B, 0.01), 1);
   EXPECT_FALSE(imagesAlmostEqual(A, B, 0.1));
   EXPECT_TRUE(imagesAlmostEqual(A, B, 0.6));
+}
+
+/// A NaN against a number is a difference (+inf) in every tolerance
+/// comparison; two NaNs of any payload, and two equal infinities, are not.
+TEST(Compare, NaNAgainstANumberDiffers) {
+  const float NaN = std::numeric_limits<float>::quiet_NaN();
+  const float Inf = std::numeric_limits<float>::infinity();
+  Image A(2, 1, 1), B(2, 1, 1);
+  A.at(0, 0) = NaN;
+  A.at(1, 0) = 0.25f;
+  B.at(0, 0) = 0.5f;
+  B.at(1, 0) = 0.25f;
+  EXPECT_EQ(maxAbsDifference(A, B), Inf);
+  EXPECT_EQ(maxAbsDifference(B, A), Inf);
+  EXPECT_EQ(countDifferingSamples(A, B, 1.0), 1);
+  EXPECT_EQ(countBitDifferences(A, B), 1);
+  EXPECT_FALSE(imagesAlmostEqual(A, B, 1.0));
+
+  B.at(0, 0) = -NaN; // Another NaN: equal here, though not bit-equal.
+  EXPECT_EQ(maxAbsDifference(A, B), 0.0);
+  EXPECT_EQ(countDifferingSamples(A, B, 0.0), 0);
+  EXPECT_EQ(countBitDifferences(A, B), 1);
+
+  A.at(1, 0) = B.at(1, 0) = Inf;
+  EXPECT_EQ(maxAbsDifference(A, B), 0.0);
+
+  Image C(3, 3, 1, 0.0f), D(3, 3, 1, 0.0f);
+  C.at(0, 0) = NaN; // Halo.
+  D.at(1, 1) = NaN; // Interior.
+  EXPECT_EQ(maxAbsDifferenceInHalo(C, D, 1), Inf);
+  EXPECT_EQ(maxAbsDifferenceInInterior(C, D, 1), Inf);
 }
 
 TEST(Compare, HaloVsInterior) {

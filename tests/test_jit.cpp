@@ -34,6 +34,8 @@
 #include <bit>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -257,7 +259,9 @@ StagedVmProgram makeSingleOpProgram(VmOp Op, int W, int H) {
 /// widths 63 (the runtime-width tail loops), 64 (the packed full-width
 /// loops) and 65 (a packed chunk plus the overlapping full-width last
 /// chunk). Guards the NaN and signed-zero semantics of packed
-/// min/max/compare/blend against their scalar forms.
+/// min/max/compare/blend against their scalar forms. In the JIT the
+/// binary ops' loads fold into image operands (cell fusion); the
+/// JitFusion tests cover their register forms.
 TEST(JitVm, SpecialValueOpsMatchScalarBitForBit) {
   const int W = VmLaneWidth + 1, H = 64;
   Rng Gen(41);
@@ -341,8 +345,9 @@ TEST(JitVm, StridedOutputMatchesDense) {
 }
 
 /// Every registry pipeline's pristine fused bytecode must JIT-compile
-/// (the validator passes it, so the gate must too), with a flattened
-/// cell count of at least the staged instruction count.
+/// (the validator passes it, so the gate must too). Cell fusion never
+/// adds a cell: each chain holds at most one cell per flattened
+/// instruction.
 TEST(JitVm, PristineRegistryProgramsCompile) {
   for (const PipelineSpec &Spec : paperPipelines()) {
     Program P = Spec.Builder(64, 48);
@@ -355,11 +360,10 @@ TEST(JitVm, PristineRegistryProgramsCompile) {
       std::shared_ptr<const JitProgram> JP =
           compileJitProgram(SP, Root, poolShapes(P));
       ASSERT_NE(JP, nullptr) << Spec.Name << " " << FK.Name;
-      EXPECT_GT(JP->FlatInsts, 0u) << Spec.Name << " " << FK.Name;
-      // Both chains carry one cell per flattened instruction plus the
-      // null-Fn terminator.
-      EXPECT_EQ(JP->Full.size(), JP->FlatInsts + 1);
-      EXPECT_EQ(JP->Tail.size(), JP->FlatInsts + 1);
+      EXPECT_GT(JP->cells(), 0u) << Spec.Name << " " << FK.Name;
+      EXPECT_LE(JP->cells(), JP->FlatInsts) << Spec.Name << " " << FK.Name;
+      // Both chains carry the same cells plus the null-Fn terminator.
+      EXPECT_EQ(JP->Tail.size(), JP->Full.size());
       EXPECT_EQ(JP->Full.back().Fn, nullptr);
       EXPECT_EQ(JP->Tail.back().Fn, nullptr);
     }
@@ -398,6 +402,270 @@ TEST(JitLayout, FullChainCellsAreCacheLineAligned) {
 }
 
 TEST(JitVm, ModeName) { EXPECT_STREQ(vmModeName(VmMode::Jit), "jit"); }
+
+//===--------------------------------------------------------------------===//
+// Cell fusion
+//===--------------------------------------------------------------------===//
+
+/// The executed cell count of the registry's stencil launches at quarter
+/// size, through compilePlan (optimizer on) as sessions run them: a 3x3
+/// stencil is one product plus eight multiply-adds once its constants and
+/// loads are folded, and a fused callee's result is read where its
+/// stage call left it.
+TEST(JitFusion, RegistryLaunchCellCounts) {
+  const struct {
+    const char *Program, *Launch;
+    size_t MaxCells;
+  } Bounds[] = {{"harris", "dx", 10},
+                {"harris", "dy", 10},
+                {"harris", "sx+gx", 20},
+                {"harris", "sy+gy", 20},
+                {"harris", "sxy+gxy", 20},
+                {"sobel", "dx+dy+mag", 24},
+                {"unsharp", "blur+hi+cub+sharpen", 16}};
+  size_t Checked = 0;
+  for (const PipelineSpec &Spec : paperPipelines()) {
+    Program P = Spec.Builder(Spec.Width / 4, Spec.Height / 4);
+    FusedProgram FP = fuseProgram(
+        P, runMinCutFusion(P, HardwareModel()).Blocks,
+        FusionStyle::Optimized);
+    std::shared_ptr<const CompiledPlan> Plan =
+        compilePlan(FP, ExecutionOptions());
+    for (const CompiledLaunch &Launch : Plan->Launches) {
+      ASSERT_NE(Launch.Jit, nullptr) << Spec.Name << " " << Launch.Name;
+      for (const auto &Bound : Bounds) {
+        if (Spec.Name != Bound.Program || Launch.Name != Bound.Launch)
+          continue;
+        ++Checked;
+        EXPECT_LE(Launch.Jit->cells(), Bound.MaxCells)
+            << Spec.Name << " " << Launch.Name << ": "
+            << Launch.Jit->FlatInsts << " flattened instructions";
+      }
+    }
+  }
+  EXPECT_EQ(Checked, std::size(Bounds));
+}
+
+/// One stage of a hand-written program over the three pool images; each
+/// helper appends an instruction and returns its destination register.
+struct StageBuilder {
+  VmStage Stage;
+
+  StageBuilder() { Stage.Inputs = {0, 1, 2}; }
+
+  uint16_t emit(VmInst Inst) {
+    Inst.Dst = static_cast<uint16_t>(Stage.Code.NumRegs++);
+    Stage.Code.Insts.push_back(Inst);
+    return Inst.Dst;
+  }
+  uint16_t load(int Input, int Ox = 0) {
+    VmInst Inst;
+    Inst.Op = VmOp::Load;
+    Inst.InputIdx = static_cast<int16_t>(Input);
+    Inst.Ox = static_cast<int16_t>(Ox);
+    return emit(Inst);
+  }
+  uint16_t constant(float V) {
+    VmInst Inst;
+    Inst.Op = VmOp::Const;
+    Inst.Imm = V;
+    return emit(Inst);
+  }
+  uint16_t op(VmOp Op, uint16_t A, uint16_t B = 0) {
+    VmInst Inst;
+    Inst.Op = Op;
+    Inst.A = A;
+    Inst.B = B;
+    return emit(Inst);
+  }
+  uint16_t call(uint16_t Callee, int Ox) {
+    VmInst Inst;
+    Inst.Op = VmOp::StageCall;
+    Inst.Sel = Callee;
+    Inst.Ox = static_cast<int16_t>(Ox);
+    return emit(Inst);
+  }
+};
+
+/// Links \p Stages (callees first) into a staged program rooted at the
+/// last one, each stage's result being its last instruction's register.
+StagedVmProgram linkStages(std::vector<StageBuilder> Stages, int W, int H) {
+  StagedVmProgram SP;
+  for (StageBuilder &B : Stages) {
+    B.Stage.Code.ResultReg = B.Stage.Code.Insts.back().Dst;
+    B.Stage.OutW = W;
+    B.Stage.OutH = H;
+    B.Stage.RegBase = SP.NumRegs;
+    SP.NumRegs += B.Stage.Code.NumRegs;
+    SP.Stages.push_back(B.Stage);
+    SP.Reach.push_back(1);
+  }
+  return SP;
+}
+
+/// Special-value inputs for the fusion differential: one column wider
+/// than the widest span, for the loads displaced by one pixel.
+struct SpecialPool {
+  static constexpr int W = VmLaneWidth + 2, H = 24;
+  std::vector<Image> Pool;
+  std::vector<ImageInfo> Shapes;
+
+  SpecialPool() {
+    Rng Gen(2718);
+    for (int I = 0; I != 3; ++I) {
+      Pool.push_back(makeSpecialValueImage(W, H, 1, Gen));
+      Shapes.push_back({"in" + std::to_string(I), W, H, 1});
+    }
+    Pool.emplace_back(); // The output image's slot.
+    Shapes.push_back({"out", W, H, 1});
+  }
+};
+
+/// JIT-compiles \p SP, checks it fused to \p ExpectedCells cells, and
+/// runs it at span widths 63 (the tail chain), 64 and 65 (the full chain,
+/// the last chunk overlapping) over every row; returns the samples whose
+/// bits differ from the per-pixel interpreter.
+long long fusedMismatches(const StagedVmProgram &SP, const SpecialPool &In,
+                          size_t ExpectedCells, const std::string &What) {
+  const uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
+  std::shared_ptr<const JitProgram> JP =
+      compileJitProgram(SP, Root, In.Shapes);
+  if (!JP) {
+    ADD_FAILURE() << What << ": not compiled";
+    return -1;
+  }
+  EXPECT_EQ(JP->cells(), ExpectedCells) << What;
+  std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) * VmLaneWidth);
+  std::vector<float> PixelRegs(SP.NumRegs);
+  long long Mismatches = 0;
+  for (int Width : {VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
+    std::vector<float> Jit(Width);
+    for (int Y = 0; Y != SpecialPool::H; ++Y) {
+      runJitSpan(*JP, In.Pool, Y, 0, Width, 0, LaneRegs.data(), Jit.data());
+      for (int X = 0; X != Width; ++X)
+        Mismatches += bitsOf(Jit[X]) !=
+                      bitsOf(runStagedVmInterior(SP, Root, In.Pool, X, Y, 0,
+                                                 PixelRegs.data()));
+    }
+  }
+  EXPECT_EQ(Mismatches, 0) << What;
+  return Mismatches;
+}
+
+constexpr VmOp FusableBinaryOps[] = {VmOp::Add,   VmOp::Sub, VmOp::Mul,
+                                     VmOp::Div,   VmOp::Min, VmOp::Max,
+                                     VmOp::CmpLT, VmOp::CmpGT};
+
+/// Every binary op with an immediate on either side, an image row on
+/// either side (against a register, against another image, and the same
+/// load feeding both operands), and two registers (the unfused cell,
+/// which JitVm.SpecialValueOpsMatchScalarBitForBit no longer reaches: its
+/// loads now fold), on special values: operand order decides Sub, Div,
+/// Min, Max, the comparisons and which NaN payload survives.
+TEST(JitFusion, ImmediateAndImageOperandsMatchInterpreterBitForBit) {
+  SpecialPool In;
+  const float Imms[] = {0.0f,  -0.0f, 1.5f,
+                        -3.0f, std::numeric_limits<float>::denorm_min(),
+                        std::numeric_limits<float>::max()};
+  for (VmOp Op : FusableBinaryOps) {
+    const std::string Name = "op " + std::to_string(static_cast<int>(Op));
+    for (float Imm : Imms) {
+      for (bool ImmLeft : {true, false}) {
+        StageBuilder B;
+        uint16_t X = B.load(0), C = B.constant(Imm);
+        ImmLeft ? B.op(Op, C, X) : B.op(Op, X, C);
+        fusedMismatches(linkStages({B}, In.W, In.H), In, 1,
+                        Name + (ImmLeft ? " imm-left " : " imm-right ") +
+                            std::to_string(Imm));
+      }
+    }
+    for (bool ImageLeft : {true, false}) {
+      // The register operand: a Neg, which no cell folds.
+      StageBuilder B;
+      uint16_t X = B.load(0), R = B.op(VmOp::Neg, B.load(1));
+      ImageLeft ? B.op(Op, X, R) : B.op(Op, R, X);
+      fusedMismatches(linkStages({B}, In.W, In.H), In, 3,
+                      Name + (ImageLeft ? " image-left" : " image-right"));
+    }
+    StageBuilder Regs;
+    Regs.op(Op, Regs.op(VmOp::Neg, Regs.load(0)),
+            Regs.op(VmOp::Neg, Regs.load(1)));
+    fusedMismatches(linkStages({Regs}, In.W, In.H), In, 5,
+                    Name + " two registers");
+    StageBuilder Two;
+    Two.op(Op, Two.load(0), Two.load(1, 1));
+    fusedMismatches(linkStages({Two}, In.W, In.H), In, 1,
+                    Name + " two images");
+    StageBuilder Same;
+    uint16_t X = Same.load(2);
+    Same.op(Op, X, X);
+    fusedMismatches(linkStages({Same}, In.W, In.H), In, 1,
+                    Name + " one load, both operands");
+  }
+}
+
+/// Every multiply-add form: the accumulator and each factor a register,
+/// an image row or an immediate (never two immediate factors), with the
+/// product as the right and as the left addend.
+TEST(JitFusion, MultiplyAddFormsMatchInterpreterBitForBit) {
+  SpecialPool In;
+  enum Kind { Reg, Img, Imm };
+  for (Kind R : {Reg, Img, Imm})
+    for (Kind X : {Reg, Img, Imm})
+      for (Kind Y : {Reg, Img, Imm}) {
+        if (X == Imm && Y == Imm)
+          continue;
+        for (bool ProductRight : {true, false}) {
+          StageBuilder B;
+          size_t RegOperands = 0;
+          auto operand = [&](Kind K, int Input, float V) -> uint16_t {
+            if (K == Imm)
+              return B.constant(V);
+            if (K == Img)
+              return B.load(Input);
+            ++RegOperands; // A Load and a Neg cell stay.
+            return B.op(VmOp::Neg, B.load(Input));
+          };
+          uint16_t Acc = operand(R, 0, -0.0f);
+          uint16_t Product =
+              B.op(VmOp::Mul, operand(X, 1, 3.0f), operand(Y, 2, -0.5f));
+          ProductRight ? B.op(VmOp::Add, Acc, Product)
+                       : B.op(VmOp::Add, Product, Acc);
+          fusedMismatches(linkStages({B}, In.W, In.H), In,
+                          1 + 2 * RegOperands,
+                          "mul-add R=" + std::to_string(R) +
+                              " X=" + std::to_string(X) +
+                              " Y=" + std::to_string(Y) +
+                              (ProductRight ? " acc+xy" : " xy+acc"));
+        }
+      }
+}
+
+/// Two calls to one callee share its register frame: the second call
+/// rewrites the result register the first call's copy read. The first
+/// copy must stay (its reader comes after the second call), the second
+/// is forwarded, and a product of the first call's result must not fuse
+/// into an Add after the second call.
+TEST(JitFusion, CopyForwardingAcrossRepeatedCallsMatchesInterpreter) {
+  SpecialPool In;
+  StageBuilder Callee;
+  Callee.op(VmOp::Neg, Callee.load(0));
+
+  StageBuilder Sub;
+  uint16_t First = Sub.call(0, 0), Second = Sub.call(0, 1);
+  Sub.op(VmOp::Sub, First, Second);
+  // Load, Neg, copy, Load, Neg, Sub: the second copy is forwarded.
+  fusedMismatches(linkStages({Callee, Sub}, In.W, In.H), In, 6,
+                  "sub of two calls");
+
+  StageBuilder Mac;
+  uint16_t Product = Mac.op(VmOp::Mul, Mac.call(0, 0), Mac.constant(0.5f));
+  Mac.op(VmOp::Add, Mac.call(0, 1), Product);
+  // Load, Neg, Mul(callee result, imm), Load, Neg, Add: no multiply-add,
+  // since the second call rewrote the product's factor.
+  fusedMismatches(linkStages({Callee, Mac}, In.W, In.H), In, 6,
+                  "product across a second call");
+}
 
 /// The launch-level contract: a default (Jit) launch carrying an
 /// artifact runs the JIT interior (LaunchTiming reports the mode it ran),
@@ -486,10 +754,19 @@ TEST(JitVm, RunFusedVmRunsTheCompiledPlan) {
     ++WithArtifact;
     bool RanJit = false;
     for (const LaunchModelRecord &Record : Records)
-      if (Record.Program == Harris.P.name() && Record.Launch == Launch.Name)
+      if (Record.Program == Harris.P.name() && Record.Launch == Launch.Name) {
         RanJit = Record.JitRuns > 0;
+        // The metrics table's cells column: the chain that ran.
+        EXPECT_EQ(Record.FlatCells, Launch.Jit->FlatInsts) << Launch.Name;
+        EXPECT_EQ(Record.JitCells, Launch.Jit->cells()) << Launch.Name;
+      }
     EXPECT_TRUE(RanJit) << Launch.Name << " holds an artifact but ran "
                         << "another engine";
+    EXPECT_NE(Registry.renderTable().find(
+                  std::to_string(Launch.Jit->FlatInsts) + "->" +
+                  std::to_string(Launch.Jit->cells())),
+              std::string::npos)
+        << Launch.Name;
   }
   EXPECT_GT(WithArtifact, 0u);
   Registry.setEnabled(false);

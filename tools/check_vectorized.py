@@ -3,11 +3,13 @@
 
 The span interpreter (src/ir/ExprVM.cpp) and the JIT op cells
 (src/jit/JitProgram.cpp) run every VM operation through the lane loops of
-src/ir/LaneOps.h. At the default -O2 build GCC vectorizes those loops only
-because each carries the KF_LANE_LOOP hint; dropping the hint, or adding a
-pointer the compiler must check for aliasing, turns them back into scalar
-loops with no visible failure but a 2x slowdown. This script makes that a
-failure.
+src/ir/LaneOps.h; the JIT's fused cells (multiply-add, immediate and image
+operands) instantiate their own forms of them. At the default -O2 build
+GCC vectorizes those loops only because each carries the KF_LANE_LOOP
+hint; dropping the hint, adding a pointer the compiler must check for
+aliasing, or a conditional it cannot if-convert, turns them back into
+scalar loops with no visible failure but a 2x slowdown. This script makes
+that a failure.
 
 It configures the project into a temporary directory to get the project's
 own compile commands, recompiles the two translation units with the GCC
@@ -17,25 +19,31 @@ vectorizer report (the -fopt-info-vec messages, grouped per function by
   * a required lane loop is reported "couldn't vectorize" inside a
     full-width function -- one whose first template argument is
     VmLaneWidth (mangled ILi64E), such as opAlu<64, Add> or
-    evalRowImpl<64, ...>; or
-  * a required lane loop is not reported vectorized anywhere in a
-    translation unit.
+    evalRowImpl<64, ...>;
+  * a translation unit compiles a required lane loop but never reports
+    it vectorized (each unit is held only to the loops it instantiates:
+    the fused-cell forms exist only in JitProgram.cpp); or
+  * a required lane loop is compiled in neither unit.
 
-A required lane loop is a loop of src/ir/LaneOps.h preceded by
-KF_LANE_LOOP, except the ones that must stay scalar without changing the
-compile flags: loops that call libm (std::exp, std::log, std::pow;
-std::sqrt keeps its errno call; SSE2 has no packed floor) and loops that
-index with a runtime Stride or OutStride (multi-channel gathers and
-scatters). Runtime-width tail instantiations (template argument 0) are not
-checked: the default cost model never vectorizes a loop that would need a
-scalar epilogue.
+A required lane loop is a loop preceded by KF_LANE_LOOP, in
+src/ir/LaneOps.h or written in src/jit/JitProgram.cpp, except the ones
+that must stay scalar without changing the compile flags: loops that call
+libm (std::exp, std::log, std::pow; std::sqrt keeps its errno call; SSE2
+has no packed floor) and loops that index with a runtime Stride or
+OutStride (multi-channel gathers and scatters). Runtime-width tail
+instantiations (template argument 0) are not checked: the default cost
+model never vectorizes a loop that would need a scalar epilogue.
 
-Some evaluators must also *have* a full-width instantiation that packs
-every required laneAlu loop: the border-ring evaluator (evalStagedRing in
-src/ir/ExprVM.cpp) runs the ring 64 pixels at a time only to reach the
-packed ALU loops, so it fails the check when no full-width function of it
-vectorizes them -- for example when it is instantiated at runtime width, a
-change the per-loop checks above cannot see.
+Some functions must also *have* packed loops:
+
+  * the border-ring evaluator (evalStagedRing in src/ir/ExprVM.cpp) runs
+    the ring 64 pixels at a time only to reach the packed ALU loops, so
+    it fails the check when no full-width function of it vectorizes every
+    required laneAlu loop -- for example when it is instantiated at
+    runtime width, a change the per-loop checks above cannot see;
+  * every full-width instantiation of a JIT ALU or multiply-add cell
+    (opAlu, opMulAdd in src/jit/JitProgram.cpp) must report its lane
+    loop, and pack it unless the loop is one that stays scalar.
 
 Usage, from anywhere:
 
@@ -55,18 +63,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LANE_OPS = ROOT / "src" / "ir" / "LaneOps.h"
+JIT_PROGRAM = ROOT / "src" / "jit" / "JitProgram.cpp"
 EXPR_VM_H = ROOT / "src" / "ir" / "ExprVM.h"
-UNITS = [ROOT / "src" / "ir" / "ExprVM.cpp",
-         ROOT / "src" / "jit" / "JitProgram.cpp"]
+UNITS = [ROOT / "src" / "ir" / "ExprVM.cpp", JIT_PROGRAM]
+# Files whose KF_LANE_LOOP loops are checked.
+LOOP_SOURCES = [LANE_OPS, JIT_PROGRAM]
 
 # unit name -> evaluators whose full-width instantiation must pack every
 # required laneAlu loop (matched as a substring of the mangled name).
 PACKED_ALU = {"ExprVM.cpp": ("evalStagedRing",)}
+# unit name -> op cells whose every full-width instantiation must report
+# its lane loop and pack it when the loop is required.
+PACKED_CELLS = {"JitProgram.cpp": ("opAlu", "opMulAdd")}
 
 SCALAR_CALLS = ("std::exp", "std::log", "std::pow", "std::sqrt", "std::floor")
 RUNTIME_STRIDE = re.compile(r"\*\s*(Out)?Stride\]")
 FUNCTION_RE = re.compile(r"^;; Function (.*) \((\S+?),")
-REPORT_RE = re.compile(r"LaneOps\.h:(\d+):\d+: (optimized: loop vectorized"
+REPORT_RE = re.compile(r"(LaneOps\.h|JitProgram\.cpp):(\d+):\d+: "
+                       r"(optimized: loop vectorized"
                        r"|missed: couldn't vectorize loop)")
 
 
@@ -79,32 +93,44 @@ def lane_width():
 
 
 def lane_loops():
-    """{for-line number: loop text} for every KF_LANE_LOOP loop."""
-    lines = LANE_OPS.read_text().splitlines()
+    """{(file name, for-line number): loop text} for every KF_LANE_LOOP loop."""
     loops = {}
-    for index, line in enumerate(lines):
-        if line.strip() != "KF_LANE_LOOP":
-            continue
-        start = index + 1  # 0-based index of the for line.
-        body, depth = [], 0
-        for text in lines[start:]:
-            body.append(text)
-            depth += text.count("{") - text.count("}")
-            if depth == 0 and text.rstrip().endswith((";", "}")):
-                break
-        loops[start + 1] = "\n".join(body)
+    for path in LOOP_SOURCES:
+        lines = path.read_text().splitlines()
+        for index, line in enumerate(lines):
+            if line.strip() != "KF_LANE_LOOP":
+                continue
+            start = index + 1  # 0-based index of the for line.
+            body, depth = [], 0
+            for text in lines[start:]:
+                body.append(text)
+                depth += text.count("{") - text.count("}")
+                if depth == 0 and text.rstrip().endswith((";", "}")):
+                    break
+            loops[(path.name, start + 1)] = "\n".join(body)
     return loops
 
 
+def loop_at(loops, name, line):
+    """The location of the loop whose text spans \p line of \p name: GCC
+    reports a loop at its for line, or at a body line when the body
+    exits early."""
+    for (file, start), text in loops.items():
+        if file == name and start <= line < start + text.count("\n") + 1:
+            return (file, start)
+    return (name, line)
+
+
 def alu_lines(loops):
-    """For-line numbers of the KF_LANE_LOOP loops inside laneAlu."""
+    """Locations of the KF_LANE_LOOP loops inside laneAlu."""
     lines = LANE_OPS.read_text().splitlines()
     start = next((i for i, line in enumerate(lines)
                   if line.startswith("inline void laneAlu(")), None)
     if start is None:
         sys.exit("error: laneAlu not found in %s" % LANE_OPS)
     end = next(i for i in range(start, len(lines)) if lines[i] == "}")
-    return {line for line in loops if start < line <= end + 1}
+    return {(name, line) for name, line in loops
+            if name == LANE_OPS.name and start < line <= end + 1}
 
 
 def required(loop_text):
@@ -136,8 +162,8 @@ def command_args(entry):
             else list(entry["arguments"]))
 
 
-def vectorizer_report(entry, out_dir):
-    """[(mangled function name, line, vectorized?)] for LaneOps.h loops."""
+def vectorizer_report(entry, out_dir, loops):
+    """[(mangled function name, (file, line), vectorized?)] per lane loop."""
     args = command_args(entry)
     stem = Path(entry["file"]).stem
     if "-o" in args:
@@ -157,20 +183,28 @@ def vectorizer_report(entry, out_dir):
             continue
         report = REPORT_RE.search(line)
         if report and function:
-            reports.append((function, int(report.group(1)),
-                            report.group(2).startswith("optimized")))
+            reports.append((function,
+                            loop_at(loops, report.group(1),
+                                    int(report.group(2))),
+                            report.group(3).startswith("optimized")))
     return reports
+
+
+def where(loc):
+    return "%s:%d" % loc
 
 
 def main():
     width = lane_width()
     full_width = "ILi%dE" % width
     loops = lane_loops()
-    needed = sorted(line for line, text in loops.items() if required(text))
+    needed = {loc for loc, text in loops.items() if required(text)}
     if not needed:
-        sys.exit("error: no KF_LANE_LOOP loops found in %s" % LANE_OPS)
+        sys.exit("error: no KF_LANE_LOOP loops found in %s"
+                 % ", ".join(str(p) for p in LOOP_SOURCES))
 
     failures = []
+    compiled = set()
     with tempfile.TemporaryDirectory(prefix="kf-vect-") as tmp:
         tmp = Path(tmp)
         commands = compile_commands(tmp / "build")
@@ -180,16 +214,18 @@ def main():
                   "GCC's vectorizer report)" % compiler)
             return 0
         for unit in UNITS:
-            reports = vectorizer_report(commands[unit], tmp)
-            vectorized = {line for _, line, ok in reports if ok}
-            for line in needed:
-                if line not in vectorized:
-                    failures.append("%s: LaneOps.h:%d is never vectorized"
-                                    % (unit.name, line))
-            for function, line, ok in reports:
-                if not ok and line in needed and full_width in function:
-                    failures.append("%s: LaneOps.h:%d stays scalar in %s"
-                                    % (unit.name, line, function))
+            reports = vectorizer_report(commands[unit], tmp, loops)
+            instantiated = {loc for _, loc, _ in reports}
+            compiled |= instantiated
+            vectorized = {loc for _, loc, ok in reports if ok}
+            for loc in sorted(needed & instantiated):
+                if loc not in vectorized:
+                    failures.append("%s: %s is never vectorized"
+                                    % (unit.name, where(loc)))
+            for function, loc, ok in reports:
+                if not ok and loc in needed and full_width in function:
+                    failures.append("%s: %s stays scalar in %s"
+                                    % (unit.name, where(loc), function))
             full = {f for f, _, _ in reports if full_width in f}
             for marker in PACKED_ALU.get(unit.name, ()):
                 owners = {f for f in full if marker in f}
@@ -197,15 +233,29 @@ def main():
                     failures.append("%s: no full-width instantiation of %s"
                                     % (unit.name, marker))
                     continue
-                packed = {line for f, line, ok in reports
+                packed = {loc for f, loc, ok in reports
                           if ok and f in owners}
-                for line in sorted(set(needed) & alu_lines(loops)):
-                    if line not in packed:
-                        failures.append("%s: LaneOps.h:%d is not packed in "
-                                        "%s" % (unit.name, line, marker))
-            print("%s: checked %d full-width functions"
-                  % (unit.name, len(full)))
+                for loc in sorted(needed & alu_lines(loops)):
+                    if loc not in packed:
+                        failures.append("%s: %s is not packed in %s"
+                                        % (unit.name, where(loc), marker))
+            cells = sorted(f for f in full
+                           if any(m in f for m in PACKED_CELLS.get(unit.name,
+                                                                   ())))
+            for function in cells:
+                locs = {loc for f, loc, _ in reports if f == function}
+                packed = {loc for f, loc, ok in reports
+                          if ok and f == function}
+                if not locs or (locs & needed and not packed):
+                    failures.append("%s: %s packs no lane loop"
+                                    % (unit.name, function))
+            if unit.name in PACKED_CELLS and not cells:
+                failures.append("%s: no full-width op cells" % unit.name)
+            print("%s: checked %d full-width functions (%d op cells)"
+                  % (unit.name, len(full), len(cells)))
 
+    for loc in sorted(needed - compiled):
+        failures.append("%s is compiled in no unit" % where(loc))
     if failures:
         for failure in sorted(set(failures)):
             print("FAIL " + failure)
