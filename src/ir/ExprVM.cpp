@@ -338,27 +338,26 @@ inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
 
 namespace {
 
-/// Executes \p Code instruction-major over W lanes and returns the result
-/// register's lanes. \p N is the compile-time lane count (VmLaneWidth) or 0
-/// for a runtime-width tail chunk; registers are laneCount<N>(W) floats
-/// apart in \p RowRegs. Const and the register-to-register ops run the
-/// laneAlu loops here; the ops whose lanes depend on where the lanes sit
-/// (CoordX, CoordY, Load, StageCall) go to \p Place(Inst, D), which writes
-/// the destination register's lanes. Every lane engine of the interpreter
-/// -- span rows, overlap planes, the border ring -- shares this dispatch.
-template <int N, class PlaceFn>
-const float *evalLanes(const VmProgram &Code, int W, float *RowRegs,
+/// Executes \p Code instruction-major over one chunk of VmLaneWidth lanes
+/// and returns the result register's lanes; registers are VmLaneWidth
+/// floats apart in \p RowRegs. Const and the register-to-register ops run
+/// the laneAlu loops here; the ops whose lanes depend on where the lanes
+/// sit (CoordX, CoordY, Load, StageCall) go to \p Place(Inst, D), which
+/// writes the destination register's lanes. Every lane engine of the
+/// interpreter -- span rows, overlap planes, the border ring -- shares this
+/// dispatch.
+template <class PlaceFn>
+const float *evalLanes(const VmProgram &Code, float *RowRegs,
                        PlaceFn &&Place) {
-  W = laneCount<N>(W);
   auto Row = [&](uint16_t Reg) {
-    return RowRegs + static_cast<size_t>(Reg) * W;
+    return RowRegs + static_cast<size_t>(Reg) * VmLaneWidth;
   };
   for (const VmInst &Inst : Code.Insts) {
     float *D = Row(Inst.Dst);
     const float *A = Row(Inst.A), *B = Row(Inst.B);
     switch (Inst.Op) {
     case VmOp::Const:
-      laneFill<N>(W, D, Inst.Imm);
+      laneFill(D, Inst.Imm);
       break;
     case VmOp::CoordX:
     case VmOp::CoordY:
@@ -367,91 +366,87 @@ const float *evalLanes(const VmProgram &Code, int W, float *RowRegs,
       Place(Inst, D);
       break;
     case VmOp::Add:
-      laneAlu<N, VmOp::Add>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Add>(D, A, B, nullptr);
       break;
     case VmOp::Sub:
-      laneAlu<N, VmOp::Sub>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Sub>(D, A, B, nullptr);
       break;
     case VmOp::Mul:
-      laneAlu<N, VmOp::Mul>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Mul>(D, A, B, nullptr);
       break;
     case VmOp::Div:
-      laneAlu<N, VmOp::Div>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Div>(D, A, B, nullptr);
       break;
     case VmOp::Min:
-      laneAlu<N, VmOp::Min>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Min>(D, A, B, nullptr);
       break;
     case VmOp::Max:
-      laneAlu<N, VmOp::Max>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Max>(D, A, B, nullptr);
       break;
     case VmOp::Pow:
-      laneAlu<N, VmOp::Pow>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Pow>(D, A, B, nullptr);
       break;
     case VmOp::CmpLT:
-      laneAlu<N, VmOp::CmpLT>(W, D, A, B, nullptr);
+      laneAlu<VmOp::CmpLT>(D, A, B, nullptr);
       break;
     case VmOp::CmpGT:
-      laneAlu<N, VmOp::CmpGT>(W, D, A, B, nullptr);
+      laneAlu<VmOp::CmpGT>(D, A, B, nullptr);
       break;
     case VmOp::Neg:
-      laneAlu<N, VmOp::Neg>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Neg>(D, A, B, nullptr);
       break;
     case VmOp::Abs:
-      laneAlu<N, VmOp::Abs>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Abs>(D, A, B, nullptr);
       break;
     case VmOp::Sqrt:
-      laneAlu<N, VmOp::Sqrt>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Sqrt>(D, A, B, nullptr);
       break;
     case VmOp::Exp:
-      laneAlu<N, VmOp::Exp>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Exp>(D, A, B, nullptr);
       break;
     case VmOp::Log:
-      laneAlu<N, VmOp::Log>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Log>(D, A, B, nullptr);
       break;
     case VmOp::Floor:
-      laneAlu<N, VmOp::Floor>(W, D, A, B, nullptr);
+      laneAlu<VmOp::Floor>(D, A, B, nullptr);
       break;
     case VmOp::Select:
-      laneAlu<N, VmOp::Select>(W, D, A, B, Row(Inst.Sel));
+      laneAlu<VmOp::Select>(D, A, B, Row(Inst.Sel));
       break;
     }
   }
   return Row(Code.ResultReg);
 }
 
-/// evalLanes over the W lanes of row \p Y that start at column \p X0:
-/// coordinates are a row's, and loads read the interior directly.
+/// evalLanes over the chunk of row \p Y that starts at column \p X0:
+/// coordinates are a row's, and loads read the pool images directly,
+/// unchecked (the span's caller checked them once, lanesInside).
 /// \p Inputs resolves Load pool images; \p CallRow handles StageCall ops
 /// (writes the callee's lanes into the destination register).
-template <int N, class CallRowFn>
+template <class CallRowFn>
 const float *evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
                          const std::vector<ImageId> &Inputs, int Y, int X0,
-                         int W, int Channel, float *RowRegs,
-                         CallRowFn &&CallRow) {
-  W = laneCount<N>(W);
-  return evalLanes<N>(Code, W, RowRegs, [&](const VmInst &Inst, float *D) {
+                         int Channel, float *RowRegs, CallRowFn &&CallRow) {
+  return evalLanes(Code, RowRegs, [&](const VmInst &Inst, float *D) {
     switch (Inst.Op) {
     case VmOp::CoordX:
-      laneIota<N>(W, D, X0);
+      laneIota(D, X0);
       break;
     case VmOp::CoordY:
-      laneFill<N>(W, D, static_cast<float>(Y));
+      laneFill(D, static_cast<float>(Y));
       break;
     case VmOp::Load: {
       const Image &Img = Pool[Inputs[Inst.InputIdx]];
       int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      assert(Y + Inst.Oy >= 0 && Y + Inst.Oy < Img.height() &&
-             X0 + Inst.Ox >= 0 && X0 + W - 1 + Inst.Ox < Img.width() &&
-             "row evaluation outside the interior region");
       const float *Base =
           Img.data().data() +
           (static_cast<size_t>(Y + Inst.Oy) * Img.width() + (X0 + Inst.Ox)) *
               Img.channels() +
           Ch;
       if (Img.channels() == 1)
-        laneCopy<N>(W, D, Base);
+        laneCopy(D, Base);
       else
-        laneGather<N>(W, D, Base, Img.channels());
+        laneGather(D, Base, Img.channels());
       break;
     }
     case VmOp::StageCall:
@@ -612,31 +607,47 @@ float kf::runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
 
 namespace {
 
-/// Lane-wise interior evaluation of one stage over the W lanes of row
-/// \p Y that start at column \p X0; returns the stage result's lanes.
-/// Stage calls recurse lane-wise too -- the callee streams its subprogram
-/// across the (offset-shifted) lanes and its result is copied into the
-/// caller's destination register -- so the whole staged program stays
+/// Lane-wise interior evaluation of one stage over the chunk of row \p Y
+/// that starts at column \p X0; returns the stage result's lanes. Stage
+/// calls recurse lane-wise too -- the callee streams its subprogram across
+/// the (offset-shifted) lanes and its result is copied into the caller's
+/// destination register -- so the whole staged program stays
 /// instruction-major. Stage frames partition \p LaneRegs at
-/// RegBase * VmLaneWidth while each chunk's per-register stride is the
-/// chunk width (<= VmLaneWidth), so no frame ever overruns into its
-/// neighbour (the validator's KF-B11 invariant); the acyclic call graph
-/// guarantees a stage never reuses a live frame, and sequential calls to
-/// the same callee simply overwrite its frame.
-template <int N>
+/// RegBase * VmLaneWidth, so no frame ever overruns into its neighbour
+/// (the validator's KF-B11 invariant); the acyclic call graph guarantees a
+/// stage never reuses a live frame, and sequential calls to the same
+/// callee simply overwrite its frame.
 const float *evalStagedRow(const StagedVmProgram &SP, uint16_t StageIdx,
                            const std::vector<Image> &Pool, int Y, int X0,
-                           int W, int Channel, float *LaneRegs) {
+                           int Channel, float *LaneRegs) {
   const VmStage &Stage = SP.Stages[StageIdx];
   float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
-  return evalRowImpl<N>(
-      Stage.Code, Pool, Stage.Inputs, Y, X0, W, Channel, Frame,
+  return evalRowImpl(
+      Stage.Code, Pool, Stage.Inputs, Y, X0, Channel, Frame,
       [&](const VmInst &Inst, float *D) {
         int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-        laneCopy<N>(W, D,
-                    evalStagedRow<N>(SP, Inst.Sel, Pool, Y + Inst.Oy,
-                                     X0 + Inst.Ox, W, Ch, LaneRegs));
+        laneCopy(D, evalStagedRow(SP, Inst.Sel, Pool, Y + Inst.Oy,
+                                  X0 + Inst.Ox, Ch, LaneRegs));
       });
+}
+
+/// Whether lanesInside holds for every load of stage \p StageIdx over the
+/// span [X0, X1) of row \p Y, and of its callees at their displaced spans
+/// (the walk evalStagedRow's recursion takes).
+bool stagedSpanInside(const StagedVmProgram &SP, uint16_t StageIdx,
+                      const std::vector<Image> &Pool, int Y, int X0, int X1) {
+  const VmStage &Stage = SP.Stages[StageIdx];
+  for (const VmInst &Inst : Stage.Code.Insts) {
+    if (Inst.Op == VmOp::Load &&
+        !lanesInside({Inst.Ox, Inst.Ox, Inst.Oy, Inst.Oy},
+                     Pool[Stage.Inputs[Inst.InputIdx]], Y, Y + 1, X0, X1))
+      return false;
+    if (Inst.Op == VmOp::StageCall &&
+        !stagedSpanInside(SP, Inst.Sel, Pool, Y + Inst.Oy, X0 + Inst.Ox,
+                          X1 + Inst.Ox))
+      return false;
+  }
+  return true;
 }
 
 } // namespace
@@ -645,16 +656,17 @@ void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                          const std::vector<Image> &Pool, int Y, int X0,
                          int X1, int Channel, float *LaneRegs,
                          float *Out, int OutStride) {
+  // The one check of the span's reads: the chunks load unchecked.
+  assert((X1 <= X0 || stagedSpanInside(SP, RootStage, Pool, Y, X0, X1)) &&
+         "span evaluation outside the interior region");
   // The working set is SP.NumRegs * VmLaneWidth floats whatever the span
   // width. StageCall recursion inside evalStagedRow shifts the chunk's
   // column range per call, so the callee streams over exactly the
   // caller's lanes.
-  forEachLaneChunk(X0, X1, [&](auto Width, int C0, int From, int W) {
-    constexpr int N = decltype(Width)::value;
-    const float *Result =
-        evalStagedRow<N>(SP, RootStage, Pool, Y, C0, W, Channel, LaneRegs);
-    laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
-                 OutStride, Result);
+  forEachLaneChunk(X0, X1, [&](int C0, int From, int To) {
+    laneStore(From, To, Out + static_cast<size_t>(C0 - X0) * OutStride,
+              OutStride,
+              evalStagedRow(SP, RootStage, Pool, Y, C0, Channel, LaneRegs));
   });
 }
 
@@ -704,8 +716,7 @@ const float *evalStagedRing(const StagedVmProgram &SP, uint16_t StageIdx,
   const VmStage &Stage = SP.Stages[StageIdx];
   float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * N;
   const VmInst *First = Stage.Code.Insts.data();
-  return evalLanes<N>(Stage.Code, N, Frame, [&](const VmInst &Inst,
-                                                float *D) {
+  return evalLanes(Stage.Code, Frame, [&](const VmInst &Inst, float *D) {
     switch (Inst.Op) {
     case VmOp::CoordX:
       for (int I = 0; I != N; ++I)
@@ -762,8 +773,7 @@ const float *evalStagedRing(const StagedVmProgram &SP, uint16_t StageIdx,
         CalleeAt.X[I] = TX;
         CalleeAt.Y[I] = TY;
       }
-      laneCopy<N>(N, D,
-                  evalStagedRing(SP, Inst.Sel, Pool, CalleeAt,
+      laneCopy(D, evalStagedRing(SP, Inst.Sel, Pool, CalleeAt,
                                  Inst.Channel < 0 ? Channel : Inst.Channel,
                                  LaneRegs, UseIndexExchange, false));
       if (AnyConstant)
@@ -879,14 +889,39 @@ size_t kf::overlapPlaneFloats(const OverlapSchedule &Schedule, int RootW,
 namespace {
 
 /// A materialized plane during one runOverlappedTile call: the grown
-/// region [X0, X0+W) x [Y0, Y0+H) backed by \p Data (pitch = W).
+/// region [X0, X0+W) x [Y0, Y0+H) backed by \p Data (pitch = W), with
+/// \p Avail floats up to the end of the scratch, slack included.
 struct PlaneView {
   int X0 = 0;
   int Y0 = 0;
   int W = 0;
   int H = 0;
   float *Data = nullptr;
+  size_t Avail = 0;
 };
+
+/// Whether lanesInside holds for every pool load and plane read of stage
+/// \p Stage over the region [RX0, RX1) x [RY0, RY1) at channel \p Ch.
+template <class ResolveFn>
+bool regionReadsInside(const VmStage &Stage, const std::vector<Image> &Pool,
+                       int RX0, int RX1, int RY0, int RY1, int Ch,
+                       ResolveFn &&Resolve) {
+  for (const VmInst &Inst : Stage.Code.Insts) {
+    const ReadBox At{Inst.Ox, Inst.Ox, Inst.Oy, Inst.Oy};
+    if (Inst.Op == VmOp::Load &&
+        !lanesInside(At, Pool[Stage.Inputs[Inst.InputIdx]], RY0, RY1, RX0,
+                     RX1))
+      return false;
+    if (Inst.Op == VmOp::StageCall) {
+      const PlaneView V =
+          Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
+      if (!lanesInside(At, V.W, V.H, V.Avail, RY0 - V.Y0, RY1 - V.Y0,
+                       RX0 - V.X0, RX1 - V.X0))
+        return false;
+    }
+  }
+  return true;
+}
 
 /// Evaluates stage \p StageIdx of \p SP over region
 /// [RX0, RX1) x [RY0, RY1) at channel \p Ch, resolving StageCall ops
@@ -894,7 +929,8 @@ struct PlaneView {
 /// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride]. Span mode streams
 /// evalRowImpl chunks (plane reads are contiguous lane copies); scalar
 /// mode dispatches per pixel. Both run exactly the instruction streams
-/// the interior/halo strategy runs, so values are bit-identical.
+/// the interior/halo strategy runs, so values are bit-identical. Every
+/// read of the region is checked once, up front (regionReadsInside).
 template <class ResolveFn>
 void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
                        const std::vector<Image> &Pool, int RX0, int RX1,
@@ -902,30 +938,29 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
                        float *Dst, size_t DstPitch, int DstStride,
                        ResolveFn &&Resolve) {
   const VmStage &Stage = SP.Stages[StageIdx];
+  assert(regionReadsInside(Stage, Pool, RX0, RX1, RY0, RY1, Ch, Resolve) &&
+         "overlap region reads outside the interior or its planes");
+  // The callee plane sample stage call Inst reads for pixel (X, Y).
+  auto PlaneAt = [&](const VmInst &Inst, int X, int Y) {
+    const PlaneView V =
+        Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
+    return V.Data + static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
+           (X + Inst.Ox - V.X0);
+  };
   if (Mode == VmMode::Span) {
     float *Frame =
         Regs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
     for (int Y = RY0; Y != RY1; ++Y) {
       float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-      forEachLaneChunk(RX0, RX1, [&](auto Width, int C0, int From, int W) {
-        constexpr int N = decltype(Width)::value;
-        const float *Result = evalRowImpl<N>(
-            Stage.Code, Pool, Stage.Inputs, Y, C0, W, Ch, Frame,
+      forEachLaneChunk(RX0, RX1, [&](int C0, int From, int To) {
+        const float *Result = evalRowImpl(
+            Stage.Code, Pool, Stage.Inputs, Y, C0, Ch, Frame,
             [&](const VmInst &Inst, float *D) {
-              const PlaneView V =
-                  Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
-              assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
-                     C0 + Inst.Ox >= V.X0 &&
-                     C0 + W - 1 + Inst.Ox < V.X0 + V.W &&
-                     "plane read outside the materialized margin");
-              laneCopy<N>(W, D,
-                          V.Data +
-                              static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
-                              (C0 + Inst.Ox - V.X0));
+              laneCopy(D, PlaneAt(Inst, C0, Y));
             });
-        laneStore<N>(From, W,
-                     DstRow + static_cast<size_t>(C0 - RX0) * DstStride,
-                     DstStride, Result);
+        laneStore(From, To,
+                  DstRow + static_cast<size_t>(C0 - RX0) * DstStride,
+                  DstStride, Result);
       });
     }
     return;
@@ -945,17 +980,9 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
           Frame[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, LCh);
           break;
         }
-        case VmOp::StageCall: {
-          const PlaneView V =
-              Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
-          assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
-                 X + Inst.Ox >= V.X0 && X + Inst.Ox < V.X0 + V.W &&
-                 "plane read outside the materialized margin");
-          Frame[Inst.Dst] =
-              V.Data[static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
-                     (X + Inst.Ox - V.X0)];
+        case VmOp::StageCall:
+          Frame[Inst.Dst] = *PlaneAt(Inst, X, Y);
           break;
-        }
         default:
           evalAluInst(Inst, Frame, X, Y);
           break;
@@ -981,6 +1008,8 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
   if (RootW <= 0 || RootH <= 0)
     return;
   const long long RootArea = static_cast<long long>(RootW) * RootH;
+  const size_t ScratchFloats =
+      overlapPlaneFloats(Schedule, RootW, RootH) + VmLaneWidth;
 
   // Planes lie back to back in the scratch, in schedule order; a plane's
   // view follows from the tile, its margin and the areas before it, so
@@ -992,6 +1021,7 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
     V.W = RootW + 2 * Plane.Margin;
     V.H = RootH + 2 * Plane.Margin;
     V.Data = PlaneScratch + Offset;
+    V.Avail = ScratchFloats - Offset;
     return V;
   };
   auto Resolve = [&](uint16_t Stage, int Ch) {

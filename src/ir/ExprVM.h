@@ -25,8 +25,8 @@
 ///   - span: each instruction streams across a whole row span through
 ///     fixed-width lane buffers (VmLaneWidth floats per register,
 ///     structure-of-arrays), written as plain contiguous loops
-///     (ir/LaneOps.h) that compile to packed SIMD at the full lane width;
-///     spans narrower than a lane run the same loops with a runtime bound;
+///     (ir/LaneOps.h) that compile to packed SIMD; a span narrower than a
+///     lane runs one whole chunk and stores only its own lanes;
 ///   - scalar: per-pixel bytecode dispatch -- the escape hatch and the
 ///     honest baseline the span-vs-scalar benchmarks compare against.
 ///
@@ -114,13 +114,21 @@ enum class OptMode : uint8_t {
 /// Stable lower-case name of \p Mode ("on" / "off").
 const char *optModeName(OptMode Mode);
 
-/// Lane width of the span execution mode: every register of a span chunk
-/// is a contiguous block of this many floats (structure of arrays), so
-/// the whole register file of a chunk stays L1-resident independent of
-/// the image width. A span's last partial chunk re-runs the span's last
-/// full lane width; only spans narrower than a lane run with a smaller
-/// bound -- the interpreter's equivalent of masked tail handling.
+/// Lane width of the lane engines (span, JIT, border ring), and their only
+/// chunk width: every register of a chunk is a contiguous block of this
+/// many floats (structure of arrays), so the whole register file of a
+/// chunk stays L1-resident independent of the image width. A span
+/// narrower than a lane runs one chunk and stores only its own lanes.
 constexpr int VmLaneWidth = 64;
+
+/// The signed box of (Ox, Oy) offsets at which a lane program reads one
+/// image, relative to the pixel a lane computes.
+struct ReadBox {
+  int MinOx = 0;
+  int MaxOx = 0;
+  int MinOy = 0;
+  int MaxOy = 0;
+};
 
 /// VM opcodes. Loads read images with the owning kernel's border
 /// handling; everything else operates on the register file.
@@ -235,9 +243,10 @@ float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
 /// Span-mode interior evaluation of a staged program: computes pixels
 /// [X0, X1) of row \p Y for \p Channel in one call, writing result i to
 /// Out[i * OutStride]. The span is chunked into lanes of VmLaneWidth
-/// pixels (the last chunk overlapping its predecessor; see
-/// forEachLaneChunk in ir/LaneOps.h); within a chunk every stage's
-/// instruction stream runs instruction-major, and StageCall
+/// pixels (the last chunk overlapping its predecessor, a span narrower
+/// than a lane running one whole chunk; see forEachLaneChunk and
+/// lanesInside in ir/LaneOps.h, checked once per span); within a chunk
+/// every stage's instruction stream runs instruction-major, and StageCall
 /// ops recurse span-aware (the callee streams over the offset-shifted
 /// chunk straight into the caller's destination lanes). Stage frames
 /// partition the lane buffer at VmStage::RegBase * VmLaneWidth, so a
@@ -329,16 +338,18 @@ struct OverlapTileStats {
 /// [X0, X1) x [Y0, Y1) under the overlapped strategy: every plane of
 /// \p Schedule is materialized once over its margin-grown tile into
 /// \p PlaneScratch (at least overlapPlaneFloats(Schedule, X1-X0, Y1-Y0)
-/// floats, planes back to back in schedule order), stage calls read the
+/// + VmLaneWidth floats: planes back to back in schedule order, then
+/// slack for narrow rows), stage calls read the
 /// callee's plane, and the root runs once per destination channel,
 /// writing straight into \p OutBase (the destination image base, width
 /// \p OutWidth, \p Channels channels). Allocates nothing. \p Regs is the per-worker
 /// register scratch: SP.NumRegs * VmLaneWidth floats in span mode,
 /// SP.NumRegs floats in scalar mode (\p Mode is Span or Scalar: the JIT
 /// chains read pool images, not planes). The tile must lie at least
-/// SP.Reach[Root] away from every border (the interior region); every
-/// value is computed by the same instruction stream as the interior/halo
-/// strategy, so results are bit-identical.
+/// SP.Reach[Root] away from every border (the interior region), and a
+/// tile narrower than a lane no lower than sim/Executor's laneRowsEnd;
+/// every value is computed by the same instruction stream as the
+/// interior/halo strategy, so results are bit-identical.
 void runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                        const OverlapSchedule &Schedule,
                        const std::vector<Image> &Pool, int X0, int X1,

@@ -10,9 +10,10 @@
 /// with an immediate (LaneImm) or an image row in place of a register
 /// operand, and laneMulAdd for a Mul feeding an Add.
 ///
-/// Width: a helper instantiated with N > 0 has the compile-time trip count
-/// N (the full chunk, N == VmLaneWidth) and ignores its runtime width
-/// argument; N == 0 runs the runtime width W (a tail narrower than a lane).
+/// Width: every helper runs the compile-time trip count VmLaneWidth, the
+/// one chunk width of both engines. A span narrower than a lane still runs
+/// a whole chunk; its lanes past the span compute values nobody stores
+/// (forEachLaneChunk, lanesInside).
 ///
 /// Vectorization: GCC's default -O2 cost model ("very cheap") vectorizes a
 /// loop only when the vector code replaces the scalar loop outright -- no
@@ -25,13 +26,12 @@
 /// overlap planes never overlap the lane buffer. `__restrict` would be
 /// undefined behaviour exactly when Dst == A, so it is not used.
 ///
-/// With the hint, the full-width loops compile to packed SSE at the default
-/// build (an Add chunk is 16 iterations of movups/addps). Runtime-width
-/// tails stay scalar (they would need an epilogue), as do the loops that
+/// With the hint, the lane loops compile to packed SSE at the default build
+/// (an Add chunk is 16 iterations of movups/addps). Only the loops that
 /// call libm (Exp, Log, Pow; Sqrt keeps its errno call; SSE2 has no packed
 /// floor) and the runtime-stride gathers and scatters of multi-channel
-/// images. tools/check_vectorized.py fails the build job when any other
-/// full-width lane loop stops vectorizing.
+/// images stay scalar. tools/check_vectorized.py fails the build job when
+/// any other lane loop stops vectorizing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,56 +59,46 @@
 
 namespace kf {
 
-/// The trip count of a lane loop instantiated at width \p N.
-template <int N> constexpr int laneCount(int W) { return N > 0 ? N : W; }
-
 /// D[i] = V (Const, CoordY).
-template <int N> inline void laneFill(int W, float *D, float V) {
-  W = laneCount<N>(W);
+inline void laneFill(float *D, float V) {
   KF_LANE_LOOP
-  for (int I = 0; I != W; ++I)
+  for (int I = 0; I != VmLaneWidth; ++I)
     D[I] = V;
 }
 
 /// D[i] = (float)(Base + i) (CoordX).
-template <int N> inline void laneIota(int W, float *D, int Base) {
-  W = laneCount<N>(W);
+inline void laneIota(float *D, int Base) {
   KF_LANE_LOOP
-  for (int I = 0; I != W; ++I)
+  for (int I = 0; I != VmLaneWidth; ++I)
     D[I] = static_cast<float>(Base + I);
 }
 
 /// D[i] = Src[i]: a stride-1 load, a stage-call result copy, or an
 /// overlap-plane read.
-template <int N> inline void laneCopy(int W, float *D, const float *Src) {
-  W = laneCount<N>(W);
+inline void laneCopy(float *D, const float *Src) {
   KF_LANE_LOOP
-  for (int I = 0; I != W; ++I)
+  for (int I = 0; I != VmLaneWidth; ++I)
     D[I] = Src[I];
 }
 
 /// D[i] = Src[i * Stride]: a load from a multi-channel image.
-template <int N>
-inline void laneGather(int W, float *D, const float *Src, int Stride) {
-  W = laneCount<N>(W);
+inline void laneGather(float *D, const float *Src, int Stride) {
   KF_LANE_LOOP
-  for (int I = 0; I != W; ++I)
+  for (int I = 0; I != VmLaneWidth; ++I)
     D[I] = Src[static_cast<size_t>(I) * Stride];
 }
 
-/// Out[i * OutStride] = Src[i] for lanes [From, W): the store of a chunk's
-/// result lanes, of which the first \p From were already stored by the
+/// Out[i * OutStride] = Src[i] for lanes [From, To): the store of a
+/// chunk's result lanes that belong to its span and were not stored by the
 /// previous chunk (see forEachLaneChunk).
-template <int N>
-inline void laneStore(int From, int W, float *Out, int OutStride,
+inline void laneStore(int From, int To, float *Out, int OutStride,
                       const float *Src) {
-  if (From == 0 && OutStride == 1) {
-    laneCopy<N>(W, Out, Src);
+  if (From == 0 && To == VmLaneWidth && OutStride == 1) {
+    laneCopy(Out, Src);
     return;
   }
-  W = laneCount<N>(W);
   KF_LANE_LOOP
-  for (int I = From; I != W; ++I)
+  for (int I = From; I != To; ++I)
     Out[static_cast<size_t>(I) * OutStride] = Src[I];
 }
 
@@ -156,73 +146,72 @@ template <class TA, class TB> struct LaneAfterNaN {
 /// operands are never read. Select reads both candidates before choosing
 /// so the loop body has no conditional load (which would keep the loop
 /// scalar); the value is the same.
-template <int N, VmOp Op, class TA, class TB>
-inline void laneAlu(int W, float *D, TA A, TB B, const float *S) {
-  W = laneCount<N>(W);
+template <VmOp Op, class TA, class TB>
+inline void laneAlu(float *D, TA A, TB B, const float *S) {
   if constexpr (Op == VmOp::Add) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = A[I] + B[I];
   } else if constexpr (Op == VmOp::Sub) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = A[I] - B[I];
   } else if constexpr (Op == VmOp::Mul) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = A[I] * B[I];
   } else if constexpr (Op == VmOp::Div) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = A[I] / B[I];
   } else if constexpr (Op == VmOp::Min) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::min(A[I], B[I]);
   } else if constexpr (Op == VmOp::Max) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::max(A[I], B[I]);
   } else if constexpr (Op == VmOp::Pow) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::pow(A[I], B[I]);
   } else if constexpr (Op == VmOp::CmpLT) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = A[I] < B[I] ? 1.0f : 0.0f;
   } else if constexpr (Op == VmOp::CmpGT) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = A[I] > B[I] ? 1.0f : 0.0f;
   } else if constexpr (Op == VmOp::Neg) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = -A[I];
   } else if constexpr (Op == VmOp::Abs) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::abs(A[I]);
   } else if constexpr (Op == VmOp::Sqrt) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::sqrt(A[I]);
   } else if constexpr (Op == VmOp::Exp) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::exp(A[I]);
   } else if constexpr (Op == VmOp::Log) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::log(A[I]);
   } else if constexpr (Op == VmOp::Floor) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I)
+    for (int I = 0; I != VmLaneWidth; ++I)
       D[I] = std::floor(A[I]);
   } else {
     static_assert(Op == VmOp::Select, "not a register-to-register op");
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I) {
+    for (int I = 0; I != VmLaneWidth; ++I) {
       const float IfTrue = A[I], IfFalse = B[I];
       D[I] = S[I] != 0.0f ? IfTrue : IfFalse;
     }
@@ -235,53 +224,64 @@ inline void laneAlu(int W, float *D, TA A, TB B, const float *S) {
 /// build never contracts to FMA), and each op keeps its operand order,
 /// NaNs included (afterNaN), so a lane gets the bits the two unfused
 /// laneAlu loops give it.
-template <int N, bool AccFirst, class TR, class TX, class TY>
-inline void laneMulAdd(int W, float *D, TR R, TX X, TY Y) {
+template <bool AccFirst, class TR, class TX, class TY>
+inline void laneMulAdd(float *D, TR R, TX X, TY Y) {
   constexpr bool XY = LaneMayBeNaN<TX> && LaneMayBeNaN<TY>;
   constexpr bool RP = LaneMayBeNaN<TR>; // A product can always be NaN.
-  W = laneCount<N>(W);
   if constexpr (AccFirst) {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I) {
+    for (int I = 0; I != VmLaneWidth; ++I) {
       const float P = X[I] * afterNaN<XY>(X[I], Y[I]);
       D[I] = R[I] + afterNaN<RP>(R[I], P);
     }
   } else {
     KF_LANE_LOOP
-    for (int I = 0; I != W; ++I) {
+    for (int I = 0; I != VmLaneWidth; ++I) {
       const float P = X[I] * afterNaN<XY>(X[I], Y[I]);
       D[I] = P + afterNaN<RP>(P, R[I]);
     }
   }
 }
 
-/// Width tag a chunk callback receives: VmLaneWidth for a full-width
-/// chunk, 0 for a runtime-width chunk.
-template <int N> using LaneWidthTag = std::integral_constant<int, N>;
-
 /// Splits the row span [X0, X1) into lane chunks and calls
-/// Chunk(Tag, C0, From, W) for each: evaluate lanes [C0, C0 + W), then
-/// store lanes [From, W). Full chunks tile the span from X0. When the span
-/// is at least one lane wide, its last partial chunk runs at full width
-/// too, over [X1 - VmLaneWidth, X1), with From skipping the lanes the
-/// previous chunk already stored -- bit-identical, since every lane is a
-/// pure function of its own x. Only a span narrower than one lane runs
-/// the runtime-width (tail) code.
+/// Chunk(C0, From, To) for each: evaluate the VmLaneWidth lanes from
+/// column C0, then store lanes [From, To). Full chunks tile the span from
+/// X0; the last chunk ends at X1, From skipping the lanes the previous
+/// chunk already stored -- bit-identical, since every lane is a pure
+/// function of its own x. A span narrower than one lane is one chunk from
+/// X0 whose lanes past X1 are not stored; the caller guarantees they read
+/// inside every allocation (lanesInside).
 template <class ChunkFn>
 inline void forEachLaneChunk(int X0, int X1, ChunkFn &&Chunk) {
-  const int Span = X1 - X0;
-  if (Span <= 0)
-    return;
-  if (Span < VmLaneWidth) {
-    Chunk(LaneWidthTag<0>{}, X0, 0, Span);
-    return;
-  }
   int C0 = X0;
   for (; X1 - C0 >= VmLaneWidth; C0 += VmLaneWidth)
-    Chunk(LaneWidthTag<VmLaneWidth>{}, C0, 0, VmLaneWidth);
-  if (C0 != X1)
-    Chunk(LaneWidthTag<VmLaneWidth>{}, X1 - VmLaneWidth,
-          C0 - (X1 - VmLaneWidth), VmLaneWidth);
+    Chunk(C0, 0, VmLaneWidth);
+  const int Last = std::max(X0, X1 - VmLaneWidth);
+  if (C0 < X1)
+    Chunk(Last, C0 - Last, X1 - Last);
+}
+
+/// Whether the span [X0, X1) of rows [Y0, Y1) may read a W x H row-major
+/// array of \p Size allocated pixels at every offset of \p Box: every
+/// stored lane reads inside W x H, and the last lane of a chunk from X0
+/// inside the allocation. A span evaluator's one check of its reads.
+inline bool lanesInside(const ReadBox &Box, int W, int H, size_t Size,
+                        int Y0, int Y1, int X0, int X1) {
+  return Y0 + Box.MinOy >= 0 && Y1 - 1 + Box.MaxOy < H &&
+         X0 + Box.MinOx >= 0 && X1 - 1 + Box.MaxOx < W &&
+         static_cast<size_t>(Y1 - 1 + Box.MaxOy) * W +
+                 std::max(X1, X0 + VmLaneWidth) + Box.MaxOx <=
+             Size;
+}
+
+/// lanesInside for a materialized pool image, whose W x H pixels are the
+/// whole allocation.
+inline bool lanesInside(const ReadBox &Box, const Image &Img, int Y0, int Y1,
+                        int X0, int X1) {
+  return !Img.empty() &&
+         lanesInside(Box, Img.width(), Img.height(),
+                     static_cast<size_t>(Img.width()) * Img.height(), Y0, Y1,
+                     X0, X1);
 }
 
 } // namespace kf

@@ -18,12 +18,11 @@ namespace {
 // Precompiled op templates
 //===--------------------------------------------------------------------===//
 //
-// Every template is instantiated twice: N = VmLaneWidth gives the full
-// chain its compile-time trip count (the lane loops compile to packed SIMD
-// with no runtime bound checks), N = 0 gives the tail chain a runtime bound
-// from the execution state. The loops themselves are the span
-// interpreter's (ir/LaneOps.h), so every lane computes the identical float
-// operation sequence -- bit-identity with span mode is by construction.
+// Every template runs one chunk of VmLaneWidth lanes, the compile-time trip
+// count its lane loops compile to packed SIMD with. The loops themselves
+// are the span interpreter's (ir/LaneOps.h), so every lane computes the
+// identical float operation sequence -- bit-identity with span mode is by
+// construction.
 
 static_assert(sizeof(JitCell) == 64, "a cell is one cache line");
 
@@ -39,18 +38,13 @@ template <Arg K> using ArgTag = std::integral_constant<Arg, K>;
 /// The first sample an interior load of \p O reads for the chunk: the
 /// image row at (X0 + Ox, Y + Oy) in channel \p Ch, \p Mono specializing
 /// the single-channel (stride-1) layout every grayscale stage hits.
-/// Inlined into every cell (the assert paths would keep the compiler from
-/// it): a call per operand per chunk would cost the fusion its gain.
+/// Unchecked: runJitSpan checked every read of the span once
+/// (JitProgram::Reads).
 template <bool Mono>
 [[gnu::always_inline]] inline const float *
-imageRow(const JitOperand &O, const JitExec &E, int W, int Ch) {
+imageRow(const JitOperand &O, const JitExec &E, int Ch) {
   const Image &Img = (*E.Pool)[O.Image];
-  assert(!Img.empty() && "reading an unmaterialized image");
-  assert(!Mono || Img.channels() == 1);
   const int Stride = Mono ? 1 : Img.channels();
-  assert(E.Y + O.Oy >= 0 && E.Y + O.Oy < Img.height() &&
-         E.X0 + O.Ox >= 0 && E.X0 + W - 1 + O.Ox < Img.width() &&
-         "JIT evaluation outside the interior region");
   return Img.data().data() +
          (static_cast<size_t>(E.Y + O.Oy) * Img.width() + (E.X0 + O.Ox)) *
              Stride +
@@ -59,42 +53,40 @@ imageRow(const JitOperand &O, const JitExec &E, int W, int Ch) {
 
 /// Operand \p O read as kind \p K: a lane pointer for a register or an
 /// image row, a LaneImm for an immediate.
-template <int N, Arg K>
+template <Arg K>
 [[gnu::always_inline]] inline auto operand(const JitOperand &O,
                                            const JitExec &E) {
   if constexpr (K == Arg::Reg)
     return static_cast<const float *>(E.Lanes + O.Reg);
   else if constexpr (K == Arg::Img)
-    return imageRow<true>(O, E, laneCount<N>(E.N),
-                          O.Channel < 0 ? E.Channel : O.Channel);
+    return imageRow<true>(O, E, O.Channel < 0 ? E.Channel : O.Channel);
   else
     return LaneImm{O.Imm};
 }
 
-template <int N> void opConst(const JitCell &C, JitExec &E) {
-  laneFill<N>(E.N, E.Lanes + C.Dst, C.A.Imm);
+void opConst(const JitCell &C, JitExec &E) {
+  laneFill(E.Lanes + C.Dst, C.A.Imm);
 }
 
-template <int N> void opCoordX(const JitCell &C, JitExec &E) {
+void opCoordX(const JitCell &C, JitExec &E) {
   // Ox is the accumulated stage-call displacement.
-  laneIota<N>(E.N, E.Lanes + C.Dst, E.X0 + C.A.Ox);
+  laneIota(E.Lanes + C.Dst, E.X0 + C.A.Ox);
 }
 
-template <int N> void opCoordY(const JitCell &C, JitExec &E) {
-  laneFill<N>(E.N, E.Lanes + C.Dst, static_cast<float>(E.Y + C.A.Oy));
+void opCoordY(const JitCell &C, JitExec &E) {
+  laneFill(E.Lanes + C.Dst, static_cast<float>(E.Y + C.A.Oy));
 }
 
 /// Interior load. \p DynChannel distinguishes cells whose channel was
 /// pinned at compile time from cells that read the launch channel.
-template <int N, bool Mono, bool DynChannel>
+template <bool Mono, bool DynChannel>
 void opLoad(const JitCell &C, JitExec &E) {
-  const int W = laneCount<N>(E.N);
-  const float *Base = imageRow<Mono>(C.A, E, W,
-                                     DynChannel ? E.Channel : C.A.Channel);
+  const float *Base =
+      imageRow<Mono>(C.A, E, DynChannel ? E.Channel : C.A.Channel);
   if constexpr (Mono)
-    laneCopy<N>(W, E.Lanes + C.Dst, Base);
+    laneCopy(E.Lanes + C.Dst, Base);
   else
-    laneGather<N>(W, E.Lanes + C.Dst, Base, (*E.Pool)[C.A.Image].channels());
+    laneGather(E.Lanes + C.Dst, Base, (*E.Pool)[C.A.Image].channels());
 }
 
 /// An ALU op. Unfused cells read registers only; the binary ops also come
@@ -102,41 +94,40 @@ void opLoad(const JitCell &C, JitExec &E) {
 /// immediates). A fused Add or Mul of two lane pointers reads its second
 /// operand through LaneAfterNaN, so the first operand's NaN wins as it
 /// does in the interpreter's register-to-register loop.
-template <int N, VmOp Op, Arg KA = Arg::Reg, Arg KB = Arg::Reg>
+template <VmOp Op, Arg KA = Arg::Reg, Arg KB = Arg::Reg>
 void opAlu(const JitCell &C, JitExec &E) {
-  auto A = operand<N, KA>(C.A, E);
-  auto B = operand<N, KB>(C.B, E);
+  auto A = operand<KA>(C.A, E);
+  auto B = operand<KB>(C.B, E);
   constexpr bool Commutative = Op == VmOp::Add || Op == VmOp::Mul;
   constexpr bool Fused = KA != Arg::Reg || KB != Arg::Reg;
   if constexpr (Commutative && Fused && KA != Arg::Imm && KB != Arg::Imm)
-    laneAlu<N, Op>(E.N, E.Lanes + C.Dst, A,
-                   LaneAfterNaN<decltype(A), decltype(B)>{A, B}, nullptr);
+    laneAlu<Op>(E.Lanes + C.Dst, A,
+                LaneAfterNaN<decltype(A), decltype(B)>{A, B}, nullptr);
   else
-    laneAlu<N, Op>(E.N, E.Lanes + C.Dst, A, B, E.Lanes + C.C.Reg);
+    laneAlu<Op>(E.Lanes + C.Dst, A, B, E.Lanes + C.C.Reg);
 }
 
 /// A fused multiply-add: A + B * C, or B * C + A unless \p AccFirst.
-template <int N, bool AccFirst, Arg KR, Arg KX, Arg KY>
+template <bool AccFirst, Arg KR, Arg KX, Arg KY>
 void opMulAdd(const JitCell &C, JitExec &E) {
-  laneMulAdd<N, AccFirst>(E.N, E.Lanes + C.Dst, operand<N, KR>(C.A, E),
-                          operand<N, KX>(C.B, E), operand<N, KY>(C.C, E));
+  laneMulAdd<AccFirst>(E.Lanes + C.Dst, operand<KR>(C.A, E),
+                       operand<KX>(C.B, E), operand<KY>(C.C, E));
 }
 
 /// The register-copy cell a flattened StageCall leaves behind: moves the
 /// inlined callee's result lanes into the caller's destination register
 /// (the assignment the interpreter performs when the recursive call
 /// returns). Cell fusion forwards most of them to their readers.
-template <int N> void opCopy(const JitCell &C, JitExec &E) {
-  laneCopy<N>(E.N, E.Lanes + C.Dst, E.Lanes + C.A.Reg);
+void opCopy(const JitCell &C, JitExec &E) {
+  laneCopy(E.Lanes + C.Dst, E.Lanes + C.A.Reg);
 }
 
 //===--------------------------------------------------------------------===//
 // Flattening (stage-call inlining) and cell patching
 //===--------------------------------------------------------------------===//
 
-/// A width-agnostic cell: the patched operands plus the facts needed to
-/// pick the op template (the Fn pointer differs between the full and the
-/// tail chain).
+/// A cell before template selection: the patched operands plus the facts
+/// needed to pick the op template.
 struct CellSpec {
   VmOp Op = VmOp::Const;
   bool MonoLoad = false; ///< Load from a single-channel image.
@@ -145,7 +136,7 @@ struct CellSpec {
   bool AccFirst = true;  ///< MulAdd: the accumulator A is the left addend.
   bool Dead = false;     ///< Dropped by cell fusion: nothing reads it.
   Arg Kind[3] = {Arg::Reg, Arg::Reg, Arg::Reg}; ///< How A, B, C are read.
-  JitCell Cell;          ///< Fn left null; patched per chain.
+  JitCell Cell;          ///< Fn left null; set by selectFn.
 };
 
 /// Flattens a validated staged program rooted at one stage: stage calls
@@ -433,20 +424,20 @@ template <class F> JitOpFn withArg(Arg K, F &&Fn) {
 }
 
 /// The binary op template for \p CS's operand kinds.
-template <int N, VmOp Op> JitOpFn binaryFn(const CellSpec &CS) {
+template <VmOp Op> JitOpFn binaryFn(const CellSpec &CS) {
   return withArg(CS.Kind[0], [&](auto A) {
     return withArg(CS.Kind[1], [&](auto B) -> JitOpFn {
       constexpr Arg KA = decltype(A)::value, KB = decltype(B)::value;
       if constexpr (KA == Arg::Imm && KB == Arg::Imm)
         return nullptr;
       else
-        return opAlu<N, Op, KA, KB>;
+        return opAlu<Op, KA, KB>;
     });
   });
 }
 
 /// The multiply-add template for \p CS's operand kinds and order.
-template <int N> JitOpFn mulAddFn(const CellSpec &CS) {
+JitOpFn mulAddFn(const CellSpec &CS) {
   return withArg(CS.Kind[0], [&](auto R) {
     return withArg(CS.Kind[1], [&](auto X) {
       return withArg(CS.Kind[2], [&](auto Y) -> JitOpFn {
@@ -455,65 +446,64 @@ template <int N> JitOpFn mulAddFn(const CellSpec &CS) {
         if constexpr (KX == Arg::Imm && KY == Arg::Imm)
           return nullptr;
         else
-          return CS.AccFirst ? opMulAdd<N, true, KR, KX, KY>
-                             : opMulAdd<N, false, KR, KX, KY>;
+          return CS.AccFirst ? opMulAdd<true, KR, KX, KY>
+                             : opMulAdd<false, KR, KX, KY>;
       });
     });
   });
 }
 
-/// Picks the op template for \p CS at chain width \p N (VmLaneWidth for
-/// the full chain, 0 = runtime bound for the tail chain).
-template <int N> JitOpFn selectFn(const CellSpec &CS) {
+/// Picks the op template for \p CS.
+JitOpFn selectFn(const CellSpec &CS) {
   if (CS.CopyCell)
-    return opCopy<N>;
+    return opCopy;
   if (CS.MulAdd)
-    return mulAddFn<N>(CS);
+    return mulAddFn(CS);
   switch (CS.Op) {
   case VmOp::Const:
-    return opConst<N>;
+    return opConst;
   case VmOp::CoordX:
-    return opCoordX<N>;
+    return opCoordX;
   case VmOp::CoordY:
-    return opCoordY<N>;
+    return opCoordY;
   case VmOp::Load:
     if (CS.MonoLoad)
-      return CS.Cell.A.Channel < 0 ? opLoad<N, true, true>
-                                   : opLoad<N, true, false>;
-    return CS.Cell.A.Channel < 0 ? opLoad<N, false, true>
-                                 : opLoad<N, false, false>;
+      return CS.Cell.A.Channel < 0 ? opLoad<true, true>
+                                   : opLoad<true, false>;
+    return CS.Cell.A.Channel < 0 ? opLoad<false, true>
+                                 : opLoad<false, false>;
   case VmOp::Add:
-    return binaryFn<N, VmOp::Add>(CS);
+    return binaryFn<VmOp::Add>(CS);
   case VmOp::Sub:
-    return binaryFn<N, VmOp::Sub>(CS);
+    return binaryFn<VmOp::Sub>(CS);
   case VmOp::Mul:
-    return binaryFn<N, VmOp::Mul>(CS);
+    return binaryFn<VmOp::Mul>(CS);
   case VmOp::Div:
-    return binaryFn<N, VmOp::Div>(CS);
+    return binaryFn<VmOp::Div>(CS);
   case VmOp::Min:
-    return binaryFn<N, VmOp::Min>(CS);
+    return binaryFn<VmOp::Min>(CS);
   case VmOp::Max:
-    return binaryFn<N, VmOp::Max>(CS);
+    return binaryFn<VmOp::Max>(CS);
   case VmOp::Pow:
-    return opAlu<N, VmOp::Pow>;
+    return opAlu<VmOp::Pow>;
   case VmOp::CmpLT:
-    return binaryFn<N, VmOp::CmpLT>(CS);
+    return binaryFn<VmOp::CmpLT>(CS);
   case VmOp::CmpGT:
-    return binaryFn<N, VmOp::CmpGT>(CS);
+    return binaryFn<VmOp::CmpGT>(CS);
   case VmOp::Neg:
-    return opAlu<N, VmOp::Neg>;
+    return opAlu<VmOp::Neg>;
   case VmOp::Abs:
-    return opAlu<N, VmOp::Abs>;
+    return opAlu<VmOp::Abs>;
   case VmOp::Sqrt:
-    return opAlu<N, VmOp::Sqrt>;
+    return opAlu<VmOp::Sqrt>;
   case VmOp::Exp:
-    return opAlu<N, VmOp::Exp>;
+    return opAlu<VmOp::Exp>;
   case VmOp::Log:
-    return opAlu<N, VmOp::Log>;
+    return opAlu<VmOp::Log>;
   case VmOp::Floor:
-    return opAlu<N, VmOp::Floor>;
+    return opAlu<VmOp::Floor>;
   case VmOp::Select:
-    return opAlu<N, VmOp::Select>;
+    return opAlu<VmOp::Select>;
   case VmOp::StageCall:
     break; // Flattened away; only the copy cell remains.
   }
@@ -553,44 +543,59 @@ kf::compileJitProgram(const StagedVmProgram &SP, uint16_t Root,
   fuseCells(Cells, SP.NumRegs, JP->ResultOffset);
   const size_t Live = std::count_if(
       Cells.begin(), Cells.end(), [](const CellSpec &CS) { return !CS.Dead; });
-  JP->Full.reserve(Live + 1);
-  JP->Tail.reserve(Live + 1);
+  JP->Chain.reserve(Live + 1);
   for (const CellSpec &CS : Cells) {
+    // Every image operand is a flattened load's, so the loads, live or
+    // not, bound the chain's reads (runJitSpan's check).
+    if (CS.Op == VmOp::Load) {
+      const JitOperand &O = CS.Cell.A;
+      auto It = std::find_if(
+          JP->Reads.begin(), JP->Reads.end(),
+          [&](const JitRead &R) { return R.Image == O.Image; });
+      if (It == JP->Reads.end())
+        It = JP->Reads.insert(It, {O.Image, PoolShapes[O.Image].Channels,
+                                   {O.Ox, O.Ox, O.Oy, O.Oy}});
+      ReadBox &B = It->Box;
+      B = {std::min(B.MinOx, O.Ox), std::max(B.MaxOx, O.Ox),
+           std::min(B.MinOy, O.Oy), std::max(B.MaxOy, O.Oy)};
+    }
     if (CS.Dead)
       continue;
-    JitCell Full = CS.Cell;
-    Full.Fn = selectFn<VmLaneWidth>(CS);
-    JitCell Tail = CS.Cell;
-    Tail.Fn = selectFn<0>(CS);
-    if (!Full.Fn || !Tail.Fn)
+    JitCell Cell = CS.Cell;
+    Cell.Fn = selectFn(CS);
+    if (!Cell.Fn)
       return nullptr; // Unpatchable op: refuse rather than mis-execute.
-    JP->Full.push_back(Full);
-    JP->Tail.push_back(Tail);
+    JP->Chain.push_back(Cell);
   }
-  JP->Full.push_back(JitCell{}); // Null-Fn chain terminators.
-  JP->Tail.push_back(JitCell{});
+  JP->Chain.push_back(JitCell{}); // Null-Fn chain terminator.
   return JP;
 }
 
 void kf::runJitSpan(const JitProgram &JP, const std::vector<Image> &Pool,
                     int Y, int X0, int X1, int Channel, float *LaneRegs,
                     float *Out, int OutStride) {
+  // The one check of the span's reads: the cells read image rows
+  // unchecked, every chunk.
+  assert((X1 <= X0 ||
+          std::all_of(JP.Reads.begin(), JP.Reads.end(),
+                      [&](const JitRead &R) {
+                        const Image &Img = Pool[R.Image];
+                        return Img.channels() == R.Channels &&
+                               lanesInside(R.Box, Img, Y, Y + 1, X0, X1);
+                      })) &&
+         "JIT evaluation outside the interior region");
   JitExec E;
   E.Lanes = LaneRegs;
   E.Pool = &Pool;
   E.Y = Y;
   E.Channel = Channel;
-  // Chunking mirrors runStagedVmSpan: full-width chunks run the chain
-  // whose op loops carry the compile-time VmLaneWidth bound; only a span
-  // narrower than one lane runs the runtime-bound tail chain.
-  forEachLaneChunk(X0, X1, [&](auto Width, int C0, int From, int W) {
-    constexpr int N = decltype(Width)::value;
+  // Chunking mirrors runStagedVmSpan: every chunk runs the one chain over
+  // VmLaneWidth lanes, whose loops carry that compile-time bound.
+  forEachLaneChunk(X0, X1, [&](int C0, int From, int To) {
     E.X0 = C0;
-    E.N = W;
-    for (const JitCell *Cell = (N ? JP.Full : JP.Tail).data(); Cell->Fn;
-         ++Cell)
+    for (const JitCell *Cell = JP.Chain.data(); Cell->Fn; ++Cell)
       Cell->Fn(*Cell, E);
-    laneStore<N>(From, W, Out + static_cast<size_t>(C0 - X0) * OutStride,
-                 OutStride, LaneRegs + JP.ResultOffset);
+    laneStore(From, To, Out + static_cast<size_t>(C0 - X0) * OutStride,
+              OutStride, LaneRegs + JP.ResultOffset);
   });
 }

@@ -3,16 +3,15 @@
 /// \file
 /// The JIT execution backend (VmMode::Jit): a validated staged VM program
 /// is compiled once per plan into a flat chain of *cells*, each pairing a
-/// precompiled, width-specialized op function with its patched operands
-/// (absolute lane-buffer offsets, baked stage-call displacements, image
-/// ids). Executing a row span then walks the chain and tail-calls through
-/// plain function pointers -- a portable copy-and-patch / direct-threaded
-/// realization that removes the interpreter's switch-per-instruction-per-
-/// chunk from the interior loop. Two chains are materialized per program:
-/// a *full* chain whose op templates carry the compile-time loop bound
-/// VmLaneWidth (the packed-SIMD steady state; the lane loops are the span
-/// interpreter's, ir/LaneOps.h) and a *tail* chain with a runtime bound
-/// for spans narrower than one lane.
+/// precompiled op function with its patched operands (absolute lane-buffer
+/// offsets, baked stage-call displacements, image ids). Executing a row
+/// span then walks the chain once per chunk of VmLaneWidth lanes and calls
+/// through plain function pointers -- a portable copy-and-patch /
+/// direct-threaded realization that removes the interpreter's
+/// switch-per-instruction-per-chunk from the interior loop. Every op loop
+/// carries the compile-time bound VmLaneWidth (the lane loops are the span
+/// interpreter's, ir/LaneOps.h), so it compiles to packed SIMD; a span
+/// narrower than one lane runs one whole chunk and stores its own lanes.
 ///
 /// Stage calls are flattened at compile time: each StageCall site inlines
 /// the callee's instruction stream with the accumulated (Ox, Oy)
@@ -58,15 +57,13 @@ struct JitCell;
 
 /// Per-chunk execution state threaded through the cell chain. Lanes is
 /// the shared lane buffer (NumRegs * VmLaneWidth floats, the same scratch
-/// span mode uses); N is the chunk width (== VmLaneWidth on the full
-/// chain, < VmLaneWidth on the tail chain).
+/// span mode uses); the chunk is the VmLaneWidth lanes from (X0, Y).
 struct JitExec {
   float *Lanes = nullptr;
   const std::vector<Image> *Pool = nullptr;
   int X0 = 0;
   int Y = 0;
   int Channel = 0;
-  int N = 0;
 };
 
 /// A patched op function: performs one cell over the chunk described by
@@ -102,20 +99,29 @@ struct JitCell {
   JitOperand C;
 };
 
-/// A compiled launch artifact: the two cell chains (null-Fn terminated)
-/// plus the layout facts the executor needs. Compiled once per plan
+/// One image a JIT program reads: the channel count its cells were
+/// specialized for, and the box of offsets they read it at (relative to
+/// the pixel, stage-call displacements included).
+struct JitRead {
+  ImageId Image = 0;
+  int Channels = 1;
+  ReadBox Box;
+};
+
+/// A compiled launch artifact: the cell chain (null-Fn terminated) plus
+/// the layout facts the executor needs. Compiled once per plan
 /// (sim/Session caches it in the PlanCache next to the bytecode) and
 /// shared read-only across worker threads.
 struct JitProgram {
-  std::vector<JitCell> Full; ///< Chain specialized for N == VmLaneWidth.
-  std::vector<JitCell> Tail; ///< Chain with the runtime chunk bound.
-  uint32_t ResultOffset = 0; ///< Lane offset of the root result register.
-  unsigned NumRegs = 0;      ///< Lane buffer = NumRegs * VmLaneWidth floats.
-  size_t FlatInsts = 0;      ///< Flattened instruction count, before fusion.
+  std::vector<JitCell> Chain; ///< The cells each chunk runs, in order.
+  std::vector<JitRead> Reads; ///< Every image the cells read, once each.
+  uint32_t ResultOffset = 0;  ///< Lane offset of the root result register.
+  unsigned NumRegs = 0;       ///< Lane buffer = NumRegs * VmLaneWidth floats.
+  size_t FlatInsts = 0;       ///< Flattened instruction count, before fusion.
 
   /// Cells each chunk executes: the flattened instructions left after
   /// cell fusion.
-  size_t cells() const { return Full.size() - 1; }
+  size_t cells() const { return Chain.size() - 1; }
 };
 
 /// Compiles \p SP rooted at \p Root into a JIT program. Runs the bytecode
@@ -130,8 +136,10 @@ compileJitProgram(const StagedVmProgram &SP, uint16_t Root,
 
 /// Executes \p JP over interior pixels [X0, X1) of row \p Y for
 /// \p Channel, writing result i to Out[i * OutStride]. The span is
-/// chunked into lanes exactly like runStagedVmSpan; \p LaneRegs must
-/// hold JP.NumRegs * VmLaneWidth floats. Interior-only (direct loads),
+/// chunked into lanes exactly like runStagedVmSpan, and its reads are
+/// checked once against JP.Reads (lanesInside: a span narrower than one
+/// lane needs the rows below it for its dead lanes); \p LaneRegs must hold
+/// JP.NumRegs * VmLaneWidth floats. Interior-only (direct loads),
 /// bit-identical to span mode.
 void runJitSpan(const JitProgram &JP, const std::vector<Image> &Pool,
                 int Y, int X0, int X1, int Channel, float *LaneRegs,

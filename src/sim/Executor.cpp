@@ -389,11 +389,13 @@ struct BorderRing {
 
 /// Runs the interior/halo-decomposed tile loop over one output image.
 /// Each tile's part of the interior rectangle (the pixels at least
-/// \p Halo from every border) goes row by row through \p Row, the
-/// row-wise fast path, one call per channel from a hoisted row base; the
-/// rest of the tile goes through \p Ring. \p Ring may be null only when
-/// \p Halo is 0 (no ring). The \p Timed instantiation brackets each
-/// tile's interior and ring with clock reads and adds them to \p Timing.
+/// \p Halo from every border; with a ring, a narrow part only down to
+/// laneRowsEnd) goes row by row through \p Row, the row-wise fast path,
+/// one call per channel from a hoisted row base; the rest of the tile goes
+/// through \p Ring. \p Ring may be null only when \p Halo is 0 and
+/// \p Row evaluates per pixel (the AST engines). The \p Timed
+/// instantiation brackets each tile's interior and ring with clock reads
+/// and adds them to \p Timing.
 template <bool Timed, class RowFn>
 void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
                    Image &Out, int Halo, RowFn &&Row, const BorderRing *Ring,
@@ -419,7 +421,9 @@ void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
     const int IA = std::clamp(X0, T.X0, T.X1);
     const int IB = std::clamp(X1, T.X0, T.X1);
     const int JA = std::clamp(Y0, T.Y0, T.Y1);
-    const int JB = std::clamp(Y1, T.Y0, T.Y1);
+    int JB = std::clamp(Y1, T.Y0, T.Y1);
+    if (Ring)
+      JB = laneRowsEnd(W, H, Halo, IA, IB, JA, JB);
     const Clock::time_point T0 = tick<Timed>();
     for (int Y = JA; Y < JB && IA < IB; ++Y) {
       float *RowPx = OutBase + (static_cast<size_t>(Y) * W + IA) * C;
@@ -441,7 +445,8 @@ void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
 /// Runs one fused launch under the overlapped tiling strategy. The tile
 /// loop covers the whole image; each tile's part of the border ring goes
 /// through \p Ring exactly as under the interior/halo strategy, while the
-/// tile's interior sub-rectangle goes through runOverlappedTile: demanded
+/// tile's interior sub-rectangle (down to laneRowsEnd) goes through
+/// runOverlappedTile: demanded
 /// producer stages materialize into the worker's margin-grown scratch
 /// planes and the root reads the planes instead of recursing. Tiles never
 /// exchange data -- the margins are recomputed redundantly by every
@@ -464,7 +469,7 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
                   TP.numThreads(), TileW, TileH);
   Scratch.ensure(TP.numThreads(), Ring.SP.NumRegs,
                  static_cast<size_t>(Ring.SP.NumRegs) * VmLaneWidth,
-                 overlapPlaneFloats(Schedule, TileW, TileH));
+                 overlapPlaneFloats(Schedule, TileW, TileH) + VmLaneWidth);
 
   std::vector<double> InteriorUs, HaloUs;
   std::vector<OverlapTileStats> WorkerStats;
@@ -479,7 +484,8 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
     const int IA = std::clamp(X0, T.X0, T.X1);
     const int IB = std::clamp(X1, T.X0, T.X1);
     const int JA = std::clamp(Y0, T.Y0, T.Y1);
-    const int JB = std::clamp(Y1, T.Y0, T.Y1);
+    const int JB = laneRowsEnd(W, H, Halo, IA, IB, JA,
+                               std::clamp(Y1, T.Y0, T.Y1));
     const Clock::time_point T0 = tick<Timed>();
     Ring.runTile(Out, T, IA, IB, JA, JB, Worker);
     const Clock::time_point T1 = tick<Timed>();
@@ -614,6 +620,19 @@ void VmScratch::ensure(unsigned Threads, size_t PixelFloats,
     LaneRegs[I].resize(std::max(LaneRegs[I].size(), LaneFloats));
     PlaneRegs[I].resize(std::max(PlaneRegs[I].size(), PlaneFloats));
   }
+}
+
+int kf::laneRowsEnd(int W, int H, int Halo, int IA, int IB, int JA,
+                    int JB) {
+  if (IB - IA >= VmLaneWidth)
+    return JB;
+  // Row Y may run while (Y + Halo) * W <= Room.
+  const long long Room =
+      static_cast<long long>(W) * H - IA - Halo - VmLaneWidth;
+  if (Room < 0)
+    return JA;
+  return static_cast<int>(
+      std::clamp<long long>(Room / W - Halo + 1, JA, JB));
 }
 
 int kf::fusedLaunchHalo(const StagedVmProgram &SP, uint16_t Root,

@@ -198,6 +198,14 @@ struct VmScratch {
               size_t PlaneFloats = 0);
 };
 
+/// The end of the rows of the tile interior [IA, IB) x [JA, JB) of a
+/// W x H launch with halo \p Halo that the lane engines may run, the rest
+/// going to the border ring. A span narrower than a lane runs one chunk
+/// from IA, so row Y runs only while (Y + Halo) * W + IA + Halo +
+/// VmLaneWidth <= W * H: its last lane's farthest read stays inside the
+/// W x H images of the launch (UniformExtents). See docs/VM.md.
+int laneRowsEnd(int W, int H, int Halo, int IA, int IB, int JA, int JB);
+
 /// The interior/halo split parameter of one fused launch: how far from the
 /// border the staged program rooted at \p Root can reach. Mixed stage or
 /// input extents void the interior entirely (every pixel is halo).

@@ -8,8 +8,9 @@
 // every registry pipeline and engine configuration, every border mode
 // with and without the index exchange, images no larger than the ring,
 // tiles smaller than the halo, chunk boundaries, cross-channel stage
-// calls shared across destination channels, and inputs rich in signed
-// zeros and special values.
+// calls shared across destination channels, inputs rich in signed zeros
+// and special values, and interiors narrower than a lane, whose last rows
+// the ring takes over (laneRowsEnd).
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -482,6 +484,104 @@ TEST(BorderRing, SignedZeroAndSpecialValueInputs) {
       }
     }
   }
+}
+
+/// Whether the last lane of a narrow interior row \p Y (one chunk from
+/// \p IA) reads inside a W x H image through a reach of \p Halo.
+bool lastLaneInside(int W, int H, int Halo, int IA, int Y) {
+  return static_cast<long long>(Y + Halo) * W + IA + Halo + VmLaneWidth - 1 <
+         static_cast<long long>(W) * H;
+}
+
+TEST(BorderRing, NarrowInteriorsRunFullWidthDownToTheLaneRowBound) {
+  // An interior narrower than a lane runs one whole chunk per row, whose
+  // lanes past the row end read the rows below; laneRowsEnd hands the
+  // rows whose last lane would read past the image to the border ring.
+  // Each shape (the fused blur chain reaches 2) keeps some narrow rows
+  // on the lane engines and sends the last ones to the ring; W = 67 is
+  // one lane short of the widest narrow interior, W = 68 one lane wide.
+  // 30 x 14 tiles make narrow interiors in a wide image; under
+  // overlapped tiling the tiles and their planes are narrow too.
+  struct Shape {
+    int W, H, TileW, TileH;
+  };
+  for (const Shape &S : {Shape{8, 20, 0, 0}, Shape{48, 20, 0, 0},
+                         Shape{63, 12, 0, 0}, Shape{67, 9, 0, 0},
+                         Shape{68, 9, 0, 0}, Shape{100, 30, 30, 14}}) {
+    for (BorderMode Mode : {BorderMode::Mirror, BorderMode::Constant}) {
+      Program P = makeBlurChain(S.W, S.H, Mode);
+      setBorders(P, Mode);
+      Rng Gen(77);
+      Image Input = makeRandomImage(S.W, S.H, 1, Gen);
+      FusedProgram FP =
+          fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+      const int Halo = 2;
+      ASSERT_EQ(compileFusedKernel(FP, FP.Kernels[0]).Reach.back(), Halo);
+      std::vector<Image> Unfused = poolWith(P, Input);
+      runUnfused(P, Unfused);
+      ExecutionOptions Base;
+      Base.Threads = 3;
+      Base.TileWidth = S.TileW;
+      Base.TileHeight = S.TileH;
+      const std::string Tag = std::to_string(S.W) + "x" +
+                              std::to_string(S.H) + " " +
+                              borderModeName(Mode);
+      expectEveryConfigMatches(FP, Input, Unfused, Base, Tag);
+
+      if (S.TileW != 0)
+        continue;
+      // The whole-image interior: full-width rows run, the last go to
+      // the ring (a lane-wide interior keeps every row).
+      const int IA = Halo, IB = S.W - Halo, JA = Halo, JB = S.H - Halo;
+      const int End = laneRowsEnd(S.W, S.H, Halo, IA, IB, JA, JB);
+      if (IB - IA >= VmLaneWidth) {
+        EXPECT_EQ(End, JB) << Tag;
+        continue;
+      }
+      EXPECT_GT(End, JA) << Tag;
+      EXPECT_LT(End, JB) << Tag;
+    }
+  }
+
+  // Three channels: gathers and cross-channel stage calls past the row
+  // end.
+  for (BorderMode Mode : AllBorderModes) {
+    Program P = makeCrossChannelChain(30, 12, Mode);
+    Rng Gen(78);
+    Image Input = makeRandomImage(30, 12, 3, Gen);
+    FusedProgram FP =
+        fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+    std::vector<Image> Unfused = poolWith(P, Input);
+    runUnfused(P, Unfused);
+    ExecutionOptions Base;
+    Base.Threads = 2;
+    expectEveryConfigMatches(FP, Input, Unfused, Base,
+                             std::string("crosschannel 30x12 ") +
+                                 borderModeName(Mode));
+  }
+
+  // The bound is tight wherever it cuts: the first row sent to the ring
+  // would read past the image, the last row kept would not.
+  for (int W = 1; W <= 70; W += 3)
+    for (int H : {1, 2, 5, 9, 33})
+      for (int Halo : {0, 1, 2, 4})
+        for (int IA = Halo; IA < W - Halo; IA += 5) {
+          const int IB = std::min(W - Halo, IA + 7), JA = Halo,
+                    JB = std::max(JA, H - Halo);
+          const int End = laneRowsEnd(W, H, Halo, IA, IB, JA, JB);
+          const std::string Tag = std::to_string(W) + "x" +
+                                  std::to_string(H) + " halo " +
+                                  std::to_string(Halo) + " ia " +
+                                  std::to_string(IA);
+          ASSERT_GE(End, JA) << Tag;
+          ASSERT_LE(End, JB) << Tag;
+          if (End > JA) {
+            EXPECT_TRUE(lastLaneInside(W, H, Halo, IA, End - 1)) << Tag;
+          }
+          if (End < JB) {
+            EXPECT_FALSE(lastLaneInside(W, H, Halo, IA, End)) << Tag;
+          }
+        }
 }
 
 } // namespace

@@ -1,13 +1,13 @@
 //===- tests/test_jit.cpp - JIT backend vs span-mode VM execution ---------------===//
 //
 // The JIT execution backend (VmMode::Jit, src/jit) compiles validated
-// fused bytecode into chains of width-specialized op cells and must be
-// bit-identical to the span interpreter on every bundled pipeline, at
-// every thread count, for every border mode, under both tiling
-// strategies, and across every tail width around the lane boundary. The
-// span mode is itself verified against the scalar mode and the AST
-// walker (test_vmspan.cpp, test_fusedvm.cpp), so jit == span closes the
-// chain back to the semantic reference.
+// fused bytecode into chains of op cells and must be bit-identical to
+// the span interpreter on every bundled pipeline, at every thread count,
+// for every border mode, under both tiling strategies, and across every
+// span width around the lane boundary. The span mode is itself verified
+// against the scalar mode and the AST walker (test_vmspan.cpp,
+// test_fusedvm.cpp), so jit == span closes the chain back to the
+// semantic reference.
 //
 // Also covers: the plan-time artifact (compilePlan populates
 // CompiledLaunch::Jit, the default Jit mode runs it, and runFusedVm runs
@@ -44,10 +44,10 @@ using namespace kf;
 
 namespace {
 
-/// Span widths around the lane boundary: narrower than a lane (the
-/// runtime-width tail code), exactly one lane, and one or two full chunks
-/// followed by a partial last chunk (which runs at full width over the
-/// span's last lane).
+/// Span widths around the lane boundary: narrower than a lane (one
+/// full-width chunk that stores only the span's lanes), exactly one lane,
+/// and one or two full chunks followed by a partial last chunk (which runs
+/// at full width over the span's last lane).
 constexpr int LaneBoundaryWidths[] = {
     1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1,
     2 * VmLaneWidth - 1, 2 * VmLaneWidth, 2 * VmLaneWidth + 1};
@@ -180,9 +180,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, JitBorder,
                            return std::string(borderModeName(Info.param));
                          });
 
-/// Tail handling: spans of width 1, VmLaneWidth - 1, VmLaneWidth and
-/// VmLaneWidth + 1 must each match per-pixel interior evaluation exactly
-/// -- the widths that exercise both the full and the tail cell chain.
+/// Tail handling: spans of every LaneBoundaryWidths width must each match
+/// per-pixel interior evaluation exactly -- narrow spans that store part
+/// of one chunk, and wide spans whose last chunk overlaps its predecessor.
 TEST(JitVm, TailWidthsMatchPerPixel) {
   int W = 2 * VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Mirror);
@@ -256,9 +256,9 @@ StagedVmProgram makeSingleOpProgram(VmOp Op, int W, int H) {
 /// Opcode-level differential on IEEE special values: NaNs (signed, with a
 /// payload), infinities, signed zeros and denormals through every
 /// register-to-register op, scalar vs span vs JIT, bit for bit, at span
-/// widths 63 (the runtime-width tail loops), 64 (the packed full-width
-/// loops) and 65 (a packed chunk plus the overlapping full-width last
-/// chunk). Guards the NaN and signed-zero semantics of packed
+/// widths 63 (one chunk stored but for its last lane), 64 (one chunk) and
+/// 65 (a chunk plus the overlapping last chunk), all through the packed
+/// loops. Guards the NaN and signed-zero semantics of packed
 /// min/max/compare/blend against their scalar forms. In the JIT the
 /// binary ops' loads fold into image operands (cell fusion); the
 /// JitFusion tests cover their register forms.
@@ -362,15 +362,13 @@ TEST(JitVm, PristineRegistryProgramsCompile) {
       ASSERT_NE(JP, nullptr) << Spec.Name << " " << FK.Name;
       EXPECT_GT(JP->cells(), 0u) << Spec.Name << " " << FK.Name;
       EXPECT_LE(JP->cells(), JP->FlatInsts) << Spec.Name << " " << FK.Name;
-      // Both chains carry the same cells plus the null-Fn terminator.
-      EXPECT_EQ(JP->Tail.size(), JP->Full.size());
-      EXPECT_EQ(JP->Full.back().Fn, nullptr);
-      EXPECT_EQ(JP->Tail.back().Fn, nullptr);
+      // The chain ends in the null-Fn terminator.
+      EXPECT_EQ(JP->Chain.back().Fn, nullptr);
     }
   }
 }
 
-/// The full chain's op cells are the hot lane loops; their build aligns
+/// The chain's op cells are the hot lane loops; their build aligns
 /// every function of JitProgram.cpp to a cache line so that a change
 /// elsewhere in the library cannot shift their code layout (and their
 /// speed). Checks that the alignment reached every cell of every
@@ -388,13 +386,13 @@ TEST(JitLayout, FullChainCellsAreCacheLineAligned) {
       std::shared_ptr<const JitProgram> JP =
           compileJitProgram(SP, Root, poolShapes(P));
       ASSERT_NE(JP, nullptr) << Spec.Name << " " << FK.Name;
-      for (const JitCell &Cell : JP->Full) {
+      for (const JitCell &Cell : JP->Chain) {
         if (!Cell.Fn)
           continue;
         ++Cells;
         EXPECT_EQ(reinterpret_cast<uintptr_t>(Cell.Fn) % 64, 0u)
             << Spec.Name << " " << FK.Name << ": cell "
-            << (&Cell - JP->Full.data());
+            << (&Cell - JP->Chain.data());
       }
     }
   }
@@ -522,8 +520,8 @@ struct SpecialPool {
 };
 
 /// JIT-compiles \p SP, checks it fused to \p ExpectedCells cells, and
-/// runs it at span widths 63 (the tail chain), 64 and 65 (the full chain,
-/// the last chunk overlapping) over every row; returns the samples whose
+/// runs it at span widths 63 (one chunk, its last lane not stored), 64 and
+/// 65 (the last chunk overlapping) over every row; returns the samples whose
 /// bits differ from the per-pixel interpreter.
 long long fusedMismatches(const StagedVmProgram &SP, const SpecialPool &In,
                           size_t ExpectedCells, const std::string &What) {

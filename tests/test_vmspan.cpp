@@ -3,7 +3,7 @@
 // The lane-batched span interior mode (runStagedVmSpan, VmMode::Span)
 // must be bit-identical to the per-pixel scalar mode on every bundled
 // pipeline, fused and unfused (the singleton partition), at every thread
-// count, for every border mode, and across every tail width around the
+// count, for every border mode, and across every span width around the
 // lane boundary. The scalar mode is itself verified against the AST
 // walker in test_fusedvm.cpp, so span == scalar closes the chain back to
 // the semantic reference.
@@ -28,10 +28,10 @@ using namespace kf;
 
 namespace {
 
-/// Span widths around the lane boundary: narrower than a lane (the
-/// runtime-width tail code), exactly one lane, and one or two full chunks
-/// followed by a partial last chunk (which runs at full width over the
-/// span's last lane).
+/// Span widths around the lane boundary: narrower than a lane (one
+/// full-width chunk that stores only the span's lanes), exactly one lane,
+/// and one or two full chunks followed by a partial last chunk (which runs
+/// at full width over the span's last lane).
 constexpr int LaneBoundaryWidths[] = {
     1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1,
     2 * VmLaneWidth - 1, 2 * VmLaneWidth, 2 * VmLaneWidth + 1};

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Checks that the full-width lane loops compile to packed SIMD.
+"""Checks that the lane loops compile to packed SIMD.
 
 The span interpreter (src/ir/ExprVM.cpp) and the JIT op cells
 (src/jit/JitProgram.cpp) run every VM operation through the lane loops of
@@ -16,34 +16,36 @@ own compile commands, recompiles the two translation units with the GCC
 vectorizer report (the -fopt-info-vec messages, grouped per function by
 -fdump-tree-vect-optimized-missed), and fails when:
 
-  * a required lane loop is reported "couldn't vectorize" inside a
-    full-width function -- one whose first template argument is
-    VmLaneWidth (mangled ILi64E), such as opAlu<64, Add> or
-    evalRowImpl<64, ...>;
+  * a required lane loop is reported "couldn't vectorize" inside any
+    function, such as opAlu<Add> or evalLanes<...> (every lane loop runs
+    the one chunk width VmLaneWidth, so every instantiation is held to
+    packing);
   * a translation unit compiles a required lane loop but never reports
     it vectorized (each unit is held only to the loops it instantiates:
     the fused-cell forms exist only in JitProgram.cpp); or
   * a required lane loop is compiled in neither unit.
 
-A required lane loop is a loop preceded by KF_LANE_LOOP, in
-src/ir/LaneOps.h or written in src/jit/JitProgram.cpp, except the ones
+A lane loop is a loop preceded by KF_LANE_LOOP or one over the lanes of a
+chunk (`for (int I = ...; I != VmLaneWidth; ++I)`, hint or not, so that
+dropping a hint fails the check rather than exempting the loop), in
+src/ir/LaneOps.h or written in src/jit/JitProgram.cpp. Every lane loop is
+required except the ones
 that must stay scalar without changing the compile flags: loops that call
 libm (std::exp, std::log, std::pow; std::sqrt keeps its errno call; SSE2
 has no packed floor) and loops that index with a runtime Stride or
-OutStride (multi-channel gathers and scatters). Runtime-width tail
-instantiations (template argument 0) are not checked: the default cost
-model never vectorizes a loop that would need a scalar epilogue.
+OutStride (multi-channel gathers and scatters, and the partial stores of
+laneStore).
 
 Some functions must also *have* packed loops:
 
   * the border-ring evaluator (evalStagedRing in src/ir/ExprVM.cpp) runs
     the ring 64 pixels at a time only to reach the packed ALU loops, so
-    it fails the check when no full-width function of it vectorizes every
-    required laneAlu loop -- for example when it is instantiated at
-    runtime width, a change the per-loop checks above cannot see;
-  * every full-width instantiation of a JIT ALU or multiply-add cell
-    (opAlu, opMulAdd in src/jit/JitProgram.cpp) must report its lane
-    loop, and pack it unless the loop is one that stays scalar.
+    it fails the check when no function of it vectorizes every required
+    laneAlu loop -- for example when its loops lose their compile-time
+    trip count, a change the per-loop checks above cannot see;
+  * every instantiation of a JIT ALU or multiply-add cell (opAlu,
+    opMulAdd in src/jit/JitProgram.cpp) must report its lane loop, and
+    pack it unless the loop is one that stays scalar.
 
 Usage, from anywhere:
 
@@ -64,43 +66,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LANE_OPS = ROOT / "src" / "ir" / "LaneOps.h"
 JIT_PROGRAM = ROOT / "src" / "jit" / "JitProgram.cpp"
-EXPR_VM_H = ROOT / "src" / "ir" / "ExprVM.h"
 UNITS = [ROOT / "src" / "ir" / "ExprVM.cpp", JIT_PROGRAM]
 # Files whose KF_LANE_LOOP loops are checked.
 LOOP_SOURCES = [LANE_OPS, JIT_PROGRAM]
 
-# unit name -> evaluators whose full-width instantiation must pack every
-# required laneAlu loop (matched as a substring of the mangled name).
+# unit name -> evaluators that must pack every required laneAlu loop
+# (matched as a substring of the mangled name).
 PACKED_ALU = {"ExprVM.cpp": ("evalStagedRing",)}
-# unit name -> op cells whose every full-width instantiation must report
-# its lane loop and pack it when the loop is required.
+# unit name -> op cells whose every instantiation must report its lane
+# loop and pack it when the loop is required.
 PACKED_CELLS = {"JitProgram.cpp": ("opAlu", "opMulAdd")}
 
 SCALAR_CALLS = ("std::exp", "std::log", "std::pow", "std::sqrt", "std::floor")
 RUNTIME_STRIDE = re.compile(r"\*\s*(Out)?Stride\]")
 FUNCTION_RE = re.compile(r"^;; Function (.*) \((\S+?),")
+LANE_FOR_RE = re.compile(r"^\s*for \(int I = \w+; I != VmLaneWidth; "
+                         r"\+\+I\)")
 REPORT_RE = re.compile(r"(LaneOps\.h|JitProgram\.cpp):(\d+):\d+: "
                        r"(optimized: loop vectorized"
                        r"|missed: couldn't vectorize loop)")
 
 
-def lane_width():
-    match = re.search(r"constexpr int VmLaneWidth = (\d+);",
-                      EXPR_VM_H.read_text())
-    if not match:
-        sys.exit("error: VmLaneWidth not found in %s" % EXPR_VM_H)
-    return int(match.group(1))
-
-
 def lane_loops():
-    """{(file name, for-line number): loop text} for every KF_LANE_LOOP loop."""
+    """{(file name, for-line number): loop text} for every lane loop."""
     loops = {}
     for path in LOOP_SOURCES:
         lines = path.read_text().splitlines()
         for index, line in enumerate(lines):
-            if line.strip() != "KF_LANE_LOOP":
+            if line.strip() == "KF_LANE_LOOP":
+                start = index + 1  # 0-based index of the for line.
+            elif (LANE_FOR_RE.match(line)
+                  and lines[index - 1].strip() != "KF_LANE_LOOP"):
+                start = index
+            else:
                 continue
-            start = index + 1  # 0-based index of the for line.
             body, depth = [], 0
             for text in lines[start:]:
                 body.append(text)
@@ -195,12 +194,10 @@ def where(loc):
 
 
 def main():
-    width = lane_width()
-    full_width = "ILi%dE" % width
     loops = lane_loops()
     needed = {loc for loc, text in loops.items() if required(text)}
     if not needed:
-        sys.exit("error: no KF_LANE_LOOP loops found in %s"
+        sys.exit("error: no lane loops found in %s"
                  % ", ".join(str(p) for p in LOOP_SOURCES))
 
     failures = []
@@ -223,14 +220,14 @@ def main():
                     failures.append("%s: %s is never vectorized"
                                     % (unit.name, where(loc)))
             for function, loc, ok in reports:
-                if not ok and loc in needed and full_width in function:
+                if not ok and loc in needed:
                     failures.append("%s: %s stays scalar in %s"
                                     % (unit.name, where(loc), function))
-            full = {f for f, _, _ in reports if full_width in f}
+            functions = {f for f, _, _ in reports}
             for marker in PACKED_ALU.get(unit.name, ()):
-                owners = {f for f in full if marker in f}
+                owners = {f for f in functions if marker in f}
                 if not owners:
-                    failures.append("%s: no full-width instantiation of %s"
+                    failures.append("%s: no lane loop in %s"
                                     % (unit.name, marker))
                     continue
                 packed = {loc for f, loc, ok in reports
@@ -239,7 +236,7 @@ def main():
                     if loc not in packed:
                         failures.append("%s: %s is not packed in %s"
                                         % (unit.name, where(loc), marker))
-            cells = sorted(f for f in full
+            cells = sorted(f for f in functions
                            if any(m in f for m in PACKED_CELLS.get(unit.name,
                                                                    ())))
             for function in cells:
@@ -250,20 +247,20 @@ def main():
                     failures.append("%s: %s packs no lane loop"
                                     % (unit.name, function))
             if unit.name in PACKED_CELLS and not cells:
-                failures.append("%s: no full-width op cells" % unit.name)
-            print("%s: checked %d full-width functions (%d op cells)"
-                  % (unit.name, len(full), len(cells)))
+                failures.append("%s: no op cells" % unit.name)
+            print("%s: checked %d functions (%d op cells)"
+                  % (unit.name, len(functions), len(cells)))
 
     for loc in sorted(needed - compiled):
         failures.append("%s is compiled in no unit" % where(loc))
     if failures:
         for failure in sorted(set(failures)):
             print("FAIL " + failure)
-        print("%d failure(s): full-width lane loops lost vectorization; see "
+        print("%d failure(s): lane loops lost vectorization; see "
               "src/ir/LaneOps.h" % len(set(failures)))
         return 1
-    print("check_vectorized: OK (%d required lane loops of %d; lane width %d)"
-          % (len(needed), len(loops), width))
+    print("check_vectorized: OK (%d required lane loops of %d)"
+          % (len(needed), len(loops)))
     return 0
 
 
