@@ -263,8 +263,8 @@ private:
   unsigned NextReg = 0;
 };
 
-/// Evaluates one non-load, non-call instruction into \p Regs. Shared by
-/// the scalar evaluators.
+/// Evaluates one non-load, non-call instruction into \p Regs: the ALU
+/// half of the per-pixel evaluator.
 inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
   switch (Inst.Op) {
   case VmOp::Const:
@@ -529,16 +529,10 @@ kf::compileStagedProgram(const Program &P,
   return SP;
 }
 
-namespace {
-
-/// Scalar staged evaluation; \p Bordered selects the halo-correct slow
-/// path (bordered loads, index-exchanged stage calls) vs the interior
-/// fast path (direct loads, unchecked calls).
-template <bool Bordered>
-float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
-                   const std::vector<Image> &Pool, int X, int Y, int Channel,
-                   float *Regs, bool UseIndexExchange) {
-  const VmStage &Stage = SP.Stages[StageIdx];
+float kf::runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
+                      const std::vector<Image> &Pool, int X, int Y,
+                      int Channel, float *Regs, bool UseIndexExchange) {
+  const VmStage &Stage = SP.Stages[RootStage];
   float *Frame = Regs + Stage.RegBase;
   for (const VmInst &Inst : Stage.Code.Insts) {
     switch (Inst.Op) {
@@ -546,12 +540,8 @@ float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
       const Image &Img = Pool[Stage.Inputs[Inst.InputIdx]];
       assert(!Img.empty() && "reading an unmaterialized image");
       int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      if (Bordered)
-        Frame[Inst.Dst] =
-            sampleWithBorder(Img, X + Inst.Ox, Y + Inst.Oy, Ch,
-                             Stage.Border, Stage.BorderConstant);
-      else
-        Frame[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, Ch);
+      Frame[Inst.Dst] = sampleWithBorder(Img, X + Inst.Ox, Y + Inst.Oy, Ch,
+                                         Stage.Border, Stage.BorderConstant);
       break;
     }
     case VmOp::StageCall: {
@@ -559,27 +549,25 @@ float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
       int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
       int TX = X + Inst.Ox;
       int TY = Y + Inst.Oy;
-      if (Bordered) {
-        bool Exterior = TX < 0 || TX >= Callee.OutW || TY < 0 ||
-                        TY >= Callee.OutH;
-        if (Exterior && UseIndexExchange) {
-          // Index exchange (Section IV-B): exterior accesses to the
-          // eliminated intermediate are exchanged per the *consuming*
-          // stage's border handling before the producer is evaluated.
-          int EX = exchangeIndex(TX, Callee.OutW, Stage.Border);
-          int EY = exchangeIndex(TY, Callee.OutH, Stage.Border);
-          if (EX < 0 || EY < 0) {
-            Frame[Inst.Dst] = Stage.BorderConstant;
-            break;
-          }
-          TX = EX;
-          TY = EY;
+      bool Exterior =
+          TX < 0 || TX >= Callee.OutW || TY < 0 || TY >= Callee.OutH;
+      if (Exterior && UseIndexExchange) {
+        // Index exchange (Section IV-B): exterior accesses to the
+        // eliminated intermediate are exchanged per the *consuming*
+        // stage's border handling before the producer is evaluated.
+        int EX = exchangeIndex(TX, Callee.OutW, Stage.Border);
+        int EY = exchangeIndex(TY, Callee.OutH, Stage.Border);
+        if (EX < 0 || EY < 0) {
+          Frame[Inst.Dst] = Stage.BorderConstant;
+          break;
         }
-        // Without the exchange the producer is (incorrectly) evaluated
-        // at the raw exterior position -- reproducing Figure 4b.
+        TX = EX;
+        TY = EY;
       }
-      Frame[Inst.Dst] = evalStagedVm<Bordered>(SP, Inst.Sel, Pool, TX, TY,
-                                               Ch, Regs, UseIndexExchange);
+      // Without the exchange the producer is (incorrectly) evaluated at
+      // the raw exterior position -- reproducing Figure 4b.
+      Frame[Inst.Dst] =
+          runStagedVm(SP, Inst.Sel, Pool, TX, TY, Ch, Regs, UseIndexExchange);
       break;
     }
     default:
@@ -588,21 +576,6 @@ float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
     }
   }
   return Frame[Stage.Code.ResultReg];
-}
-
-} // namespace
-
-float kf::runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
-                      const std::vector<Image> &Pool, int X, int Y,
-                      int Channel, float *Regs, bool UseIndexExchange) {
-  return evalStagedVm<true>(SP, RootStage, Pool, X, Y, Channel, Regs,
-                            UseIndexExchange);
-}
-
-float kf::runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
-                              const std::vector<Image> &Pool, int X, int Y,
-                              int Channel, float *Regs) {
-  return evalStagedVm<false>(SP, RootStage, Pool, X, Y, Channel, Regs, true);
 }
 
 namespace {
@@ -697,7 +670,7 @@ bool writtenOnlyBy(const VmProgram &Code, size_t Index) {
 
 /// Evaluates stage \p StageIdx of \p SP at channel \p Channel over the
 /// lanes of \p At with full border handling, and returns the stage
-/// result's lanes: the lane-batched twin of evalStagedVm<true>. Loads are
+/// result's lanes: the lane-batched twin of runStagedVm. Loads are
 /// bordered per lane; a StageCall index-exchanges each lane's position
 /// against the callee's extent (raw positions without \p UseIndexExchange)
 /// and recurses lane-wise into the callee's frame, the KF-B11 layout of
@@ -758,7 +731,7 @@ const float *evalStagedRing(const StagedVmProgram &SP, uint16_t StageIdx,
             TX < 0 || TX >= Callee.OutW || TY < 0 || TY >= Callee.OutH;
         if (Exterior && UseIndexExchange) {
           // Index exchange (Section IV-B) per the consuming stage's
-          // border handling, as in evalStagedVm.
+          // border handling, as in runStagedVm.
           const int EX = exchangeIndex(TX, Callee.OutW, Stage.Border);
           const int EY = exchangeIndex(TY, Callee.OutH, Stage.Border);
           if (EX < 0 || EY < 0) {
@@ -926,15 +899,15 @@ bool regionReadsInside(const VmStage &Stage, const std::vector<Image> &Pool,
 /// Evaluates stage \p StageIdx of \p SP over region
 /// [RX0, RX1) x [RY0, RY1) at channel \p Ch, resolving StageCall ops
 /// against the plane views of \p Resolve, writing result (x, y) to
-/// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride]. Span mode streams
-/// evalRowImpl chunks (plane reads are contiguous lane copies); scalar
-/// mode dispatches per pixel. Both run exactly the instruction streams
-/// the interior/halo strategy runs, so values are bit-identical. Every
-/// read of the region is checked once, up front (regionReadsInside).
+/// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride], streaming
+/// evalRowImpl chunks (plane reads are contiguous lane copies). It runs
+/// exactly the instruction streams the interior/halo strategy runs, so
+/// values are bit-identical. Every read of the region is checked once,
+/// up front (regionReadsInside).
 template <class ResolveFn>
 void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
                        const std::vector<Image> &Pool, int RX0, int RX1,
-                       int RY0, int RY1, int Ch, VmMode Mode, float *Regs,
+                       int RY0, int RY1, int Ch, float *LaneRegs,
                        float *Dst, size_t DstPitch, int DstStride,
                        ResolveFn &&Resolve) {
   const VmStage &Stage = SP.Stages[StageIdx];
@@ -947,49 +920,18 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
     return V.Data + static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
            (X + Inst.Ox - V.X0);
   };
-  if (Mode == VmMode::Span) {
-    float *Frame =
-        Regs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
-    for (int Y = RY0; Y != RY1; ++Y) {
-      float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-      forEachLaneChunk(RX0, RX1, [&](int C0, int From, int To) {
-        const float *Result = evalRowImpl(
-            Stage.Code, Pool, Stage.Inputs, Y, C0, Ch, Frame,
-            [&](const VmInst &Inst, float *D) {
-              laneCopy(D, PlaneAt(Inst, C0, Y));
-            });
-        laneStore(From, To,
-                  DstRow + static_cast<size_t>(C0 - RX0) * DstStride,
-                  DstStride, Result);
-      });
-    }
-    return;
-  }
-
-  // Scalar mode: per-pixel dispatch, stage calls are O(1) plane reads
-  // (no recursion -- the recompute already happened into the planes).
-  float *Frame = Regs + Stage.RegBase;
+  float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
   for (int Y = RY0; Y != RY1; ++Y) {
-    float *Px = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-    for (int X = RX0; X != RX1; ++X, Px += DstStride) {
-      for (const VmInst &Inst : Stage.Code.Insts) {
-        switch (Inst.Op) {
-        case VmOp::Load: {
-          const Image &Img = Pool[Stage.Inputs[Inst.InputIdx]];
-          int LCh = Inst.Channel < 0 ? Ch : Inst.Channel;
-          Frame[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, LCh);
-          break;
-        }
-        case VmOp::StageCall:
-          Frame[Inst.Dst] = *PlaneAt(Inst, X, Y);
-          break;
-        default:
-          evalAluInst(Inst, Frame, X, Y);
-          break;
-        }
-      }
-      *Px = Frame[Stage.Code.ResultReg];
-    }
+    float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
+    forEachLaneChunk(RX0, RX1, [&](int C0, int From, int To) {
+      const float *Result =
+          evalRowImpl(Stage.Code, Pool, Stage.Inputs, Y, C0, Ch, Frame,
+                      [&](const VmInst &Inst, float *D) {
+                        laneCopy(D, PlaneAt(Inst, C0, Y));
+                      });
+      laneStore(From, To, DstRow + static_cast<size_t>(C0 - RX0) * DstStride,
+                DstStride, Result);
+    });
   }
 }
 
@@ -998,12 +940,10 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
 void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                            const OverlapSchedule &Schedule,
                            const std::vector<Image> &Pool, int X0, int X1,
-                           int Y0, int Y1, int Channels, VmMode Mode,
-                           float *PlaneScratch, float *Regs, float *OutBase,
-                           int OutWidth, OverlapTileStats *Stats) {
+                           int Y0, int Y1, int Channels, float *PlaneScratch,
+                           float *LaneRegs, float *OutBase, int OutWidth,
+                           OverlapTileStats *Stats) {
   assert(Schedule.Valid && "overlapped execution without a valid schedule");
-  assert(Mode != VmMode::Jit &&
-         "overlapped tiles run the span or scalar engine");
   const int RootW = X1 - X0, RootH = Y1 - Y0;
   if (RootW <= 0 || RootH <= 0)
     return;
@@ -1043,7 +983,7 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
   for (const OverlapPlane &Plane : Schedule.Planes) {
     const PlaneView V = ViewAt(Plane, Offset);
     evalOverlapRegion(SP, Plane.Stage, Pool, V.X0, V.X0 + V.W, V.Y0,
-                      V.Y0 + V.H, Plane.Channel, Mode, Regs, V.Data, V.W, 1,
+                      V.Y0 + V.H, Plane.Channel, LaneRegs, V.Data, V.W, 1,
                       Resolve);
     const long long Area = static_cast<long long>(V.W) * V.H;
     Offset += static_cast<size_t>(Area);
@@ -1053,7 +993,7 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
     }
   }
   for (int C = 0; C != Channels; ++C)
-    evalOverlapRegion(SP, Root, Pool, X0, X1, Y0, Y1, C, Mode, Regs,
+    evalOverlapRegion(SP, Root, Pool, X0, X1, Y0, Y1, C, LaneRegs,
                       OutBase +
                           (static_cast<size_t>(Y0) * OutWidth + X0) *
                               Channels +

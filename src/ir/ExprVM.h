@@ -27,8 +27,9 @@
 ///     structure-of-arrays), written as plain contiguous loops
 ///     (ir/LaneOps.h) that compile to packed SIMD; a span narrower than a
 ///     lane runs one whole chunk and stores only its own lanes;
-///   - scalar: per-pixel bytecode dispatch -- the escape hatch and the
-///     honest baseline the span-vs-scalar benchmarks compare against.
+///   - scalar: every pixel of the launch, ring included, through
+///     runStagedVm -- the per-pixel bytecode reference, kept as an escape
+///     hatch; it ignores the tiling strategy.
 ///
 /// The border ring runs one path under every mode: runStagedVmRing
 /// evaluates up to VmLaneWidth arbitrary ring pixels at once for every
@@ -54,8 +55,10 @@ namespace kf {
 
 /// How the VM engines evaluate interior pixels.
 enum class VmMode : uint8_t {
-  /// Per-pixel bytecode dispatch over the interior (the pre-span
-  /// behaviour): one pass over the instruction stream per pixel.
+  /// Per-pixel bytecode reference: every pixel of a launch, border
+  /// ring included, runs runStagedVm (one pass over the instruction
+  /// stream per pixel, bordered loads, index exchange). Ignores the
+  /// tiling strategy.
   Scalar,
   /// Batched row-span execution: each instruction runs across a whole
   /// span of interior pixels through fixed-width lane buffers.
@@ -227,18 +230,11 @@ StagedVmProgram compileStagedProgram(const Program &P,
 /// apply the index exchange of Section IV-B (or, with
 /// \p UseIndexExchange false, reproduce the incorrect naive border fusion
 /// of Figure 4b by evaluating producers at raw exterior positions).
-/// \p Regs must hold SP.NumRegs floats. The per-pixel reference of the
-/// border ring (runStagedVmRing), which the executors run instead.
+/// \p Regs must hold SP.NumRegs floats. The per-pixel reference of every
+/// lane engine: VmMode::Scalar runs it at every pixel of a launch.
 float runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
                   const std::vector<Image> &Pool, int X, int Y, int Channel,
                   float *Regs, bool UseIndexExchange = true);
-
-/// Interior fast path: direct loads, unchecked stage calls. Valid only
-/// when (X, Y) is at least SP.Reach[RootStage] away from every border
-/// (and SP.UniformExtents holds).
-float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
-                          const std::vector<Image> &Pool, int X, int Y,
-                          int Channel, float *Regs);
 
 /// Span-mode interior evaluation of a staged program: computes pixels
 /// [X0, X1) of row \p Y for \p Channel in one call, writing result i to
@@ -253,7 +249,7 @@ float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
 /// chunk never overruns a frame and the whole working set is
 /// SP.NumRegs * VmLaneWidth floats whatever the span width. \p LaneRegs
 /// must hold SP.NumRegs * VmLaneWidth floats. Bit-identical to per-pixel
-/// runStagedVmInterior.
+/// runStagedVm.
 void runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                      const std::vector<Image> &Pool, int Y, int X0, int X1,
                      int Channel, float *LaneRegs, float *Out,
@@ -339,23 +335,22 @@ struct OverlapTileStats {
 /// \p Schedule is materialized once over its margin-grown tile into
 /// \p PlaneScratch (at least overlapPlaneFloats(Schedule, X1-X0, Y1-Y0)
 /// + VmLaneWidth floats: planes back to back in schedule order, then
-/// slack for narrow rows), stage calls read the
-/// callee's plane, and the root runs once per destination channel,
-/// writing straight into \p OutBase (the destination image base, width
-/// \p OutWidth, \p Channels channels). Allocates nothing. \p Regs is the per-worker
-/// register scratch: SP.NumRegs * VmLaneWidth floats in span mode,
-/// SP.NumRegs floats in scalar mode (\p Mode is Span or Scalar: the JIT
-/// chains read pool images, not planes). The tile must lie at least
-/// SP.Reach[Root] away from every border (the interior region), and a
-/// tile narrower than a lane no lower than sim/Executor's laneRowsEnd;
-/// every value is computed by the same instruction stream as the
-/// interior/halo strategy, so results are bit-identical.
+/// slack for narrow rows), stage calls read the callee's plane, and the
+/// root runs once per destination channel, writing straight into
+/// \p OutBase (the destination image base, width \p OutWidth,
+/// \p Channels channels). Allocates nothing. Runs the span interpreter
+/// (the JIT chains read pool images, not planes); \p LaneRegs is the
+/// per-worker lane scratch, SP.NumRegs * VmLaneWidth floats. The tile
+/// must lie at least SP.Reach[Root] away from every border (the interior
+/// region), and a tile narrower than a lane no lower than sim/Executor's
+/// laneRowsEnd; every value is computed by the same instruction stream as
+/// the interior/halo strategy, so results are bit-identical.
 void runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                        const OverlapSchedule &Schedule,
                        const std::vector<Image> &Pool, int X0, int X1,
-                       int Y0, int Y1, int Channels, VmMode Mode,
-                       float *PlaneScratch, float *Regs, float *OutBase,
-                       int OutWidth, OverlapTileStats *Stats = nullptr);
+                       int Y0, int Y1, int Channels, float *PlaneScratch,
+                       float *LaneRegs, float *OutBase, int OutWidth,
+                       OverlapTileStats *Stats = nullptr);
 
 } // namespace kf
 

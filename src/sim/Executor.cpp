@@ -456,8 +456,7 @@ void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
 template <bool Timed>
 void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
                         Image &Out, int Halo, const OverlapSchedule &Schedule,
-                        VmMode Mode, const BorderRing &Ring,
-                        LaunchTiming *Timing) {
+                        const BorderRing &Ring, LaunchTiming *Timing) {
   const int W = Out.width(), H = Out.height(), C = Out.channels();
   const int X0 = std::min(Halo, W), Y0 = std::min(Halo, H);
   const int X1 = std::max(X0, W - Halo), Y1 = std::max(Y0, H - Halo);
@@ -467,7 +466,7 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
   int TileW, TileH;
   resolveTileSize(Options, TilingStrategy::Overlapped, W, H,
                   TP.numThreads(), TileW, TileH);
-  Scratch.ensure(TP.numThreads(), Ring.SP.NumRegs,
+  Scratch.ensure(TP.numThreads(),
                  static_cast<size_t>(Ring.SP.NumRegs) * VmLaneWidth,
                  overlapPlaneFloats(Schedule, TileW, TileH) + VmLaneWidth);
 
@@ -489,13 +488,11 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
     const Clock::time_point T0 = tick<Timed>();
     Ring.runTile(Out, T, IA, IB, JA, JB, Worker);
     const Clock::time_point T1 = tick<Timed>();
-    if (IA < IB && JA < JB) {
-      float *Regs = Mode == VmMode::Span ? Scratch.LaneRegs[Worker].data()
-                                         : Scratch.PixelRegs[Worker].data();
+    if (IA < IB && JA < JB)
       runOverlappedTile(Ring.SP, Ring.Root, Schedule, Ring.Pool, IA, IB, JA,
-                        JB, C, Mode, Scratch.PlaneRegs[Worker].data(), Regs,
-                        OutBase, W, Timed ? &WorkerStats[Worker] : nullptr);
-    }
+                        JB, C, Scratch.PlaneRegs[Worker].data(),
+                        Scratch.LaneRegs[Worker].data(), OutBase, W,
+                        Timed ? &WorkerStats[Worker] : nullptr);
     if constexpr (Timed) {
       const Clock::time_point T2 = tick<Timed>();
       HaloUs[Worker] += elapsedUs(T0, T1);
@@ -511,14 +508,14 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
   }
 }
 
-/// A row callback of runTiledImage that evaluates \p Pixel(X, Y, Ch) per
-/// pixel: how the AST engines, whose every read is bordered, run the tile
-/// loop with no border ring.
+/// A row callback of runTiledImage that evaluates \p Pixel(X, Y, Ch,
+/// Worker) per pixel: how the engines whose every read is bordered (the
+/// AST walkers and the scalar VM) run the tile loop with no border ring.
 template <class EvalFn> auto perPixelRow(EvalFn Pixel) {
   return [Pixel](int Y, int XA, int XB, int Ch, float *Px, int Stride,
-                 unsigned) {
+                 unsigned Worker) {
     for (int X = XA; X < XB; ++X, Px += Stride)
-      *Px = Pixel(X, Y, Ch);
+      *Px = Pixel(X, Y, Ch, Worker);
   };
 }
 
@@ -559,7 +556,7 @@ void kf::runUnfused(const Program &P, std::vector<Image> &Pool,
     // The AST engine has no interior specialization (border handling is
     // resolved per read): every pixel is "interior", evaluated per pixel.
     runTiledImage<false>(TP, Options, Out, /*Halo=*/0,
-                         perPixelRow([&](int X, int Y, int Ch) {
+                         perPixelRow([&](int X, int Y, int Ch, unsigned) {
                            return Eval.eval(K.Body, X, Y, Ch, nullptr);
                          }),
                          /*Ring=*/nullptr);
@@ -583,7 +580,7 @@ void kf::runFused(const FusedProgram &FP, std::vector<Image> &Pool,
       const ImageInfo &Info = P.image(Dest.Output);
       Image Out(Info.Width, Info.Height, Info.Channels);
       runTiledImage<false>(TP, Options, Out, /*Halo=*/0,
-                           perPixelRow([&](int X, int Y, int Ch) {
+                           perPixelRow([&](int X, int Y, int Ch, unsigned) {
                              return Evaluator.evalStage(DestId, X, Y, Ch);
                            }),
                            /*Ring=*/nullptr);
@@ -605,10 +602,8 @@ StagedVmProgram kf::compileFusedKernel(const FusedProgram &FP,
   return compileStagedProgram(P, StageKernels, IsEliminated);
 }
 
-void VmScratch::ensure(unsigned Threads, size_t PixelFloats,
-                       size_t LaneFloats, size_t PlaneFloats) {
-  if (PixelRegs.size() < Threads)
-    PixelRegs.resize(Threads);
+void VmScratch::ensure(unsigned Threads, size_t LaneFloats,
+                       size_t PlaneFloats) {
   if (LaneRegs.size() < Threads)
     LaneRegs.resize(Threads);
   if (PlaneRegs.size() < Threads)
@@ -616,7 +611,6 @@ void VmScratch::ensure(unsigned Threads, size_t PixelFloats,
   if (Ring.size() < Threads)
     Ring.resize(Threads);
   for (unsigned I = 0; I != Threads; ++I) {
-    PixelRegs[I].resize(std::max(PixelRegs[I].size(), PixelFloats));
     LaneRegs[I].resize(std::max(LaneRegs[I].size(), LaneFloats));
     PlaneRegs[I].resize(std::max(PlaneRegs[I].size(), PlaneFloats));
   }
@@ -649,7 +643,9 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
                            ThreadPool &TP, VmScratch &Scratch,
                            LaunchTiming *Timing, const JitProgram *Jit) {
   VmMode Mode = Options.Mode;
-  TilingStrategy Strategy = Options.Tiling;
+  // The per-pixel reference runs every pixel alike, so it ignores tiling.
+  TilingStrategy Strategy =
+      Mode == VmMode::Scalar ? TilingStrategy::InteriorHalo : Options.Tiling;
   // Auto decides per launch from the bytecode: overlapped exactly when
   // destination channels share a producer plane, which the interior/halo
   // recursion would recompute once per channel. A single-channel output
@@ -680,40 +676,41 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
   const long long ComputedBefore = Timing ? Timing->ComputedPixels : 0;
 
   const BorderRing Ring{SP, Root, Pool, Scratch, Options.UseIndexExchange};
-  if (Strategy == TilingStrategy::Overlapped) {
+  // Every engine's registers live in the worker's lane buffer.
+  auto RunTiled = [&](auto &&Row, int RowHalo, const BorderRing *RowRing) {
+    Scratch.ensure(TP.numThreads(),
+                   static_cast<size_t>(SP.NumRegs) * VmLaneWidth);
     if (Timing)
-      runOverlappedImage<true>(TP, Options, Out, Halo, Schedule, Mode, Ring,
-                               Timing);
+      runTiledImage<true>(TP, Options, Out, RowHalo, Row, RowRing, Timing);
     else
-      runOverlappedImage<false>(TP, Options, Out, Halo, Schedule, Mode, Ring,
+      runTiledImage<false>(TP, Options, Out, RowHalo, Row, RowRing);
+  };
+  if (Mode == VmMode::Scalar) {
+    // Every pixel, border ring included, through the per-pixel reference.
+    RunTiled(perPixelRow([&](int X, int Y, int Ch, unsigned Worker) {
+               return runStagedVm(SP, Root, Pool, X, Y, Ch,
+                                  Scratch.LaneRegs[Worker].data(),
+                                  Options.UseIndexExchange);
+             }),
+             /*Halo=*/0, /*Ring=*/nullptr);
+  } else if (Strategy == TilingStrategy::Overlapped) {
+    if (Timing)
+      runOverlappedImage<true>(TP, Options, Out, Halo, Schedule, Ring, Timing);
+    else
+      runOverlappedImage<false>(TP, Options, Out, Halo, Schedule, Ring,
                                 Timing);
   } else {
-    // Every mode's border ring runs out of the lane buffer.
-    Scratch.ensure(TP.numThreads(), SP.NumRegs,
-                   static_cast<size_t>(SP.NumRegs) * VmLaneWidth);
-    auto InteriorRow = [&](int Y, int XA, int XB, int Ch, float *OutPtr,
-                           int Stride, unsigned Worker) {
-      if (Mode == VmMode::Jit) {
-        runJitSpan(*Jit, Pool, Y, XA, XB, Ch, Scratch.LaneRegs[Worker].data(),
-                   OutPtr, Stride);
-        return;
-      }
-      if (Mode == VmMode::Span) {
-        runStagedVmSpan(SP, Root, Pool, Y, XA, XB, Ch,
-                        Scratch.LaneRegs[Worker].data(), OutPtr, Stride);
-        return;
-      }
-      // Scalar interior: per-pixel dispatch, output pointer walked across
-      // the span instead of re-derived per pixel.
-      float *Regs = Scratch.PixelRegs[Worker].data();
-      float *Px = OutPtr;
-      for (int X = XA; X < XB; ++X, Px += Stride)
-        *Px = runStagedVmInterior(SP, Root, Pool, X, Y, Ch, Regs);
-    };
-    if (Timing)
-      runTiledImage<true>(TP, Options, Out, Halo, InteriorRow, &Ring, Timing);
-    else
-      runTiledImage<false>(TP, Options, Out, Halo, InteriorRow, &Ring);
+    RunTiled(
+        [&](int Y, int XA, int XB, int Ch, float *OutPtr, int Stride,
+            unsigned Worker) {
+          float *LaneRegs = Scratch.LaneRegs[Worker].data();
+          if (Mode == VmMode::Jit)
+            runJitSpan(*Jit, Pool, Y, XA, XB, Ch, LaneRegs, OutPtr, Stride);
+          else
+            runStagedVmSpan(SP, Root, Pool, Y, XA, XB, Ch, LaneRegs, OutPtr,
+                            Stride);
+        },
+        Halo, &Ring);
   }
 
   if (Timing) {

@@ -63,9 +63,9 @@ struct ExecutionOptions {
 
   /// Interior execution mode of the VM engines. Jit runs a launch's
   /// per-plan JIT artifact and falls back to the lane-batched span mode
-  /// where the launch carries none; Scalar is the per-pixel escape hatch
-  /// and the A/B baseline. All modes are bit-identical on every pipeline
-  /// and border mode.
+  /// where the launch carries none; Scalar runs every pixel through the
+  /// per-pixel bytecode reference (runStagedVm) and ignores Tiling. All
+  /// modes are bit-identical on every pipeline and border mode.
   VmMode Mode = VmMode::Jit;
 
   /// Tiling strategy of the fused VM engine. Auto picks per launch:
@@ -175,10 +175,10 @@ using WorkerRegs = std::vector<float, CacheLineAllocator<float>>;
 /// keeps one per session so the streaming hot path performs no per-frame
 /// scratch allocation.
 struct VmScratch {
-  std::vector<WorkerRegs> PixelRegs; ///< NumRegs floats per worker.
   /// Lane buffers: NumRegs * VmLaneWidth floats per worker
   /// (structure-of-arrays register frames, see runStagedVmSpan), used by
-  /// span and JIT interiors and by every mode's border ring.
+  /// span and JIT interiors, the border ring, and as the scalar mode's
+  /// per-pixel registers.
   std::vector<WorkerRegs> LaneRegs;
   /// Overlapped-strategy plane buffers: every margin-grown plane of a
   /// tile's schedule back to back, overlapPlaneFloats floats per worker
@@ -194,8 +194,7 @@ struct VmScratch {
   std::vector<RingChunk, CacheLineAllocator<RingChunk>> Ring;
 
   /// Grows the per-worker vectors to at least the given float counts.
-  void ensure(unsigned Threads, size_t PixelFloats, size_t LaneFloats,
-              size_t PlaneFloats = 0);
+  void ensure(unsigned Threads, size_t LaneFloats, size_t PlaneFloats = 0);
 };
 
 /// The end of the rows of the tile interior [IA, IB) x [JA, JB) of a
@@ -224,10 +223,12 @@ struct LaunchTiming {
   double HaloMs = 0.0;
   /// The interior mode the launch actually ran (Span where a Jit request
   /// had no artifact or tiled overlapped), so the trace/metrics layers
-  /// can split interior time by engine.
+  /// can split interior time by engine. A Scalar launch has no border
+  /// ring: its InteriorMs covers every pixel and its HaloMs is 0.
   VmMode Mode = VmMode::Span;
   /// The resolved tiling strategy the launch actually ran (never Auto: a
-  /// schedule-less launch falls back to InteriorHalo).
+  /// schedule-less launch falls back to InteriorHalo, and so does every
+  /// Scalar launch).
   TilingStrategy Tiling = TilingStrategy::InteriorHalo;
   /// Overlapped strategy only: redundantly computed plane cells (the
   /// margins adjacent grown tiles both evaluate) and all evaluated cells
@@ -250,7 +251,9 @@ struct LaunchTiming {
 /// refused the launch -- it runs the bit-identical span interpreter.
 /// Under the overlapped tiling strategy interior tiles likewise run the
 /// span engine (the JIT chains read pool images, not scratch planes); a
-/// Jit request there degrades to Span, never to different results.
+/// Jit request there degrades to Span, never to different results. The
+/// Scalar mode ignores \p Halo and the tiling strategy: every pixel runs
+/// runStagedVm.
 void runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root, int Halo,
                        const std::vector<Image> &Pool, Image &Out,
                        const ExecutionOptions &Options, ThreadPool &TP,

@@ -70,28 +70,11 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
   Record.MeasuredMs += MeasuredMs;
   Record.InteriorMs += InteriorMs;
   Record.HaloMs += HaloMs;
-  switch (Mode) {
-  case VmMode::Span:
-    ++Record.SpanRuns;
-    Record.SpanInteriorMs += InteriorMs;
-    break;
-  case VmMode::Jit:
-    ++Record.JitRuns;
-    Record.JitInteriorMs += InteriorMs;
+  Record.Mode = Mode;
+  Record.Tiling = Tiling;
+  if (Mode == VmMode::Jit) {
     Record.FlatCells = FlatCells;
     Record.JitCells = JitCells;
-    break;
-  default:
-    ++Record.ScalarRuns;
-    Record.ScalarInteriorMs += InteriorMs;
-    break;
-  }
-  if (Tiling == TilingStrategy::Overlapped) {
-    ++Record.OverlappedRuns;
-    Record.OverlappedMs += MeasuredMs;
-  } else {
-    ++Record.InteriorTilingRuns;
-    Record.InteriorTilingMs += MeasuredMs;
   }
 }
 
@@ -158,27 +141,13 @@ std::string MetricsRegistry::renderTable() const {
                       "vm", "cells", "tiling", "pred/meas"});
   for (const LaunchModelRecord &Record : Snapshot) {
     double Runs = Record.Runs ? static_cast<double>(Record.Runs) : 1.0;
-    // The vm column names the interior engine; a launch measured in both
-    // span and scalar mode shows the span-over-scalar interior speedup
-    // instead.
-    std::string Vm = "-";
-    if (Record.spanOverScalar() > 0.0)
-      Vm = formatDouble(Record.spanOverScalar(), 2) + "x";
-    else if (Record.JitRuns)
-      Vm = "jit";
-    else if (Record.SpanRuns)
-      Vm = "span";
-    else if (Record.ScalarRuns)
-      Vm = "scalar";
-    // Likewise the tiling column: strategy name, or the overlapped
-    // speedup when the launch was A/B-measured under both strategies.
-    std::string Tiling = "-";
-    if (Record.overlappedSpeedup() > 0.0)
-      Tiling = formatDouble(Record.overlappedSpeedup(), 2) + "x";
-    else if (Record.OverlappedRuns)
-      Tiling = "overlap";
-    else if (Record.InteriorTilingRuns)
-      Tiling = "interior";
+    // The engine and tiling the launch ran; "-" before its first run.
+    std::string Vm = "-", Tiling = "-";
+    if (Record.Runs) {
+      Vm = vmModeName(Record.Mode);
+      Tiling = Record.Tiling == TilingStrategy::Overlapped ? "overlap"
+                                                           : "interior";
+    }
     // The JIT chain: flattened instructions -> cells executed per chunk.
     std::string Cells = "-";
     if (Record.JitCells)
@@ -219,67 +188,6 @@ std::string MetricsRegistry::renderTable() const {
     Result += Server.render();
   }
   return Result;
-}
-
-/// Minimal JSON string escape (names are identifiers, but be safe).
-static std::string jsonEscape(const std::string &Text) {
-  std::string Out;
-  Out.reserve(Text.size());
-  for (char C : Text) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  return Out;
-}
-
-std::string MetricsRegistry::toJson(const std::string &Indent) const {
-  std::vector<LaunchModelRecord> Snapshot = records();
-  std::string Out = "[";
-  bool First = true;
-  for (const LaunchModelRecord &Record : Snapshot) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "\n" + Indent + "{";
-    Out += "\"program\": \"" + jsonEscape(Record.Program) + "\", ";
-    Out += "\"launch\": \"" + jsonEscape(Record.Launch) + "\", ";
-    Out += "\"stages\": " + std::to_string(Record.Stages) + ", ";
-    Out += "\"pixels\": " + std::to_string(Record.Pixels) + ", ";
-    Out += "\"predicted_cycles\": " + formatDouble(Record.PredictedCycles, 1) +
-           ", ";
-    Out += "\"predicted_ms\": " + formatDouble(Record.PredictedMs, 6) + ", ";
-    Out += "\"runs\": " + std::to_string(Record.Runs) + ", ";
-    Out += "\"measured_mean_ms\": " +
-           formatDouble(Record.measuredMeanMs(), 6) + ", ";
-    Out += "\"interior_ms\": " + formatDouble(Record.InteriorMs, 6) + ", ";
-    Out += "\"halo_ms\": " + formatDouble(Record.HaloMs, 6) + ", ";
-    Out += "\"span_runs\": " + std::to_string(Record.SpanRuns) + ", ";
-    Out += "\"scalar_runs\": " + std::to_string(Record.ScalarRuns) + ", ";
-    Out += "\"jit_runs\": " + std::to_string(Record.JitRuns) + ", ";
-    Out += "\"interior_span_ms\": " +
-           formatDouble(Record.SpanInteriorMs, 6) + ", ";
-    Out += "\"interior_scalar_ms\": " +
-           formatDouble(Record.ScalarInteriorMs, 6) + ", ";
-    Out += "\"interior_jit_ms\": " +
-           formatDouble(Record.JitInteriorMs, 6) + ", ";
-    Out += "\"span_over_scalar\": " +
-           formatDouble(Record.spanOverScalar(), 6) + ", ";
-    Out += "\"overlapped_runs\": " + std::to_string(Record.OverlappedRuns) +
-           ", ";
-    Out += "\"interior_tiling_runs\": " +
-           std::to_string(Record.InteriorTilingRuns) + ", ";
-    Out += "\"overlapped_ms\": " + formatDouble(Record.OverlappedMs, 6) +
-           ", ";
-    Out += "\"interior_tiling_ms\": " +
-           formatDouble(Record.InteriorTilingMs, 6) + ", ";
-    Out += "\"overlapped_speedup\": " +
-           formatDouble(Record.overlappedSpeedup(), 6) + ", ";
-    Out += "\"ratio\": " + formatDouble(Record.ratio(), 6);
-    Out += "}";
-  }
-  Out += "\n" + (Indent.size() >= 2 ? Indent.substr(2) : std::string()) + "]";
-  return Out;
 }
 
 void MetricsRegistry::clear() {

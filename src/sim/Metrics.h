@@ -55,25 +55,11 @@ struct LaunchModelRecord {
   double InteriorMs = 0.0;   ///< Interior-pixel share of MeasuredMs.
   double HaloMs = 0.0;       ///< Halo-pixel share of MeasuredMs.
 
-  /// Per-VM-mode interior accounting: runs executed (and interior time
-  /// spent) under the span, scalar and JIT interior engines, so one
-  /// record can report the scalar/span interior ratio when a launch was
-  /// measured in both modes (the A/B benches do exactly that).
-  uint64_t SpanRuns = 0;
-  uint64_t ScalarRuns = 0;
-  uint64_t JitRuns = 0;
-  double SpanInteriorMs = 0.0;
-  double ScalarInteriorMs = 0.0;
-  double JitInteriorMs = 0.0;
-
-  /// Per-tiling-strategy accounting, same shape as the per-mode split:
-  /// runs (and total measured time) under the overlapped vs the
-  /// interior/halo strategy, so a launch A/B-measured under both can
-  /// report which one its pixels actually favour.
-  uint64_t OverlappedRuns = 0;
-  uint64_t InteriorTilingRuns = 0;
-  double OverlappedMs = 0.0;
-  double InteriorTilingMs = 0.0;
+  /// The interior engine and the tiling strategy the launch's runs used
+  /// (LaunchTiming::Mode and ::Tiling of the last run merged in; a plan
+  /// runs a launch the same way every frame).
+  VmMode Mode = VmMode::Span;
+  TilingStrategy Tiling = TilingStrategy::InteriorHalo;
 
   /// The JIT chain the launch last ran: flattened instructions and the
   /// cells left after cell fusion, which each chunk executes. Zero when
@@ -86,22 +72,6 @@ struct LaunchModelRecord {
   double ratio() const {
     double Mean = measuredMeanMs();
     return Mean > 0.0 && PredictedMs > 0.0 ? PredictedMs / Mean : 0.0;
-  }
-  /// Mean scalar-interior time over mean span-interior time -- the span
-  /// engine's interior speedup; 0 unless both modes were measured.
-  double spanOverScalar() const {
-    if (!SpanRuns || !ScalarRuns || SpanInteriorMs <= 0.0)
-      return 0.0;
-    return (ScalarInteriorMs / ScalarRuns) / (SpanInteriorMs / SpanRuns);
-  }
-  /// Mean interior/halo-strategy time over mean overlapped-strategy time
-  /// -- the overlapped strategy's speedup (> 1 means overlapped tiling
-  /// won this launch); 0 unless both strategies were measured.
-  double overlappedSpeedup() const {
-    if (!OverlappedRuns || !InteriorTilingRuns || OverlappedMs <= 0.0)
-      return 0.0;
-    return (InteriorTilingMs / InteriorTilingRuns) /
-           (OverlappedMs / OverlappedRuns);
   }
 };
 
@@ -145,12 +115,11 @@ public:
 
   /// Merges one measured execution of launch \p Launch of \p Program.
   /// \p InteriorMs / \p HaloMs may be zero when the executor did not
-  /// collect the split. \p Mode is the resolved interior engine the run
-  /// used (LaunchTiming::Mode), feeding the per-mode interior split;
-  /// \p Tiling the resolved strategy (LaunchTiming::Tiling), feeding the
-  /// per-strategy split. \p FlatCells / \p JitCells describe the JIT
-  /// chain a Jit run executed (JitProgram::FlatInsts and cells()). No-op
-  /// while disabled.
+  /// collect the split. \p Mode and \p Tiling are the resolved interior
+  /// engine and tiling strategy the run used (LaunchTiming::Mode and
+  /// ::Tiling). \p FlatCells / \p JitCells describe the JIT chain a Jit
+  /// run executed (JitProgram::FlatInsts and cells()). No-op while
+  /// disabled.
   void recordLaunch(const std::string &Program, const std::string &Launch,
                     double MeasuredMs, double InteriorMs = 0.0,
                     double HaloMs = 0.0, VmMode Mode = VmMode::Span,
@@ -179,10 +148,6 @@ public:
   /// The per-launch predicted-vs-measured table plus the geomean line.
   /// Empty string when nothing was recorded.
   std::string renderTable() const;
-
-  /// The records as a JSON array (for the benchmark result files):
-  /// [{"program":..., "launch":..., "predicted_ms":..., ...}, ...].
-  std::string toJson(const std::string &Indent = "  ") const;
 
   /// Drops all records (the enabled flag is kept).
   void clear();

@@ -1,9 +1,11 @@
 //===- tests/EngineConfigs.h - The engine configuration matrix -*- C++ -*-===//
 //
-// Every engine configuration a caller can select through ExecutionOptions:
-// {Scalar, Span, Jit} x {InteriorHalo, Overlapped} x {On, Off}. All twelve
-// must produce bit-identical pixels, so differential suites run each of
-// them against one reference, with the one pool comparison and the one
+// Every distinct engine a caller can select through ExecutionOptions, each
+// with the optimizer on and off: scalar (the per-pixel reference, which
+// ignores tiling), span x {InteriorHalo, Overlapped} and jit x
+// InteriorHalo (a jit request tiled overlapped runs span). All eight must
+// produce bit-identical pixels, so differential suites run each of them
+// against one reference, with the one pool comparison and the one
 // thread-count sweep below.
 //
 //===----------------------------------------------------------------------===//
@@ -30,18 +32,21 @@ namespace kf {
 /// such as "mode=span tiling=overlapped opt=off" for failure messages.
 template <typename FnT>
 void forEachEngineConfig(const ExecutionOptions &Base, FnT &&Fn) {
-  for (VmMode Mode : {VmMode::Scalar, VmMode::Span, VmMode::Jit})
-    for (TilingStrategy Tiling :
-         {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped})
-      for (OptMode Opt : {OptMode::On, OptMode::Off}) {
-        ExecutionOptions Options = Base;
-        Options.Mode = Mode;
-        Options.Tiling = Tiling;
-        Options.Opt = Opt;
-        Fn(Options, std::string("mode=") + vmModeName(Mode) +
-               " tiling=" + tilingStrategyName(Tiling) +
-               " opt=" + optModeName(Opt));
-      }
+  const std::pair<VmMode, TilingStrategy> Engines[] = {
+      {VmMode::Scalar, TilingStrategy::InteriorHalo},
+      {VmMode::Span, TilingStrategy::InteriorHalo},
+      {VmMode::Span, TilingStrategy::Overlapped},
+      {VmMode::Jit, TilingStrategy::InteriorHalo}};
+  for (const auto &[Mode, Tiling] : Engines)
+    for (OptMode Opt : {OptMode::On, OptMode::Off}) {
+      ExecutionOptions Options = Base;
+      Options.Mode = Mode;
+      Options.Tiling = Tiling;
+      Options.Opt = Opt;
+      Fn(Options, std::string("mode=") + vmModeName(Mode) +
+             " tiling=" + tilingStrategyName(Tiling) +
+             " opt=" + optModeName(Opt));
+    }
 }
 
 template <typename FnT> void forEachEngineConfig(FnT &&Fn) {

@@ -206,12 +206,12 @@ TEST(FusedVm, RowEvaluationMatchesPerPixel) {
   int Halo = SP.Reach[Root];
   int X0 = Halo, X1 = 24 - Halo, Y = 5;
   std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) * VmLaneWidth);
-  std::vector<float> PixelRegs(SP.NumRegs);
+  std::vector<float> Regs(SP.NumRegs);
   std::vector<float> Row(X1 - X0);
   runStagedVmSpan(SP, Root, Pool, Y, X0, X1, 0, LaneRegs.data(), Row.data());
   for (int X = X0; X != X1; ++X)
     EXPECT_FLOAT_EQ(Row[X - X0],
-                    runStagedVm(SP, Root, Pool, X, Y, 0, PixelRegs.data()))
+                    runStagedVm(SP, Root, Pool, X, Y, 0, Regs.data()))
         << "x=" << X;
 }
 

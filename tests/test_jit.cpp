@@ -181,8 +181,9 @@ INSTANTIATE_TEST_SUITE_P(AllModes, JitBorder,
                          });
 
 /// Tail handling: spans of every LaneBoundaryWidths width must each match
-/// per-pixel interior evaluation exactly -- narrow spans that store part
-/// of one chunk, and wide spans whose last chunk overlaps its predecessor.
+/// per-pixel evaluation (runStagedVm) exactly -- narrow spans that store
+/// part of one chunk, and wide spans whose last chunk overlaps its
+/// predecessor.
 TEST(JitVm, TailWidthsMatchPerPixel) {
   int W = 2 * VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Mirror);
@@ -204,7 +205,7 @@ TEST(JitVm, TailWidthsMatchPerPixel) {
   int Y = H / 2;
   std::vector<float> LaneRegs(static_cast<size_t>(JP->NumRegs) *
                               VmLaneWidth);
-  std::vector<float> PixelRegs(SP.NumRegs);
+  std::vector<float> Regs(SP.NumRegs);
 
   for (int Width : LaneBoundaryWidths) {
     int X0 = Halo, X1 = X0 + Width;
@@ -213,8 +214,7 @@ TEST(JitVm, TailWidthsMatchPerPixel) {
     runJitSpan(*JP, Pool, Y, X0, X1, 0, LaneRegs.data(), Out.data());
     for (int X = X0; X != X1; ++X)
       EXPECT_EQ(bitsOf(Out[X - X0]),
-                bitsOf(runStagedVmInterior(SP, Root, Pool, X, Y, 0,
-                                           PixelRegs.data())))
+                bitsOf(runStagedVm(SP, Root, Pool, X, Y, 0, Regs.data())))
           << "width=" << Width << " x=" << X;
   }
 }
@@ -284,7 +284,7 @@ TEST(JitVm, SpecialValueOpsMatchScalarBitForBit) {
     ASSERT_NE(JP, nullptr) << "op " << static_cast<int>(Op);
     std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) *
                                 VmLaneWidth);
-    std::vector<float> PixelRegs(SP.NumRegs);
+    std::vector<float> Regs(SP.NumRegs);
     long long Mismatches = 0;
     for (int Width : {VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
       std::vector<float> Span(Width), Jit(Width);
@@ -293,8 +293,8 @@ TEST(JitVm, SpecialValueOpsMatchScalarBitForBit) {
                         Span.data());
         runJitSpan(*JP, Pool, Y, 0, Width, 0, LaneRegs.data(), Jit.data());
         for (int X = 0; X != Width; ++X) {
-          const uint32_t Scalar = bitsOf(
-              runStagedVmInterior(SP, 0, Pool, X, Y, 0, PixelRegs.data()));
+          const uint32_t Scalar =
+              bitsOf(runStagedVm(SP, 0, Pool, X, Y, 0, Regs.data()));
           Mismatches += bitsOf(Span[X]) != Scalar;
           Mismatches += bitsOf(Jit[X]) != Scalar;
         }
@@ -534,7 +534,7 @@ long long fusedMismatches(const StagedVmProgram &SP, const SpecialPool &In,
   }
   EXPECT_EQ(JP->cells(), ExpectedCells) << What;
   std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) * VmLaneWidth);
-  std::vector<float> PixelRegs(SP.NumRegs);
+  std::vector<float> Regs(SP.NumRegs);
   long long Mismatches = 0;
   for (int Width : {VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
     std::vector<float> Jit(Width);
@@ -542,8 +542,8 @@ long long fusedMismatches(const StagedVmProgram &SP, const SpecialPool &In,
       runJitSpan(*JP, In.Pool, Y, 0, Width, 0, LaneRegs.data(), Jit.data());
       for (int X = 0; X != Width; ++X)
         Mismatches += bitsOf(Jit[X]) !=
-                      bitsOf(runStagedVmInterior(SP, Root, In.Pool, X, Y, 0,
-                                                 PixelRegs.data()));
+                      bitsOf(runStagedVm(SP, Root, In.Pool, X, Y, 0,
+                                         Regs.data()));
     }
   }
   EXPECT_EQ(Mismatches, 0) << What;
@@ -753,7 +753,7 @@ TEST(JitVm, RunFusedVmRunsTheCompiledPlan) {
     bool RanJit = false;
     for (const LaunchModelRecord &Record : Records)
       if (Record.Program == Harris.P.name() && Record.Launch == Launch.Name) {
-        RanJit = Record.JitRuns > 0;
+        RanJit = Record.Runs > 0 && Record.Mode == VmMode::Jit;
         // The metrics table's cells column: the chain that ran.
         EXPECT_EQ(Record.FlatCells, Launch.Jit->FlatInsts) << Launch.Name;
         EXPECT_EQ(Record.JitCells, Launch.Jit->cells()) << Launch.Name;

@@ -38,6 +38,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 using namespace kf;
@@ -607,22 +611,21 @@ TEST(TilingTrace, LaunchMetricsSplitPerStrategy) {
   Options.Threads = 1;
   Options.Tiling = TilingStrategy::InteriorHalo;
   (void)runWith(P, FP, Options, 78);
-  Options.Tiling = TilingStrategy::Overlapped;
-  (void)runWith(P, FP, Options, 78);
-
   std::vector<LaunchModelRecord> Records = Registry.records();
   ASSERT_EQ(Records.size(), 1u);
+  EXPECT_EQ(Records[0].Mode, VmMode::Jit);
+  EXPECT_EQ(Records[0].Tiling, TilingStrategy::InteriorHalo);
+
+  // The same launch tiled overlapped is filed under the engine it ran
+  // then: span, since the JIT chains cannot read planes.
+  Options.Tiling = TilingStrategy::Overlapped;
+  (void)runWith(P, FP, Options, 78);
+  Records = Registry.records();
+  ASSERT_EQ(Records.size(), 1u);
   EXPECT_EQ(Records[0].Runs, 2u);
-  EXPECT_EQ(Records[0].InteriorTilingRuns, 1u);
-  EXPECT_EQ(Records[0].OverlappedRuns, 1u);
-  // The speedup needs both strategies' wall time above timer resolution;
-  // on a fast box a tiny launch can legitimately measure 0 ms.
-  if (Records[0].OverlappedMs > 0.0 && Records[0].InteriorTilingMs > 0.0) {
-    EXPECT_GT(Records[0].overlappedSpeedup(), 0.0);
-  }
-  std::string Json = Registry.toJson();
-  EXPECT_NE(Json.find("\"overlapped_runs\""), std::string::npos);
-  EXPECT_NE(Json.find("\"overlapped_speedup\""), std::string::npos);
+  EXPECT_EQ(Records[0].Mode, VmMode::Span);
+  EXPECT_EQ(Records[0].Tiling, TilingStrategy::Overlapped);
+  EXPECT_NE(Registry.renderTable().find("overlap"), std::string::npos);
 
   Registry.setEnabled(false);
   Registry.clear();
@@ -755,6 +758,35 @@ TEST(TilingAutoSelect, InteriorRequestsForceInteriorEverywhere) {
         << Run.Pipeline << "/" << Run.Launch;
 }
 
+/// forEachEngineConfig lists each engine once: on every fused Harris
+/// launch and on Night's shared-plane atrous1+scoto, the configs run
+/// pairwise distinct (engine, tiling, optimizer) triples, so no config
+/// re-runs another's engine under a different name.
+TEST(TilingAutoSelect, EveryEngineConfigRunsADistinctEngine) {
+  std::map<std::string, std::set<std::tuple<VmMode, TilingStrategy, OptMode>>>
+      Seen;
+  unsigned Configs = 0;
+  forEachEngineConfig([&](const ExecutionOptions &Options,
+                          const std::string &Name) {
+    ++Configs;
+    for (const LaunchRun &Run : runRegistryLaunches(Options)) {
+      if (!Run.Fused || (Run.Pipeline != "harris" && Run.Pipeline != "night"))
+        continue;
+      const std::string Tag = Run.Pipeline + "/" + Run.Launch;
+      EXPECT_TRUE(Seen[Tag]
+                      .insert({Run.Timing.Mode, Run.Timing.Tiling, Options.Opt})
+                      .second)
+          << Name << " runs " << Tag << " as vm="
+          << vmModeName(Run.Timing.Mode)
+          << " tiling=" << tilingStrategyName(Run.Timing.Tiling)
+          << ", as an earlier config did";
+    }
+  });
+  EXPECT_EQ(Configs, 8u);
+  EXPECT_EQ(Seen.count("night/atrous1+scoto"), 1u);
+  EXPECT_GT(Seen.size(), 1u); // Night's launch and Harris' fused ones.
+}
+
 TEST(TilingMetrics, LaunchesAreFiledUnderTheEngineTheyRan) {
   MetricsRegistry &Registry = MetricsRegistry::global();
   Registry.clear();
@@ -782,20 +814,19 @@ TEST(TilingMetrics, LaunchesAreFiledUnderTheEngineTheyRan) {
     ++Seen;
     if (Record.Stages > 1) {
       // atrous1+scoto: (span, overlapped).
-      EXPECT_EQ(Record.SpanRuns, 1u) << Record.Launch;
-      EXPECT_EQ(Record.OverlappedRuns, 1u) << Record.Launch;
+      EXPECT_EQ(Record.Mode, VmMode::Span) << Record.Launch;
+      EXPECT_EQ(Record.Tiling, TilingStrategy::Overlapped) << Record.Launch;
     } else {
-      // atrous0: (jit, interior), not scalar.
-      EXPECT_EQ(Record.JitRuns, 1u) << Record.Launch;
-      EXPECT_EQ(Record.ScalarRuns, 0u) << Record.Launch;
-      EXPECT_EQ(Record.InteriorTilingRuns, 1u) << Record.Launch;
+      // atrous0: (jit, interior).
+      EXPECT_EQ(Record.Mode, VmMode::Jit) << Record.Launch;
+      EXPECT_EQ(Record.Tiling, TilingStrategy::InteriorHalo) << Record.Launch;
     }
+    EXPECT_EQ(Record.Runs, 1u) << Record.Launch;
   }
   EXPECT_EQ(Seen, 2u);
   const std::string Table = Registry.renderTable();
   EXPECT_NE(Table.find("jit"), std::string::npos) << Table;
   EXPECT_NE(Table.find("overlap"), std::string::npos) << Table;
-  EXPECT_NE(Registry.toJson().find("\"jit_runs\": 1"), std::string::npos);
 
   Registry.setEnabled(false);
   Registry.clear();

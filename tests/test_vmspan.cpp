@@ -188,8 +188,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, VmSpanBorder,
                          });
 
 /// Tail handling: spans of every LaneBoundaryWidths width must each
-/// match per-pixel interior evaluation of the root stage of \p SP bit for
-/// bit -- the widths that straddle the chunking boundary.
+/// match per-pixel evaluation (runStagedVm) of the root stage of \p SP
+/// bit for bit -- the widths that straddle the chunking boundary.
 void expectTailWidthsMatchPerPixel(const StagedVmProgram &SP,
                                    const std::vector<Image> &Pool, int W,
                                    int H) {
@@ -198,7 +198,7 @@ void expectTailWidthsMatchPerPixel(const StagedVmProgram &SP,
   int Y = H / 2;
   std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) *
                               VmLaneWidth);
-  std::vector<float> PixelRegs(SP.NumRegs);
+  std::vector<float> Regs(SP.NumRegs);
 
   for (int Width : LaneBoundaryWidths) {
     int X0 = Halo, X1 = X0 + Width;
@@ -208,8 +208,7 @@ void expectTailWidthsMatchPerPixel(const StagedVmProgram &SP,
                     Out.data());
     for (int X = X0; X != X1; ++X)
       EXPECT_EQ(bitsOf(Out[X - X0]),
-                bitsOf(runStagedVmInterior(SP, Root, Pool, X, Y, 0,
-                                           PixelRegs.data())))
+                bitsOf(runStagedVm(SP, Root, Pool, X, Y, 0, Regs.data())))
           << "width=" << Width << " x=" << X;
   }
 }

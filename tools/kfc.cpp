@@ -85,13 +85,15 @@ static void printUsage() {
       "  --run                        execute on random input: fused VM\n"
       "                               (plan compile + run) vs unfused AST\n"
       "                               wall time + max |diff|; exit 1\n"
-      "                               when the diff is not 0\n"
+      "                               when any output bit differs\n"
       "  --threads <n>                worker threads for --run (0 = auto)\n"
       "  --vm scalar|span|jit         interior VM engine for --run: jit\n"
       "                               (the default; compiled per-plan\n"
       "                               cell chains, span where a launch\n"
       "                               has none), span (lane-batched), or\n"
-      "                               scalar (per-pixel)\n"
+      "                               scalar (every pixel through the\n"
+      "                               per-pixel bytecode reference;\n"
+      "                               ignores --tiling)\n"
       "  --tiling auto|interior|overlapped\n"
       "                               tiling strategy for --run: the\n"
       "                               interior/halo split, overlapped\n"
@@ -208,14 +210,30 @@ static std::string beforeAfter(const StagedVmProgram &Before,
   return std::to_string(Count(Before)) + " -> " + std::to_string(Count(After));
 }
 
-/// The exit status of a `--run`: 0 when the \p What result matched the
-/// unfused AST reference bit for bit, else 1 with an error on stderr.
-static int checkRunMatches(double MaxDiff, const char *What) {
-  if (MaxDiff == 0.0)
+/// A run's distance from its reference over every compared output: the
+/// max |diff| the report prints, and the samples that differ in any bit
+/// (signed zeros and NaN payloads count), which decide the verdict.
+struct OutputDiff {
+  double MaxAbs = 0.0;
+  long long Bits = 0;
+
+  void add(const Image &Got, const Image &Want) {
+    MaxAbs = std::max(MaxAbs, maxAbsDifference(Got, Want));
+    Bits += countBitDifferences(Got, Want);
+  }
+  bool identical() const { return Bits == 0; }
+};
+
+/// The exit status of a run: 0 when the \p What result matched
+/// \p Reference bit for bit, else 1 with an error on stderr.
+static int checkRunMatches(const OutputDiff &Diff, const char *What,
+                           const char *Reference = "the unfused ast") {
+  if (Diff.identical())
     return 0;
-  std::fprintf(stderr, "error: %s result differs from the unfused ast "
-                       "reference (max |diff| %g)\n",
-               What, MaxDiff);
+  std::fprintf(stderr,
+               "error: %s result differs from %s reference (max |diff| %g, "
+               "%lld samples differ in bits)\n",
+               What, Reference, Diff.MaxAbs, Diff.Bits);
   return 1;
 }
 
@@ -344,10 +362,9 @@ static int runLazyDriver(const CommandLine &Cl, DiagnosticEngine &DE,
       if (Given.first == Entry.first)
         Pool[Entry.second] = *Given.second;
   runUnfused(P, Pool, Exec);
-  double MaxDiff = 0.0;
+  OutputDiff Diff;
   for (size_t I = 0; I != MP.Outputs.size(); ++I)
-    MaxDiff = std::max(
-        MaxDiff, maxAbsDifference(Last.Outputs[I], Pool[MP.Outputs[I]]));
+    Diff.add(Last.Outputs[I], Pool[MP.Outputs[I]]);
   for (size_t I = 0; I != MP.Outputs.size(); ++I) {
     const Image &Out = Last.Outputs[I];
     double Sum = 0.0;
@@ -360,14 +377,9 @@ static int runLazyDriver(const CommandLine &Cl, DiagnosticEngine &DE,
                 Sum / (static_cast<double>(Out.iterationSpace()) *
                        Out.channels()));
   }
-  std::printf("max |lazy - unfused| = %.3g%s\n", MaxDiff,
-              MaxDiff == 0.0 ? " (bit-identical)" : "");
-  if (MaxDiff != 0.0) {
-    std::fprintf(stderr,
-                 "error: lazy result differs from the reference\n");
-    return 1;
-  }
-  return 0;
+  std::printf("max |lazy - unfused| = %.3g%s\n", Diff.MaxAbs,
+              Diff.identical() ? " (bit-identical)" : "");
+  return checkRunMatches(Diff, "lazy");
 }
 
 int main(int Argc, char **Argv) {
@@ -666,7 +678,7 @@ int main(int Argc, char **Argv) {
       } // Server scope: pool exports its counters on destruction.
 
       // ...and replay session 0 serially on a private session.
-      double MaxDiff = 0.0;
+      OutputDiff Diff;
       if (ProbeIndex >= 0) {
         PipelineSession Serial(FP, Exec);
         std::vector<Image> Ref = Serial.acquireFrame();
@@ -674,8 +686,7 @@ int main(int Argc, char **Argv) {
         Serial.runFrame(Ref);
         size_t Slot = 0;
         for (ImageId Out : Outputs)
-          MaxDiff = std::max(MaxDiff,
-                             maxAbsDifference(Ref[Out], Probe[Slot++]));
+          Diff.add(Probe[Slot++], Ref[Out]);
         Serial.releaseFrame(std::move(Ref));
       }
 
@@ -712,9 +723,9 @@ int main(int Argc, char **Argv) {
                   PixelsPerSec / 1e6);
       std::printf("max |server frame - serial session| over destinations: "
                   "%g\n",
-                  MaxDiff);
+                  Diff.MaxAbs);
       reportObservability();
-      return MaxDiff == 0.0 ? 0 : 1;
+      return checkRunMatches(Diff, "server frame", "the serial session");
     }
 
     if (Frames > 0) {
@@ -734,7 +745,7 @@ int main(int Argc, char **Argv) {
       FillFrame(Frames - 1, Reference);
       runUnfused(P, Reference, Exec);
 
-      double MaxDiff = 0.0;
+      OutputDiff Diff;
       {
       PipelineSession Session(FP, Exec);
       std::vector<Image> LastFrame;
@@ -758,8 +769,7 @@ int main(int Argc, char **Argv) {
       for (const FusedKernel &FK : FP.Kernels)
         for (KernelId Dest : FK.Destinations) {
           ImageId Out = P.kernel(Dest).Output;
-          MaxDiff = std::max(
-              MaxDiff, maxAbsDifference(LastFrame[Out], Reference[Out]));
+          Diff.add(LastFrame[Out], Reference[Out]);
         }
 
       const SessionStats &S = Session.stats();
@@ -779,10 +789,10 @@ int main(int Argc, char **Argv) {
                   static_cast<unsigned long long>(S.FramesAllocated));
       std::printf("max |session frame - unfused ast| over destinations: "
                   "%g\n",
-                  MaxDiff);
+                  Diff.MaxAbs);
       } // Session scope: its thread pool exports counters on destruction.
       reportObservability();
-      return checkRunMatches(MaxDiff, "session frame");
+      return checkRunMatches(Diff, "session frame");
     }
 
     // Deterministic random fill of every external input (images no
@@ -810,12 +820,11 @@ int main(int Argc, char **Argv) {
     double AstMs = WallMs([&] { runUnfused(P, Reference, Exec); });
     double VmMs = WallMs([&] { runFusedVm(FP, VmPool, Exec); });
 
-    double MaxDiff = 0.0;
+    OutputDiff Diff;
     for (const FusedKernel &FK : FP.Kernels)
       for (KernelId Dest : FK.Destinations) {
         ImageId Out = P.kernel(Dest).Output;
-        MaxDiff = std::max(MaxDiff,
-                           maxAbsDifference(VmPool[Out], Reference[Out]));
+        Diff.add(VmPool[Out], Reference[Out]);
       }
 
     std::printf("executed '%s' with %u threads (%s fusion, %s tiling)\n",
@@ -828,9 +837,9 @@ int main(int Argc, char **Argv) {
         {"fused vm", formatDouble(VmMs, 3), formatDouble(AstMs / VmMs, 3)});
     std::fputs(Run.render().c_str(), stdout);
     std::printf("max |fused vm - unfused ast| over destinations: %g\n",
-                MaxDiff);
+                Diff.MaxAbs);
     reportObservability();
-    return checkRunMatches(MaxDiff, "fused vm");
+    return checkRunMatches(Diff, "fused vm");
   }
 
   std::string Emit = Cl.getOption("emit", "");
